@@ -79,6 +79,16 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """click.echo to the current sys.stdout or sys.stderr.
+
+    Naming the stream skips click's default-stream cache, which keeps every
+    stream it has seen alive; each in-process run (click's CliRunner swaps in
+    fresh streams) would otherwise leak its captured output.
+    """
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _load_config_file(explicit_path: str | None) -> dict[str, Any]:
     path = explicit_path or os.environ.get("STREAMRAG_CONFIG")
     if not path:
@@ -186,11 +196,16 @@ def _read_kg(path: str) -> KgStore:
 
 def _read_outcomes(path: str):
     outcomes = []
+    seen: set[str] = set()
     for lineno, raw in iter_jsonl(path):
         try:
-            outcomes.append(outcome_from_dict(raw))
+            outcome = outcome_from_dict(raw)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"{path}:{lineno}: malformed outcome: {exc}") from exc
+        if outcome.utterance_id in seen:
+            raise InputError(f"{path}:{lineno}: duplicate utterance_id {outcome.utterance_id!r}")
+        seen.add(outcome.utterance_id)
+        outcomes.append(outcome)
     if not outcomes:
         raise InputError(f"{path}: no outcomes")
     return outcomes
@@ -272,7 +287,7 @@ def simulate(traces_path, corpus_path, kg_path, strategy, block_ms, ref_length_t
     factory = _generator_factory(strategy_enum, session_config, backends)
     outcomes, errors = run_batch(traces, session_config, factory, backends, latency, jobs=jobs)
     for uid, message in errors:
-        click.echo(f"warning: trace {uid} failed: {message}", err=True)
+        _echo(f"warning: trace {uid} failed: {message}", err=True)
     if not outcomes:
         raise InputError("every trace failed; nothing to report")
 
@@ -300,7 +315,7 @@ def simulate(traces_path, corpus_path, kg_path, strategy, block_ms, ref_length_t
     _write_manifest(out, "simulate", cfg,
                     {"traces": traces_path, "corpus": corpus_path, "kg": kg_path},
                     outputs, seed=cfg["seed"])
-    click.echo(f"simulated {len(outcomes)} sessions ({strategy_enum.value}) -> {out}")
+    _echo(f"simulated {len(outcomes)} sessions ({strategy_enum.value}) -> {out}")
 
 
 def _generator_factory(strategy: Strategy, config: SessionConfig, backends: Backends
@@ -355,10 +370,10 @@ def label(traces_path, corpus_path, pseudo_gt_path, block_ms, negative_prob, see
         steps = assign_streaming_labels(trace, resolved_block_ms, ctx, overrides)
         all_steps.extend(steps)
         if show_labels:
-            click.echo(f"{trace.utterance_id}:")
+            _echo(f"{trace.utterance_id}:")
             for step in steps:
                 label_text = json.dumps(step.label.to_wire())
-                click.echo(f"  block {step.block:2d} {step.tool.value:3s} {label_text}")
+                _echo(f"  block {step.block:2d} {step.tool.value:3s} {label_text}")
     pool = build_negative_pool(all_steps)
     labeled = inject_negative_samples(all_steps, cfg["negative_prob"], cfg["seed"], pool)
 
@@ -380,7 +395,7 @@ def label(traces_path, corpus_path, pseudo_gt_path, block_ms, negative_prob, see
     if pseudo_gt_path:
         inputs["pseudo_gt"] = pseudo_gt_path
     _write_manifest(out, "label", cfg, inputs, ["training.jsonl", "summary.json"], seed=cfg["seed"])
-    click.echo(
+    _echo(
         f"labeled {summary['steps']} steps: {summary['fires']} fire, "
         f"{summary['no_query']} NO_QUERY, {summary['negatives']} negatives -> {out}"
     )
@@ -458,10 +473,10 @@ def report(baseline_path, strategy_path, judgments_path, out_dir, out_format,
         outputs.append("scores.json")
         inputs["judgments"] = judgments_path
     else:
-        click.echo("no judgments file given; scores skipped", err=True)
+        _echo("no judgments file given; scores skipped", err=True)
 
     _write_manifest(out, "report", cfg, inputs, outputs, seed=cfg["seed"])
-    click.echo(f"report written -> {out}")
+    _echo(f"report written -> {out}")
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -473,13 +488,13 @@ def main(argv: list[str] | None = None) -> None:
     except click.Abort:
         sys.exit(130)
     except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        _echo(f"error: {exc.format_message()}", err=True)
         sys.exit(2)
     except InputError as exc:
-        click.echo(f"input error: {exc}", err=True)
+        _echo(f"input error: {exc}", err=True)
         sys.exit(2)
     except Exception as exc:  # noqa: BLE001 - last-resort internal error mapping
-        click.echo(f"internal error: {exc}", err=True)
+        _echo(f"internal error: {exc}", err=True)
         sys.exit(3)
     sys.exit(0)
 

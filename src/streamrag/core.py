@@ -367,8 +367,13 @@ def trace_from_dict(raw: dict[str, Any]) -> UtteranceTrace:
 
 
 def read_traces(path: str) -> list[UtteranceTrace]:
-    """Read a JSONL trace file; parse errors carry 1-based line numbers."""
+    """Read a JSONL trace file; parse errors carry 1-based line numbers.
+
+    A repeated utterance_id is an error: ids key the latency RNG substreams
+    and the outcome pairing, so a duplicate could only be dropped silently.
+    """
     traces = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -379,9 +384,13 @@ def read_traces(path: str) -> list[UtteranceTrace]:
             except json.JSONDecodeError as exc:
                 raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
             try:
-                traces.append(trace_from_dict(raw))
+                trace = trace_from_dict(raw)
             except InputError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from exc
+            if trace.utterance_id in seen:
+                raise InputError(f"{path}:{lineno}: duplicate utterance_id {trace.utterance_id!r}")
+            seen.add(trace.utterance_id)
+            traces.append(trace)
     return traces
 
 

@@ -101,11 +101,22 @@ class SavingsReport:
         }
 
 
+def _by_utterance(outcomes: Sequence[SessionOutcome], side: str) -> dict[str, SessionOutcome]:
+    by_id: dict[str, SessionOutcome] = {}
+    for outcome in outcomes:
+        if outcome.utterance_id in by_id:
+            raise InputError(f"duplicate {side} outcome for utterance {outcome.utterance_id!r}")
+        by_id[outcome.utterance_id] = outcome
+    return by_id
+
+
 def pair_by_utterance(
     baseline: Sequence[SessionOutcome], strategy: Sequence[SessionOutcome]
 ) -> list[tuple[SessionOutcome, SessionOutcome]]:
-    base_by_id = {o.utterance_id: o for o in baseline}
-    strat_by_id = {o.utterance_id: o for o in strategy}
+    """(baseline, strategy) outcome pairs in utterance_id order; each side must
+    hold every id exactly once."""
+    base_by_id = _by_utterance(baseline, "baseline")
+    strat_by_id = _by_utterance(strategy, "strategy")
     missing_in_strategy = sorted(set(base_by_id) - set(strat_by_id))
     missing_in_baseline = sorted(set(strat_by_id) - set(base_by_id))
     if missing_in_strategy or missing_in_baseline:

@@ -6,15 +6,16 @@ deterministic so that result-equivalence checks (same top-k documents, same
 KG answer) can be verified exactly. The embedding re-ranker this stands in
 for can be swapped in behind the same functions.
 
-The inner scoring loop runs on a compiled kernel when the extension built,
-with a pure-Python fallback selected at import; set STREAMRAG_PURE_PYTHON=1
-to force the fallback.
+A search walks only the posting lists of the query's terms, in ascending term
+id. Each document thus adds up its products in the same order as a walk over
+its own terms would, so its score is the same double bit for bit. A heap then
+keeps the top k of the documents that share a term with the query.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-import os
 import string
 from array import array
 from dataclasses import dataclass, replace
@@ -22,16 +23,6 @@ from typing import Iterable, Sequence
 
 from ..core import KgQuery, Tool, ToolQuery
 from ..errors import DuplicateDocIdError, InputError, WrongToolError
-
-if os.environ.get("STREAMRAG_PURE_PYTHON"):
-    from . import _kernel as _kernel_impl
-else:
-    try:
-        from . import _kernel_cy as _kernel_impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _kernel as _kernel_impl  # type: ignore[no-redef]
-
-KERNEL_BACKEND: str = _kernel_impl.BACKEND
 
 _PUNCT_TO_SPACE = str.maketrans({c: " " for c in string.punctuation})
 
@@ -71,9 +62,11 @@ class WebResult:
 class DocIndex:
     """Immutable lexical index over a document corpus.
 
-    Stores per-term document frequencies and idf-weighted document vectors
-    in CSR layout for the scoring kernel. Rebuilding from the same corpus
-    yields the same index; all lookups are pure.
+    Stores per-term document frequencies and an inverted index: the postings
+    of term ``t`` are ``_post_docs[_starts[t]:_starts[t + 1]]`` (document
+    indices, ascending) with their idf-weighted term counts in
+    ``_post_weights``. Rebuilding from the same corpus yields the same index;
+    all lookups are pure.
     """
 
     def __init__(self, docs: Sequence[tuple[str, str]]) -> None:
@@ -107,23 +100,29 @@ class DocIndex:
         self.idf = array("d", (self._idf_value(self.df[t]) for t in range(len(vocab))))
         self._default_idf = self._idf_value(0)
 
-        offsets = array("l", [0])
-        tids = array("i")
-        weights = array("d")
+        starts = array("l", [0])
+        for df in self.df:
+            starts.append(starts[-1] + df)
+        next_slot = list(starts[:-1])
+        post_docs = array("i", bytes(4 * starts[-1]))
+        post_weights = array("d", bytes(8 * starts[-1]))
         norms = array("d")
-        for counts in doc_term_counts:
+        for d, counts in enumerate(doc_term_counts):
             sq = 0.0
             for tid in sorted(counts):
                 w = counts[tid] * self.idf[tid]
-                tids.append(tid)
-                weights.append(w)
+                slot = next_slot[tid]
+                next_slot[tid] = slot + 1
+                post_docs[slot] = d
+                post_weights[slot] = w
                 sq += w * w
-            offsets.append(len(tids))
             norms.append(math.sqrt(sq))
-        self._offsets = offsets
-        self._tids = tids
-        self._weights = weights
+        self._starts = starts
+        self._post_docs = post_docs
+        self._post_weights = post_weights
         self._norms = norms
+        # zero-score documents fill a short ranking in doc_id order
+        self._by_doc_id = array("i", sorted(range(n_docs), key=self.doc_ids.__getitem__))
 
     def _idf_value(self, df: int) -> float:
         return math.log((1.0 + self.n_docs) / (1.0 + df)) + 1.0
@@ -131,58 +130,60 @@ class DocIndex:
     def doc_text(self, doc_id: str) -> str:
         return self._texts[doc_id]
 
-    def _query_vector(self, query_text: str) -> tuple[array, float]:
+    def _query_terms(self, query_text: str) -> tuple[list[tuple[int, float]], float]:
+        """In-vocabulary (term id, weight) pairs in ascending id, and the L2
+        norm of the whole query, out-of-vocabulary tokens included."""
         counts: dict[str, int] = {}
         for token in tokenize(query_text):
             counts[token] = counts.get(token, 0) + 1
-        qvec = array("d", bytes(8 * len(self.vocab)))
+        terms = []
         sq = 0.0
         for token in sorted(counts):
-            tf = counts[token]
             tid = self.vocab.get(token)
-            idf = self.idf[tid] if tid is not None else self._default_idf
-            w = tf * idf
+            w = counts[token] * (self.idf[tid] if tid is not None else self._default_idf)
             sq += w * w
             if tid is not None:
-                qvec[tid] = w
-        return qvec, math.sqrt(sq)
+                terms.append((tid, w))
+        terms.sort()
+        return terms, math.sqrt(sq)
 
-    def score_all(self, query_text: str) -> array:
-        """Cosine score of every indexed document against the query."""
-        qvec, qnorm = self._query_vector(query_text)
-        if qnorm == 0.0:
-            return array("d", bytes(8 * self.n_docs))
-        return _kernel_impl.score_many(
-            self._offsets, self._tids, self._weights, self._norms, qvec, qnorm
-        )
+    def score_all(self, query_text: str) -> dict[int, float]:
+        """Cosine score of every document sharing a term with the query, keyed
+        by document index; every other document scores 0."""
+        terms, qnorm = self._query_terms(query_text)
+        dots: dict[int, float] = {}
+        get = dots.get
+        starts, post_docs, post_weights = self._starts, self._post_docs, self._post_weights
+        for tid, qw in terms:
+            lo, hi = starts[tid], starts[tid + 1]
+            for d, w in zip(post_docs[lo:hi], post_weights[lo:hi]):
+                dots[d] = get(d, 0.0) + qw * w
+        norms = self._norms
+        return {d: dot / (norms[d] * qnorm) for d, dot in dots.items()}
 
-    def score_texts(self, query_text: str, texts: Sequence[str]) -> array:
+    def score_texts(self, query_text: str, texts: Sequence[str]) -> list[float]:
         """Score arbitrary texts (e.g. chunks) against the query with index idf."""
-        qvec, qnorm = self._query_vector(query_text)
-        offsets = array("l", [0])
-        tids = array("i")
-        weights = array("d")
-        norms = array("d")
+        terms, qnorm = self._query_terms(query_text)
+        query = dict(terms)
+        scores = []
         for text in texts:
             counts: dict[int, int] = {}
-            oov_sq = 0.0
+            sq = 0.0  # out-of-vocabulary tokens first, then terms in id order
             for token in tokenize(text):
                 tid = self.vocab.get(token)
                 if tid is None:
-                    oov_sq += self._default_idf * self._default_idf
+                    sq += self._default_idf * self._default_idf
                 else:
                     counts[tid] = counts.get(tid, 0) + 1
-            sq = oov_sq
+            dot = 0.0
             for tid in sorted(counts):
                 w = counts[tid] * self.idf[tid]
-                tids.append(tid)
-                weights.append(w)
                 sq += w * w
-            offsets.append(len(tids))
-            norms.append(math.sqrt(sq))
-        if qnorm == 0.0:
-            return array("d", bytes(8 * len(texts)))
-        return _kernel_impl.score_many(offsets, tids, weights, norms, qvec, qnorm)
+                qw = query.get(tid)
+                if qw is not None:
+                    dot += qw * w
+            scores.append(dot / (math.sqrt(sq) * qnorm) if dot != 0.0 else 0.0)
+        return scores
 
 
 def index_documents(corpus: Iterable[dict]) -> DocIndex:
@@ -207,12 +208,19 @@ def web_search(index: DocIndex, query: ToolQuery, k: int) -> WebResult:
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = index.score_all(query.web_text)
-    order = sorted(range(index.n_docs), key=lambda d: (-scores[d], index.doc_ids[d]))
-    top = order[: min(k, index.n_docs)]
+    doc_ids = index.doc_ids
+    top = heapq.nsmallest(k, ((-score, doc_ids[d], d) for d, score in scores.items()))
+    ranked = [(d, -neg) for neg, _, d in top]
+    if len(ranked) < k:
+        for d in index._by_doc_id:
+            if d not in scores:
+                ranked.append((d, 0.0))
+                if len(ranked) == k:
+                    break
     return WebResult(
         query_text=query.web_text,
-        ranked_doc_ids=tuple(index.doc_ids[d] for d in top),
-        doc_scores=tuple(scores[d] for d in top),
+        ranked_doc_ids=tuple(doc_ids[d] for d, _ in ranked),
+        doc_scores=tuple(score for _, score in ranked),
     )
 
 

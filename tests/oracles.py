@@ -53,6 +53,109 @@ def oracle_top_ids(corpus: list[dict], query: str, k: int) -> list[str]:
     return [doc_id for doc_id, _ in oracle_rank_docs(corpus, query)[:k]]
 
 
+class OracleDenseIndex:
+    """Reference scorer: the dense-query walk over doc-major CSR rows.
+
+    Built from raw ``{doc_id, text}`` records. Every document row is walked
+    in full against a vocabulary-sized query vector, summing products in
+    ascending term id, and the whole corpus is sorted by ``(-score, doc_id)``.
+    A search that visits only the query's postings must reproduce these
+    scores bit for bit.
+    """
+
+    def __init__(self, corpus: list[dict]) -> None:
+        self.doc_ids = [record["doc_id"] for record in corpus]
+        self.vocab: dict[str, int] = {}
+        doc_counts = []
+        df: list[int] = []
+        for record in corpus:
+            counts: dict[int, int] = {}
+            for token in oracle_tokens(record["text"]):
+                tid = self.vocab.setdefault(token, len(self.vocab))
+                counts[tid] = counts.get(tid, 0) + 1
+            doc_counts.append(counts)
+            df.extend([0] * (len(self.vocab) - len(df)))
+            for tid in counts:
+                df[tid] += 1
+        n = len(corpus)
+        self.idf = [math.log((1.0 + n) / (1.0 + f)) + 1.0 for f in df]
+        self.default_idf = math.log((1.0 + n) / 1.0) + 1.0
+
+        self.offsets = [0]
+        self.tids: list[int] = []
+        self.weights: list[float] = []
+        self.norms: list[float] = []
+        for counts in doc_counts:
+            sq = 0.0
+            for tid in sorted(counts):
+                w = counts[tid] * self.idf[tid]
+                self.tids.append(tid)
+                self.weights.append(w)
+                sq += w * w
+            self.offsets.append(len(self.tids))
+            self.norms.append(math.sqrt(sq))
+
+    def query_vector(self, query: str) -> tuple[list[float], float]:
+        counts: dict[str, int] = {}
+        for token in oracle_tokens(query):
+            counts[token] = counts.get(token, 0) + 1
+        qvec = [0.0] * len(self.vocab)
+        sq = 0.0
+        for token in sorted(counts):
+            tid = self.vocab.get(token)
+            w = counts[token] * (self.idf[tid] if tid is not None else self.default_idf)
+            sq += w * w
+            if tid is not None:
+                qvec[tid] = w
+        return qvec, math.sqrt(sq)
+
+    @staticmethod
+    def _walk(offsets, tids, weights, norms, qvec, qnorm) -> list[float]:
+        scores = [0.0] * (len(offsets) - 1)
+        if qnorm == 0.0:
+            return scores
+        for d in range(len(scores)):
+            dot = 0.0
+            for j in range(offsets[d], offsets[d + 1]):
+                dot += qvec[tids[j]] * weights[j]
+            if dot != 0.0:
+                scores[d] = dot / (norms[d] * qnorm)
+        return scores
+
+    def scores(self, query: str) -> list[float]:
+        """Cosine score of every document, in index order."""
+        qvec, qnorm = self.query_vector(query)
+        return self._walk(self.offsets, self.tids, self.weights, self.norms, qvec, qnorm)
+
+    def ranking(self, query: str) -> list[tuple[str, float]]:
+        """Every document as (doc_id, score), sorted by (-score, doc_id)."""
+        scored = zip(self.doc_ids, self.scores(query))
+        return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
+
+    def score_texts(self, query: str, texts: list[str]) -> list[float]:
+        """Texts scored as extra CSR rows; their out-of-vocabulary tokens add
+        to the row norm at the unseen-term idf."""
+        offsets, tids, weights, norms = [0], [], [], []
+        for text in texts:
+            counts: dict[int, int] = {}
+            sq = 0.0
+            for token in oracle_tokens(text):
+                tid = self.vocab.get(token)
+                if tid is None:
+                    sq += self.default_idf * self.default_idf
+                else:
+                    counts[tid] = counts.get(tid, 0) + 1
+            for tid in sorted(counts):
+                w = counts[tid] * self.idf[tid]
+                tids.append(tid)
+                weights.append(w)
+                sq += w * w
+            offsets.append(len(tids))
+            norms.append(math.sqrt(sq))
+        qvec, qnorm = self.query_vector(query)
+        return self._walk(offsets, tids, weights, norms, qvec, qnorm)
+
+
 def oracle_docs_with_phrase(corpus: list[dict], phrase: str) -> list[str]:
     """Linear scan for substring containment."""
     return [record["doc_id"] for record in corpus if phrase in record["text"]]

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import gc
 import hashlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from streamrag.cli import cli
 from subproc import child_env
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -96,6 +100,21 @@ class TestSimulate:
             expect=2,
         )
         assert "bad.jsonl:2" in result.stderr
+
+    def test_duplicate_utterance_id_is_input_error(self, tmp_path):
+        lines = (FIXTURES / "traces.jsonl").read_text().splitlines()
+        dup = tmp_path / "dup.jsonl"
+        dup.write_text("\n".join(lines + lines[:1]) + "\n")
+        uid = json.loads(lines[0])["utterance_id"]
+        result = run_cli(
+            "simulate", "--traces", str(dup),
+            "--corpus", str(FIXTURES / "corpus.jsonl"),
+            "--kg", str(FIXTURES / "kg.json"),
+            "--out-dir", str(tmp_path / "x"),
+            expect=2,
+        )
+        assert f"dup.jsonl:{len(lines) + 1}: duplicate utterance_id {uid!r}" in result.stderr
+        assert not (tmp_path / "x").exists()
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         config = tmp_path / "config.json"
@@ -244,8 +263,43 @@ class TestReport:
                          expect=2)
         assert "pair" in result.stderr
 
+    def test_duplicate_outcome_is_input_error(self, tmp_path, outcome_dirs):
+        ob, mt = outcome_dirs
+        lines = (ob / "outcomes.jsonl").read_text().splitlines()
+        doubled = tmp_path / "doubled.jsonl"
+        doubled.write_text("\n".join(lines + lines[-1:]) + "\n")
+        uid = json.loads(lines[-1])["utterance_id"]
+        result = run_cli("report", "--baseline", str(doubled),
+                         "--strategy", str(mt / "outcomes.jsonl"), "--out-dir", str(tmp_path / "rep"),
+                         expect=2)
+        assert f"doubled.jsonl:{len(lines) + 1}: duplicate utterance_id {uid!r}" in result.stderr
+
 
 class TestEntryPoint:
     def test_version_flag(self):
         result = run_cli("--version")
         assert "streamrag" in result.stdout
+
+    def test_in_process_runs_release_their_streams(self, tmp_path):
+        # each CliRunner run swaps in its own sys.stdout/sys.stderr; the CLI's
+        # messages must not keep them (and the output they hold) alive
+        def live_streams() -> int:
+            gc.collect()
+            return sum(1 for o in gc.get_objects() if isinstance(o, io.TextIOWrapper)
+                       and getattr(o, "name", None) in ("<stdout>", "<stderr>"))
+
+        runner = CliRunner(env={"STREAMRAG_CONFIG": None})
+        before = live_streams()
+        for i in range(3):
+            out = tmp_path / str(i)
+            result = runner.invoke(cli, [
+                "simulate", "--traces", str(FIXTURES / "traces.jsonl"),
+                "--corpus", str(FIXTURES / "corpus.jsonl"), "--kg", str(FIXTURES / "kg.json"),
+                "--strategy", "open_book", "--out-dir", str(out / "ob")])
+            assert result.exit_code == 0, result.output
+            outcomes = str(out / "ob" / "outcomes.jsonl")
+            result = runner.invoke(cli, ["report", "--baseline", outcomes, "--strategy", outcomes,
+                                         "--out-dir", str(out / "rep")])
+            assert result.exit_code == 0, result.output
+            assert "scores skipped" in result.output
+        assert live_streams() == before

@@ -27,7 +27,7 @@ from streamrag.core import (
     write_traces,
 )
 from streamrag.errors import EmptyTraceError, InputError
-from streamrag.synth import brand_founder_trace
+from streamrag.synth import brand_founder_trace, jump_shots_trace
 
 
 class TestSimClock:
@@ -207,6 +207,13 @@ class TestTraceIO:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"utterance_id": "u"}) + "\n")
         with pytest.raises(InputError, match=r"bad\.jsonl:1"):
+            read_traces(str(path))
+
+    def test_duplicate_utterance_id_rejected_with_line(self, tmp_path):
+        path = tmp_path / "dup.jsonl"
+        write_traces([brand_founder_trace(), jump_shots_trace(), brand_founder_trace()], str(path))
+        uid = brand_founder_trace().utterance_id
+        with pytest.raises(InputError, match=rf"dup\.jsonl:3: duplicate utterance_id '{uid}'"):
             read_traces(str(path))
 
     def test_scripted_queries_round_trip(self):

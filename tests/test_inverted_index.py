@@ -1,0 +1,121 @@
+"""The inverted index scores and ranks exactly as the dense CSR oracle does.
+
+Scores are compared as float hex strings, so any change in summation order or
+arithmetic shows up; rankings are compared with the oracle's full
+``(-score, doc_id)`` sort of the whole corpus.
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from streamrag.core import ToolQuery
+from streamrag.retrieval import index_documents, web_search
+
+from oracles import OracleDenseIndex
+
+WORDS = ["alpha", "beta", "gamma", "delta", "echo", "fox", "golf", "hotel"]
+
+token = st.sampled_from(WORDS + ["Alpha,", "beta.", "-", "!!"])
+text = st.lists(token, max_size=12).map(" ".join)
+query_text = st.lists(st.sampled_from(WORDS + ["unseen", "words", "ALPHA?"]),
+                      min_size=1, max_size=6).map(" ".join)
+# "d" + number ids: string order differs from index order (d1000 < d999)
+doc_ids = st.lists(st.integers(0, 1200).map(lambda i: f"d{i}"), min_size=1, max_size=25,
+                   unique=True)
+
+
+@st.composite
+def corpora(draw):
+    ids = draw(doc_ids)
+    return [{"doc_id": doc_id, "text": draw(text)} for doc_id in ids]
+
+
+def _hex(scores) -> list[str]:
+    return [s.hex() for s in scores]
+
+
+def assert_scores_match(index, oracle: OracleDenseIndex, query: str) -> None:
+    expected = oracle.scores(query)
+    scores = index.score_all(query)
+    assert sorted(scores) == [d for d, s in enumerate(expected) if s != 0.0]
+    assert _hex(scores.get(d, 0.0) for d in range(len(expected))) == _hex(expected)
+
+
+def assert_top_k_match(index, oracle: OracleDenseIndex, query: str) -> None:
+    ranking = oracle.ranking(query)
+    n = len(ranking)
+    for k in sorted({1, 5, 50, n, n + 7}):
+        result = web_search(index, ToolQuery.web(query), k)
+        expected = ranking[:k]
+        assert list(result.ranked_doc_ids) == [doc_id for doc_id, _ in expected], k
+        assert _hex(result.doc_scores) == _hex(score for _, score in expected), k
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=corpora(), queries=st.lists(query_text, min_size=1, max_size=4))
+def test_scores_and_top_k_match_oracle_on_generated_corpora(corpus, queries):
+    index = index_documents(corpus)
+    oracle = OracleDenseIndex(corpus)
+    for query in queries:
+        assert_scores_match(index, oracle, query)
+        assert_top_k_match(index, oracle, query)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=corpora(), query=query_text, texts=st.lists(text, max_size=8))
+def test_score_texts_matches_oracle(corpus, query, texts):
+    index = index_documents(corpus)
+    oracle = OracleDenseIndex(corpus)
+    assert _hex(index.score_texts(query, texts)) == _hex(oracle.score_texts(query, texts))
+
+
+def _fixture_queries(world) -> list[str]:
+    rng = random.Random(3)
+    words = [w for record in world.corpus for w in record["text"].split()]
+    queries = [world.web_query(entity).web_text for entity in world.entities]
+    queries += [" ".join(rng.choice(words) for _ in range(rng.randint(1, 8)))
+                for _ in range(30)]
+    return queries + [
+        "Who founded Rare Beauty",
+        "Darius Miles jump shots scored on November 8, 2000",
+        "qz042 marker",
+        "nothing here overlaps",  # zero overlap: every document scores 0
+    ]
+
+
+def test_scores_and_top_k_match_oracle_on_fixture_corpus(world, index):
+    oracle = OracleDenseIndex(world.corpus)
+    for query in _fixture_queries(world):
+        assert_scores_match(index, oracle, query)
+        assert_top_k_match(index, oracle, query)
+
+
+def test_score_texts_matches_oracle_on_fixture_chunks(world, index):
+    oracle = OracleDenseIndex(world.corpus)
+    texts = [record["text"][i:i + 60] for record in world.corpus[:40] for i in (0, 30)]
+    texts += ["", "unseen tokens only", "Rare Beauty unseen"]
+    for query in _fixture_queries(world)[::5]:
+        assert _hex(index.score_texts(query, texts)) == _hex(oracle.score_texts(query, texts))
+
+
+def test_short_ranking_fills_with_zero_scores_in_doc_id_string_order():
+    corpus = [{"doc_id": f"d{i}", "text": "alpha" if i == 5 else f"filler{i}"}
+              for i in (999, 5, 1000, 10, 2)]
+    index = index_documents(corpus)
+    result = web_search(index, ToolQuery.web("alpha"), 4)
+    assert result.ranked_doc_ids == ("d5", "d10", "d1000", "d2")
+    assert result.doc_scores[0] > 0.0
+    assert result.doc_scores[1:] == (0.0, 0.0, 0.0)
+
+
+def test_zero_overlap_query_ranks_all_by_doc_id():
+    corpus = [{"doc_id": doc_id, "text": "alpha beta"} for doc_id in ("d999", "d1000", "d2")]
+    index = index_documents(corpus)
+    assert index.score_all("gamma") == {}
+    result = web_search(index, ToolQuery.web("gamma"), 10)
+    assert result.ranked_doc_ids == ("d1000", "d2", "d999")
+    assert result.doc_scores == (0.0, 0.0, 0.0)

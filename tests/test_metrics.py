@@ -10,6 +10,7 @@ from streamrag.metrics import (
     Verdict,
     aggregate_latency,
     nearest_rank,
+    pair_by_utterance,
     per_pair_savings_rows,
     read_judgments,
     savings_report,
@@ -172,6 +173,18 @@ class TestSavingsReport:
         base = [_outcome("a", Strategy.OPEN_BOOK, 0, 100, 0, max_parallel=1)]
         strat = [_outcome("a", Strategy.FIXED_INTERVAL, 0, 100, 0, max_parallel=6)]
         assert savings_report(base, strat).max_parallel_threads == 6
+
+    def test_duplicate_utterance_rejected_naming_it(self):
+        # two baseline "u1" outcomes must not collapse into one pair
+        base = [_outcome("u1", Strategy.OPEN_BOOK, 0, 100, 0),
+                _outcome("u1", Strategy.OPEN_BOOK, 0, 900, 0)]
+        strat = [_outcome("u1", Strategy.MODEL_TRIGGERED, 0, 50, 0)]
+        with pytest.raises(InputError, match="'u1'"):
+            pair_by_utterance(base, strat)
+        with pytest.raises(InputError, match="'u1'"):
+            pair_by_utterance(strat, base)
+        with pytest.raises(InputError, match="'u1'"):
+            savings_report(base, strat)
 
 
 class TestScoreResponses:

@@ -1,0 +1,75 @@
+"""Every file the CLI writes on ``fixtures/`` is pinned by its sha256.
+
+The digests were recorded before the search path moved from a doc-major CSR
+walk to a term-major inverted index, so a refactor of retrieval (or of
+anything else below the CLI) that changes a single output byte fails here.
+Manifests hold input digests and config, never paths, so the digests do not
+depend on where the checkout or the temporary directory lives. A change that
+means to alter outputs must re-record these values and say why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from streamrag.cli import cli
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+PINNED: dict[str, dict[str, str]] = {
+    "closed_book": {
+        "events.jsonl": "07cb87a15a905b3a0d90aebe29258cf79c501a73c4b0c07626b155409b726c3e",
+        "latency_table.csv": "ecf8be4a4de5e1690501ee012e4ac1581215eac7f4b5f46cf3d4fd3528052232",
+        "latency_table.json": "4585d56e9323db1031618ca31fccde6db2208a69cbda4e3ee0317e72a91b2ffd",
+        "manifest.json": "410086f9e45e9c1f5b39fcfe7237c736cabba5ce53fa26dd08ee65ad0f3cfbe7",
+        "outcomes.jsonl": "08365b42a1a421cbb2dad965289bef18bc77207fef3093236af7570733db8a8a",
+    },
+    "open_book": {
+        "events.jsonl": "eccfd53ca628bb55b66f5f1f0a16fa9e22c98257e6cbdec25a52894f84adbd0e",
+        "latency_table.csv": "bde0106587541179c6920258e3710a8f47e33d2141068555dd826666374b9ec0",
+        "latency_table.json": "24272154185332a7e687d30703eefd47f83d9263d011090f2cd7ab553ef79acb",
+        "manifest.json": "26ce7d0f68b9924842c88ebca4380e5a27bf17ddec79012aee8bbbc70b9c6c21",
+        "outcomes.jsonl": "2e37673a4c107473561b37224c571228af8bf1a82376a566905ec835b750f944",
+    },
+    "fixed_interval": {
+        "events.jsonl": "911d1054cddf9881cd42d22aaae098e5ad79fa855be23ee4e8f1df9148642565",
+        "latency_table.csv": "d0453f158e9f07860bfabe8c7eae2c7133d92e48bf2b8d971f0c80287062894c",
+        "latency_table.json": "6cf3d4f68d90d6dcfb460964687cd0a206daa584962da0b0787e5d7497681091",
+        "manifest.json": "cb529cc09ba1116e436c2c46ff97776644f3c3fd09cd7901b0e5ea519214167e",
+        "outcomes.jsonl": "53e0e3d60f090a42bfcd50640cb9ad9e781029596bf10fa20f8dcb90b0d8ed8f",
+    },
+    "model_triggered": {
+        "events.jsonl": "8e0ac809bf0195f35f112bf5cf7279c57d855da767ad9e8edbdae4df039cbc74",
+        "latency_table.csv": "eb3edcb231b96b85234539f2a4d1a0ab734a4c54937c8bfff32fa1e7cd4c8d1e",
+        "latency_table.json": "99867ee873d7edcf43126e3b949598e61a1aa08539a27f4310169f7569b8f07b",
+        "manifest.json": "865044c0d929985e46b0c9bfd4ea9a62237fe7d78234aa3d3b1cbab127e69d07",
+        "outcomes.jsonl": "a1ae203c5647481ad785847d1244388a1e62f812faa7d700fb9916bf685d4f76",
+    },
+    "label": {
+        "manifest.json": "634c7ac218f712727d9d7d3600bdbafae3597508c5375df9944cae8f143c3d59",
+        "summary.json": "8c96d3a4142ce379a467c6762357ad5f993dfdd5a78e8c2a7275ae6ce53e37c2",
+        "training.jsonl": "8b686afb8ff601a867fa17c8dffe77f006e87196d7c3f9030baed648797aa5bd",
+    },
+}
+
+INPUTS = ["--traces", str(FIXTURES / "traces.jsonl"), "--corpus", str(FIXTURES / "corpus.jsonl")]
+
+
+def _command(name: str, out_dir: Path) -> list[str]:
+    if name == "label":
+        return ["label", *INPUTS, "--seed", "7", "--out-dir", str(out_dir)]
+    return ["simulate", *INPUTS, "--kg", str(FIXTURES / "kg.json"),
+            "--strategy", name, "--seed", "7", "--out-dir", str(out_dir)]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_cli_outputs_match_pinned_digests(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("STREAMRAG_CONFIG", raising=False)
+    out = tmp_path / name
+    cli.main(args=_command(name, out), standalone_mode=False)
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in sorted(out.iterdir())}
+    assert written == PINNED[name]
