@@ -420,7 +420,11 @@ def _read_pseudo_gt(path: str, traces) -> dict[str, dict]:
         if uid not in known:
             unknown.add(uid)
             continue
-        per_utterance.setdefault(uid, {})[block] = entry
+        blocks = per_utterance.setdefault(uid, {})
+        if block in blocks:
+            raise InputError(f"{path}:{lineno}: duplicate reference query for utterance "
+                             f"{uid!r} block {block}")
+        blocks[block] = entry
     if unknown:
         raise AlignmentError(f"{path}: reference queries for unknown utterances: {sorted(unknown)}")
     return per_utterance
@@ -445,8 +449,11 @@ def report(baseline_path, strategy_path, judgments_path, out_dir, out_format,
     baseline = _read_outcomes(baseline_path)
     strategy = _read_outcomes(strategy_path)
 
-    reports = [savings_report(baseline, strategy, basis) for basis in
-               (SavingsBasis.MEAN, SavingsBasis.P50)]
+    try:
+        reports = [savings_report(baseline, strategy, basis) for basis in
+                   (SavingsBasis.MEAN, SavingsBasis.P50)]
+    except ValueError as exc:  # e.g. a closed_book baseline: no tool-use latency
+        raise InputError(f"{baseline_path}: {exc}") from exc
     pair_rows = per_pair_savings_rows(baseline, strategy)
 
     out = Path(out_dir)

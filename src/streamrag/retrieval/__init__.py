@@ -10,6 +10,10 @@ A search walks only the posting lists of the query's terms, in ascending term
 id. Each document thus adds up its products in the same order as a walk over
 its own terms would, so its score is the same double bit for bit. A heap then
 keeps the top k of the documents that share a term with the query.
+
+Streaming strategies search the same query text many times, so each index
+memoises its rankings by query text. The index is immutable and the ranking
+order is total, so a memoised ranking is exactly what a fresh search returns.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from __future__ import annotations
 import heapq
 import math
 import string
+import threading
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -25,6 +31,10 @@ from ..core import KgQuery, Tool, ToolQuery
 from ..errors import DuplicateDocIdError, InputError, WrongToolError
 
 _PUNCT_TO_SPACE = str.maketrans({c: " " for c in string.punctuation})
+
+# Rankings each DocIndex keeps, one per query text, least recently used
+# evicted first.
+RANKING_MEMO_SIZE = 1024
 
 
 def tokenize(text: str) -> list[str]:
@@ -66,7 +76,7 @@ class DocIndex:
     of term ``t`` are ``_post_docs[_starts[t]:_starts[t + 1]]`` (document
     indices, ascending) with their idf-weighted term counts in
     ``_post_weights``. Rebuilding from the same corpus yields the same index;
-    all lookups are pure.
+    all lookups are pure, so rankings are memoised (see ``ranking``).
     """
 
     def __init__(self, docs: Sequence[tuple[str, str]]) -> None:
@@ -123,6 +133,9 @@ class DocIndex:
         self._norms = norms
         # zero-score documents fill a short ranking in doc_id order
         self._by_doc_id = array("i", sorted(range(n_docs), key=self.doc_ids.__getitem__))
+        # query text -> (largest k asked, doc ids, scores), oldest use first
+        self._rankings: OrderedDict[str, tuple] = OrderedDict()
+        self._rankings_lock = threading.Lock()
 
     def _idf_value(self, df: int) -> float:
         return math.log((1.0 + self.n_docs) / (1.0 + df)) + 1.0
@@ -160,6 +173,44 @@ class DocIndex:
                 dots[d] = get(d, 0.0) + qw * w
         norms = self._norms
         return {d: dot / (norms[d] * qnorm) for d, dot in dots.items()}
+
+    def ranking(self, query_text: str, k: int) -> tuple[tuple[str, ...], tuple[float, ...]]:
+        """The top k doc ids and their scores, in ``(-score, doc_id)`` order.
+
+        Each query text keeps the ranking at the largest k asked so far. That
+        order is total, so a smaller k is a prefix of it; a larger k ranks
+        again and replaces the entry.
+        """
+        rankings = self._rankings
+        with self._rankings_lock:
+            entry = rankings.get(query_text)
+            if entry is not None and entry[0] >= k:
+                rankings.move_to_end(query_text)
+                return entry[1][:k], entry[2][:k]
+        doc_ids, scores = self._rank(query_text, k)
+        with self._rankings_lock:
+            entry = rankings.get(query_text)
+            if entry is None or entry[0] < k:  # another thread may have ranked deeper
+                rankings[query_text] = (k, doc_ids, scores)
+            rankings.move_to_end(query_text)
+            while len(rankings) > RANKING_MEMO_SIZE:
+                rankings.popitem(last=False)
+        return doc_ids, scores
+
+    def _rank(self, query_text: str, k: int) -> tuple[tuple[str, ...], tuple[float, ...]]:
+        """Rank afresh: a heap keeps the top k scored documents, and zero-scored
+        documents fill a short ranking in doc_id order."""
+        scores = self.score_all(query_text)
+        doc_ids = self.doc_ids
+        top = heapq.nsmallest(k, ((-score, doc_ids[d], d) for d, score in scores.items()))
+        ranked = [(d, -neg) for neg, _, d in top]
+        if len(ranked) < k:
+            for d in self._by_doc_id:
+                if d not in scores:
+                    ranked.append((d, 0.0))
+                    if len(ranked) == k:
+                        break
+        return tuple(doc_ids[d] for d, _ in ranked), tuple(score for _, score in ranked)
 
     def score_texts(self, query_text: str, texts: Sequence[str]) -> list[float]:
         """Score arbitrary texts (e.g. chunks) against the query with index idf."""
@@ -200,28 +251,16 @@ def index_documents(corpus: Iterable[dict]) -> DocIndex:
 def web_search(index: DocIndex, query: ToolQuery, k: int) -> WebResult:
     """Rank the whole corpus for a web query and keep the top k documents.
 
-    Zero-overlap queries still return k documents (all scored 0, ordered by
-    doc_id). Kg or NO_QUERY inputs are a caller bug.
+    The ranking comes from the index's memo when it holds this query text at
+    depth k or more. Zero-overlap queries still return k documents (all scored
+    0, ordered by doc_id). Kg or NO_QUERY inputs are a caller bug.
     """
     if query.tool is not Tool.WEB:
         raise WrongToolError(f"web_search needs a web query, got {query.tool}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = index.score_all(query.web_text)
-    doc_ids = index.doc_ids
-    top = heapq.nsmallest(k, ((-score, doc_ids[d], d) for d, score in scores.items()))
-    ranked = [(d, -neg) for neg, _, d in top]
-    if len(ranked) < k:
-        for d in index._by_doc_id:
-            if d not in scores:
-                ranked.append((d, 0.0))
-                if len(ranked) == k:
-                    break
-    return WebResult(
-        query_text=query.web_text,
-        ranked_doc_ids=tuple(doc_ids[d] for d, _ in ranked),
-        doc_scores=tuple(score for _, score in ranked),
-    )
+    doc_ids, scores = index.ranking(query.web_text, k)
+    return WebResult(query_text=query.web_text, ranked_doc_ids=doc_ids, doc_scores=scores)
 
 
 def chunk_and_rerank(

@@ -209,6 +209,19 @@ class TestLabel:
         result = label(tmp_path / "lab", "--pseudo-gt", str(gt), expect=2)
         assert "nobody" in result.stderr
 
+    def test_duplicate_pseudo_gt_record_is_input_error(self, tmp_path):
+        gt = tmp_path / "gt.jsonl"
+        records = [
+            {"utterance_id": "brand-founder", "block": 1, "web": web,
+             "kg": {"domain": "other", "main_entity": "Who"}}
+            for web in ("Who founded what", "Red Bull founder")
+        ]
+        gt.write_text("".join(json.dumps(r) + "\n" for r in records))
+        result = label(tmp_path / "lab", "--pseudo-gt", str(gt), expect=2)
+        assert ("gt.jsonl:2: duplicate reference query for utterance 'brand-founder' block 1"
+                in result.stderr)
+        assert not (tmp_path / "lab").exists()
+
 
 class TestReport:
     @pytest.fixture()
@@ -273,6 +286,17 @@ class TestReport:
                          "--strategy", str(mt / "outcomes.jsonl"), "--out-dir", str(tmp_path / "rep"),
                          expect=2)
         assert f"doubled.jsonl:{len(lines) + 1}: duplicate utterance_id {uid!r}" in result.stderr
+
+    def test_zero_latency_baseline_is_input_error(self, tmp_path, outcome_dirs):
+        _, mt = outcome_dirs
+        cb = tmp_path / "cb"
+        simulate(cb, "--strategy", "closed_book")
+        baseline = cb / "outcomes.jsonl"
+        result = run_cli("report", "--baseline", str(baseline),
+                         "--strategy", str(mt / "outcomes.jsonl"), "--out-dir", str(tmp_path / "rep"),
+                         expect=2)
+        assert f"input error: {baseline}: baseline tool-use latency is zero" in result.stderr
+        assert not (tmp_path / "rep").exists()
 
 
 class TestEntryPoint:

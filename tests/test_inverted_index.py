@@ -2,18 +2,26 @@
 
 Scores are compared as float hex strings, so any change in summation order or
 arithmetic shows up; rankings are compared with the oracle's full
-``(-score, doc_id)`` sort of the whole corpus.
+``(-score, doc_id)`` sort of the whole corpus. Memoised rankings must equal a
+fresh index's, whatever order the depths are asked in, across evictions and
+under concurrent searches.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamrag.core import ToolQuery
-from streamrag.retrieval import index_documents, web_search
+from streamrag import retrieval
+from streamrag.core import KgQuery, ToolQuery
+from streamrag.errors import WrongToolError
+from streamrag.retrieval import DocIndex, index_documents, web_search
 
 from oracles import OracleDenseIndex
 
@@ -119,3 +127,104 @@ def test_zero_overlap_query_ranks_all_by_doc_id():
     result = web_search(index, ToolQuery.web("gamma"), 10)
     assert result.ranked_doc_ids == ("d1000", "d2", "d999")
     assert result.doc_scores == (0.0, 0.0, 0.0)
+
+
+def _depths(n: int) -> list[int]:
+    return sorted({1, 5, 50, n, n + 7})
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus=corpora(),
+       queries=st.lists(query_text, min_size=1, max_size=4, unique=True),
+       asks=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 4)), max_size=20),
+       memo_size=st.sampled_from([1, 2, 1024]))
+def test_memoised_rankings_match_a_fresh_index_and_the_oracle(corpus, queries, asks, memo_size):
+    depths = _depths(len(corpus))
+    sequence = [(queries[q % len(queries)], depths[d % len(depths)]) for q, d in asks]
+    for i, query in enumerate(queries):
+        # small then large, then large then small; odd queries start deep
+        order = depths if i % 2 == 0 else depths[::-1]
+        sequence += [(query, k) for k in order + order[::-1]]
+    index = index_documents(corpus)
+    oracle = OracleDenseIndex(corpus)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retrieval, "RANKING_MEMO_SIZE", memo_size)
+        for query, k in sequence:
+            result = web_search(index, ToolQuery.web(query), k)
+            fresh = web_search(index_documents(corpus), ToolQuery.web(query), k)
+            expected = oracle.ranking(query)[:k]
+            assert result.ranked_doc_ids == fresh.ranked_doc_ids, (query, k)
+            assert _hex(result.doc_scores) == _hex(fresh.doc_scores), (query, k)
+            assert list(result.ranked_doc_ids) == [doc_id for doc_id, _ in expected], (query, k)
+            assert _hex(result.doc_scores) == _hex(score for _, score in expected), (query, k)
+            assert len(index._rankings) <= memo_size
+
+
+def _count_scoring(monkeypatch) -> Counter:
+    calls: Counter = Counter()
+    score_all = DocIndex.score_all
+
+    def counted(self, query_text):
+        calls[query_text] += 1
+        return score_all(self, query_text)
+
+    monkeypatch.setattr(DocIndex, "score_all", counted)
+    return calls
+
+
+def test_memo_ranks_again_only_for_a_deeper_k_or_an_evicted_query(world, monkeypatch):
+    index = index_documents(world.corpus)
+    calls = _count_scoring(monkeypatch)
+    monkeypatch.setattr(retrieval, "RANKING_MEMO_SIZE", 2)
+
+    def search(text, k=5):
+        return web_search(index, ToolQuery.web(text), k)
+
+    search("alpha", 50)
+    search("alpha", 5)  # a prefix of the top 50
+    search("alpha", 60)  # deeper: ranked again
+    assert calls == {"alpha": 2}
+    search("beta")
+    search("alpha")  # a hit makes alpha the most recently used
+    search("gamma")  # evicts beta, the least recently used
+    search("alpha")
+    assert calls == {"alpha": 2, "beta": 1, "gamma": 1}
+    search("beta")
+    assert calls == {"alpha": 2, "beta": 2, "gamma": 1}
+
+
+def test_input_checks_come_before_the_memo(world, monkeypatch):
+    index = index_documents(world.corpus)
+    calls = _count_scoring(monkeypatch)
+    with pytest.raises(ValueError):
+        web_search(index, ToolQuery.web("Rare Beauty"), 0)
+    with pytest.raises(WrongToolError):
+        web_search(index, ToolQuery.kg(KgQuery.make("other", {"main_entity": "Rare Beauty"})), 5)
+    assert calls == {} and not index._rankings
+
+
+def test_concurrent_searches_with_a_tiny_memo_match_a_sequential_run(world, monkeypatch):
+    monkeypatch.setattr(retrieval, "RANKING_MEMO_SIZE", 2)
+    # few texts for a memo of two: hits and evictions interleave
+    asks = [(query, k) for query in _fixture_queries(world)[:5] for k in (1, 5, 50)]
+    sequential = index_documents(world.corpus)
+    expected = {ask: web_search(sequential, ToolQuery.web(ask[0]), ask[1]) for ask in asks}
+    shared = index_documents(world.corpus)
+
+    def searches(seed):
+        order = asks * 20
+        random.Random(seed).shuffle(order)
+        return [(ask, web_search(shared, ToolQuery.web(ask[0]), ask[1])) for ask in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            # re-raises a thread's exception
+            runs = list(pool.map(searches, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs:
+        for ask, result in run:
+            assert result == expected[ask], ask
+    assert len(shared._rankings) <= 2

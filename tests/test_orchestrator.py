@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from collections import Counter
 
 import pytest
 
+from streamrag import orchestrator, retrieval
 from streamrag.core import (
     ScriptedQueries,
     SessionConfig,
@@ -12,6 +14,7 @@ from streamrag.core import (
     blocks_of,
 )
 from streamrag.errors import IncompleteSessionError
+from streamrag.labeling import SimilarityContext, assign_streaming_labels
 from streamrag.orchestrator import (
     Backends,
     LatencyModel,
@@ -307,6 +310,43 @@ class TestRunBatch:
         assert [o.to_dict(include_events=True) for o in seq] == [
             o.to_dict(include_events=True) for o in par
         ]
+
+    def test_one_scoring_per_distinct_query_text(self, world, kg_store, headline_latency,
+                                                 monkeypatch):
+        """Sessions, the reflector, the similarity check and labeling search
+        the same texts again and again; a fresh index scores each text once."""
+        index = retrieval.index_documents(world.corpus)
+        scored: Counter = Counter()
+        searched: list[str] = []
+        score_all = retrieval.DocIndex.score_all
+
+        def counted_score_all(self, query_text):
+            scored[query_text] += 1
+            return score_all(self, query_text)
+
+        def recorded(search):
+            def web_search(index, query, k):
+                searched.append(query.web_text)
+                return search(index, query, k)
+            return web_search
+
+        monkeypatch.setattr(retrieval.DocIndex, "score_all", counted_score_all)
+        monkeypatch.setattr(orchestrator, "web_search", recorded(orchestrator.web_search))
+        monkeypatch.setattr(retrieval, "web_search", recorded(retrieval.web_search))
+
+        backends = Backends(index=index, kg_store=kg_store)
+        traces = random_batch(world, 40, seed=7, block_ms=500)
+        for strategy in (Strategy.OPEN_BOOK, Strategy.FIXED_INTERVAL, Strategy.MODEL_TRIGGERED):
+            config = session_config(strategy)
+            factory = lambda t, config=config: generator_for(config.strategy, t, config, index)
+            _, errors = run_batch(traces, config, factory, backends, headline_latency)
+            assert errors == []
+        ctx = SimilarityContext(index=index, compare_k=5, retrieve_k=50, ordered=False)
+        for trace in traces:
+            assign_streaming_labels(trace, 500, ctx)
+
+        assert len(searched) > 2 * len(set(searched))  # the same texts, searched again
+        assert scored == Counter(set(searched))
 
     def test_empty_batch_rejected(self, backends, headline_latency):
         with pytest.raises(ValueError):
