@@ -237,7 +237,6 @@ def cli() -> None:
 @click.option("--kg-lookup-ms", type=int, default=None)
 @click.option("--response-gen-ms", type=int, default=None)
 @click.option("--response-tail-ms", type=int, default=None)
-@click.option("--jobs", type=int, default=1, show_default=True)
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 @click.option("--format", "out_format", type=click.Choice(["json", "csv", "both"]), default="both",
               show_default=True, help="Latency table format.")
@@ -245,7 +244,7 @@ def cli() -> None:
 def simulate(traces_path, corpus_path, kg_path, strategy, block_ms, ref_length_tokens,
              web_kg_ratio, top_docs, reflect_top_k, chunk_tokens, endpoint_delay_ms, seed,
              query_gen_ms, web_fetch_ms, chunk_rerank_ms, kg_lookup_ms, response_gen_ms,
-             response_tail_ms, jobs, out_dir, out_format, config_path) -> None:
+             response_tail_ms, out_dir, out_format, config_path) -> None:
     """Run sessions for every trace and write outcomes, event logs, and a latency table."""
     flags = {
         "strategy": strategy, "block_ms": block_ms, "ref_length_tokens": ref_length_tokens,
@@ -285,7 +284,7 @@ def simulate(traces_path, corpus_path, kg_path, strategy, block_ms, ref_length_t
         raise InputError(f"{traces_path}: no traces")
 
     factory = _generator_factory(strategy_enum, session_config, backends)
-    outcomes, errors = run_batch(traces, session_config, factory, backends, latency, jobs=jobs)
+    outcomes, errors = run_batch(traces, session_config, factory, backends, latency)
     for uid, message in errors:
         _echo(f"warning: trace {uid} failed: {message}", err=True)
     if not outcomes:
@@ -354,6 +353,8 @@ def label(traces_path, corpus_path, pseudo_gt_path, block_ms, negative_prob, see
              "top_docs": top_docs, "reflect_top_k": reflect_top_k}
     cfg = _resolve(flags, config_path)
     resolved_block_ms = cfg["block_ms"] or 500
+    if not 0.0 <= cfg["negative_prob"] <= 1.0:
+        raise InputError(f"--negative-prob must be in [0, 1], got {cfg['negative_prob']}")
 
     traces = read_traces(traces_path)
     if not traces:

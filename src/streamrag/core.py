@@ -307,7 +307,6 @@ class SessionConfig:
     reflect_top_k: int = 5
     chunk_tokens: int = 128
     reflect_ordered: bool = True
-    negative_sample_prob: float = 0.1
     endpoint_delay_ms: int = 0
     rng_seed: int = 0
 
@@ -319,8 +318,6 @@ class SessionConfig:
             raise InputError("block_ms must be positive")
         if self.ref_length_tokens < 0:
             raise InputError("ref_length_tokens must be >= 0")
-        if not (0.0 <= self.negative_sample_prob <= 1.0):
-            raise InputError("negative_sample_prob must be in [0, 1]")
         if self.web_kg_ratio[0] < 0 or self.web_kg_ratio[1] < 0:
             raise InputError("web_kg_ratio parts must be non-negative")
         if self.top_docs < 1 or self.reflect_top_k < 1 or self.chunk_tokens < 1:
@@ -352,7 +349,12 @@ def trace_from_dict(raw: dict[str, Any]) -> UtteranceTrace:
         words = [Word(str(w["text"]), int(w["start_ms"]), int(w["end_ms"])) for w in raw["words"]]
         scripted: dict[int, ScriptedQueries] = {}
         for key, entry in raw.get("scripted_queries", {}).items():
-            scripted[int(key)] = ScriptedQueries(
+            block = int(key)
+            if block < 1:
+                raise InputError(f"scripted_queries key {key!r}: blocks are 1-based")
+            if block in scripted:
+                raise InputError(f"scripted_queries key {key!r} repeats block {block}")
+            scripted[block] = ScriptedQueries(
                 web=ToolQuery.from_wire(entry["web"], Tool.WEB),
                 kg=ToolQuery.from_wire(entry["kg"], Tool.KG),
             )

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
@@ -36,10 +35,10 @@ from .core import (
 )
 from .errors import IncompleteSessionError
 from .reflector import (
-    CacheEntry,
-    EntryStatus,
+    CallStatus,
     QueryCache,
     ReflectContext,
+    ToolCall,
     cancel_after,
     select_earliest_joint,
 )
@@ -106,23 +105,6 @@ def substream_rng(*parts: Any) -> random.Random:
     key = "\x1f".join(str(p) for p in parts).encode("utf-8")
     seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
     return random.Random(seed)
-
-
-@dataclass
-class ToolCallThread:
-    tool: Tool
-    block: BlockIndex
-    query: ToolQuery
-    started_ms: int
-    query_gen_ms: int
-    tool_ms: int
-    status: EntryStatus = EntryStatus.PENDING
-    result: WebResult | str | None = None
-    error: str | None = None
-
-    @property
-    def finishes_ms(self) -> int:
-        return self.started_ms + self.query_gen_ms + self.tool_ms
 
 
 @dataclass(frozen=True)
@@ -214,7 +196,7 @@ class _BlockDue:
 
 @dataclass(frozen=True)
 class _ThreadDue:
-    thread: ToolCallThread
+    call: ToolCall
 
 
 @dataclass(frozen=True)
@@ -242,8 +224,8 @@ class _Session:
         self.rng = substream_rng(config.rng_seed, latency.seed, trace.utterance_id)
         self.clock = SimClock()
         self.events: list[LogEvent] = []
-        self.cache = QueryCache()
-        self.threads: list[ToolCallThread] = []
+        self.cache = QueryCache()  # every tool call, per tool in block order
+        self.threads_spawned = 0
         self.prev_fired: dict[Tool, ToolQuery] = {Tool.WEB: NO_QUERY, Tool.KG: NO_QUERY}
         self.pending_count: dict[Tool, int] = {Tool.WEB: 0, Tool.KG: 0}
         self.max_parallel = 0
@@ -268,7 +250,7 @@ class _Session:
     # -- thread lifecycle ----------------------------------------------------
 
     def spawn_thread(self, tool: Tool, block: BlockIndex, query: ToolQuery,
-                     declared_latency_ms: int | None) -> ToolCallThread:
+                     declared_latency_ms: int | None) -> ToolCall:
         now = self.clock.now_ms
         query_gen_ms = (
             declared_latency_ms
@@ -282,7 +264,7 @@ class _Session:
         else:
             tool_ms = self.latency.sample("kg_lookup", self.rng)
 
-        thread = ToolCallThread(
+        call = ToolCall(
             tool=tool, block=block, query=query, started_ms=now,
             query_gen_ms=query_gen_ms, tool_ms=tool_ms,
         )
@@ -290,70 +272,57 @@ class _Session:
         # clock only controls when it becomes visible.
         try:
             if tool is Tool.WEB:
-                thread.result = web_search(self.backends.index, query, self.config.top_docs)
+                call.result = web_search(self.backends.index, query, self.config.top_docs)
             else:
-                thread.result = kg_lookup(self.backends.kg_store, query)
+                call.result = kg_lookup(self.backends.kg_store, query)
         except Exception as exc:  # noqa: BLE001 - backend failure becomes a failed thread
-            thread.error = str(exc)
+            call.error = str(exc)
 
-        self.threads.append(thread)
-        self.cache.add(tool, CacheEntry(block=block, query=query, status=EntryStatus.PENDING))
+        self.cache.add(call)
+        self.threads_spawned += 1
         self.pending_count[tool] += 1
         self.max_parallel = max(self.max_parallel, self.pending_count[tool])
         self.prev_fired[tool] = query
-        self.clock.schedule(thread.finishes_ms, _ThreadDue(thread))
+        self.clock.schedule(call.finishes_ms, _ThreadDue(call))
         self.log("query_fired", tool=tool, block=block, detail={"query": query.to_wire()})
-        return thread
+        return call
 
-    def cancel_thread(self, thread: ToolCallThread) -> None:
-        if thread.status is not EntryStatus.PENDING:
+    def cancel_thread(self, call: ToolCall) -> None:
+        if call.status is not CallStatus.PENDING:
             return
-        thread.status = EntryStatus.CANCELLED
-        thread.result = None
-        self.pending_count[thread.tool] -= 1
+        call.status = CallStatus.CANCELLED
+        call.result = None
+        self.pending_count[call.tool] -= 1
         self.threads_cancelled += 1
-        self._cache_entry(thread).status = EntryStatus.CANCELLED
-        self.log("thread_cancelled", tool=thread.tool, block=thread.block)
+        self.log("thread_cancelled", tool=call.tool, block=call.block)
 
-    def _cache_entry(self, thread: ToolCallThread) -> CacheEntry:
-        for entry in self.cache.entries(thread.tool):
-            if entry.block == thread.block:
-                return entry
-        raise KeyError(f"no cache entry for {thread.tool} block {thread.block}")
-
-    def finish_thread(self, thread: ToolCallThread) -> None:
-        if thread.status is not EntryStatus.PENDING:
+    def finish_thread(self, call: ToolCall) -> None:
+        if call.status is not CallStatus.PENDING:
             return  # cancelled before completion
-        entry = self._cache_entry(thread)
-        self.pending_count[thread.tool] -= 1
-        if thread.error is not None:
-            thread.status = EntryStatus.FAILED
-            entry.status = EntryStatus.FAILED
-            self.log("thread_done", tool=thread.tool, block=thread.block,
-                     detail={"status": "failed", "error": thread.error})
+        self.pending_count[call.tool] -= 1
+        if call.error is not None:
+            call.status = CallStatus.FAILED
+            self.log("thread_done", tool=call.tool, block=call.block,
+                     detail={"status": "failed", "error": call.error})
         else:
-            thread.status = EntryStatus.DONE
-            entry.status = EntryStatus.DONE
-            entry.result = thread.result
-            self.log("thread_done", tool=thread.tool, block=thread.block,
+            call.status = CallStatus.DONE
+            self.log("thread_done", tool=call.tool, block=call.block,
                      detail={"status": "done"})
 
-    def pending_thread(self, tool: Tool) -> ToolCallThread | None:
-        for thread in reversed(self.threads):
-            if thread.tool is tool and thread.status is EntryStatus.PENDING:
-                return thread
+    def pending_thread(self, tool: Tool) -> ToolCall | None:
+        for call in reversed(self.cache.calls(tool)):
+            if call.status is CallStatus.PENDING:
+                return call
         return None
 
-    def latest_thread(self, tool: Tool) -> ToolCallThread | None:
-        for thread in reversed(self.threads):
-            if thread.tool is tool:
-                return thread
-        return None
+    def latest_thread(self, tool: Tool) -> ToolCall | None:
+        calls = self.cache.calls(tool)
+        return calls[-1] if calls else None
 
-    def thread_at(self, tool: Tool, block: BlockIndex) -> ToolCallThread | None:
-        for thread in self.threads:
-            if thread.tool is tool and thread.block == block:
-                return thread
+    def thread_at(self, tool: Tool, block: BlockIndex) -> ToolCall | None:
+        for call in self.cache.calls(tool):
+            if call.block == block:
+                return call
         return None
 
     # -- main loop -----------------------------------------------------------
@@ -369,7 +338,7 @@ class _Session:
 
     def handle(self, payload: Any) -> None:
         if isinstance(payload, _ThreadDue):
-            self.finish_thread(payload.thread)
+            self.finish_thread(payload.call)
         elif isinstance(payload, _BlockDue):
             self.on_block(payload.block, payload.prefix)
         elif isinstance(payload, _Marker):
@@ -401,10 +370,8 @@ class _Session:
             elif tool_decision.action is TriggerAction.NO_QUERY:
                 self.log("no_query", tool=tool, block=decision.block)
             else:  # FAILED: the query never materialized; record a failed call
-                self.cache.add(
-                    tool,
-                    CacheEntry(block=decision.block, query=NO_QUERY, status=EntryStatus.FAILED),
-                )
+                self.cache.add(ToolCall(tool, decision.block, NO_QUERY,
+                                        started_ms=self.clock.now_ms, status=CallStatus.FAILED))
                 self.log("thread_done", tool=tool, block=decision.block,
                          detail={"status": "failed", "error": "query generation failed"})
 
@@ -441,7 +408,7 @@ def run_session(
             session.clock.schedule(fire_at, _BlockDue(block, prefix))
     session.pump_until(utterance_end)
 
-    awaited: dict[Tool, ToolCallThread | None] = {Tool.WEB: None, Tool.KG: None}
+    awaited: dict[Tool, ToolCall | None] = {Tool.WEB: None, Tool.KG: None}
     rerank_query: dict[Tool, ToolQuery] = {Tool.WEB: NO_QUERY, Tool.KG: NO_QUERY}
 
     if strategy is Strategy.OPEN_BOOK:
@@ -469,10 +436,8 @@ def run_session(
 
         blocks_present = sorted({e.block for e in session.cache.web} | {e.block for e in session.cache.kg})
         effective = selected if selected is not None else (blocks_present[-1] if blocks_present else 0)
-        for tool, block in cancel_after(session.cache, effective):
-            thread = session.thread_at(tool, block)
-            if thread is not None:
-                session.cancel_thread(thread)
+        for call in cancel_after(session.cache, effective):
+            session.cancel_thread(call)
         session.selected_block = selected
         awaited[Tool.WEB] = session.thread_at(Tool.WEB, effective)
         awaited[Tool.KG] = session.thread_at(Tool.KG, effective)
@@ -485,19 +450,19 @@ def run_session(
             rerank_query[Tool.WEB] = awaited[Tool.WEB].query
 
     ready_ms = utterance_end
-    for thread in awaited.values():
-        if thread is not None and thread.status is not EntryStatus.CANCELLED:
-            ready_ms = max(ready_ms, thread.finishes_ms)
+    for call in awaited.values():
+        if call is not None and call.status is not CallStatus.CANCELLED:
+            ready_ms = max(ready_ms, call.finishes_ms)
     session.pump_until(ready_ms)
 
     web_result: WebResult | None = None
     kg_answer: str | None = None
-    web_thread = awaited[Tool.WEB]
-    kg_thread = awaited[Tool.KG]
-    if web_thread is not None and web_thread.status is EntryStatus.DONE:
-        web_result = web_thread.result
-    if kg_thread is not None and kg_thread.status is EntryStatus.DONE:
-        kg_answer = kg_thread.result
+    web_call = awaited[Tool.WEB]
+    kg_call = awaited[Tool.KG]
+    if web_call is not None and web_call.status is CallStatus.DONE:
+        web_result = web_call.result
+    if kg_call is not None and kg_call.status is CallStatus.DONE:
+        kg_answer = kg_call.result
 
     references = ReferenceBundle((), (), 0)
     if web_result is not None or kg_answer is not None:
@@ -533,9 +498,9 @@ def run_session(
         session.pump_until(session.clock.peek_next_ms())
 
     query_gen_charge = 0
-    for thread in awaited.values():
-        if thread is not None and thread.status is not EntryStatus.CANCELLED:
-            query_gen_charge = max(query_gen_charge, thread.query_gen_ms)
+    for call in awaited.values():
+        if call is not None and call.status is not CallStatus.CANCELLED:
+            query_gen_charge = max(query_gen_charge, call.query_gen_ms)
 
     first_token_ms = first_token_abs - utterance_end
     latency_breakdown = LatencyBreakdown(
@@ -553,7 +518,7 @@ def run_session(
         selected_block=session.selected_block,
         references=references,
         latency=latency_breakdown,
-        threads_spawned=len(session.threads),
+        threads_spawned=session.threads_spawned,
         threads_cancelled=session.threads_cancelled,
         max_parallel_threads=session.max_parallel,
         degraded=degraded,
@@ -605,29 +570,20 @@ def run_batch(
     gen_factory: GeneratorFactory,
     backends: Backends,
     latency: LatencyModel,
-    jobs: int = 1,
 ) -> tuple[list[SessionOutcome], list[tuple[str, str]]]:
     """Run many utterances; per-trace failures are collected, not raised.
 
     Every session draws from an RNG substream keyed by its utterance id, so
-    batch order and parallelism never change results. Outcomes keep input
-    order; errors are (utterance_id, message) pairs.
+    batch order never changes results. Outcomes keep input order; errors are
+    (utterance_id, message) pairs.
     """
     if not traces:
         raise ValueError("run_batch needs at least one trace")
-
-    def one(trace: UtteranceTrace) -> tuple[SessionOutcome | None, tuple[str, str] | None]:
+    outcomes: list[SessionOutcome] = []
+    errors: list[tuple[str, str]] = []
+    for trace in traces:
         try:
-            return run_session(trace, config, gen_factory(trace), backends, latency), None
+            outcomes.append(run_session(trace, config, gen_factory(trace), backends, latency))
         except Exception as exc:  # noqa: BLE001 - collected per the batch contract
-            return None, (trace.utterance_id, str(exc))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, traces))
-    else:
-        results = [one(trace) for trace in traces]
-
-    outcomes = [outcome for outcome, _ in results if outcome is not None]
-    errors = [error for _, error in results if error is not None]
+            errors.append((trace.utterance_id, str(exc)))
     return outcomes, errors

@@ -27,7 +27,7 @@ REASON_KG_RESULT_MATCH = "kg_result_match"
 REASON_INSUFFICIENT = "insufficient"
 
 
-class EntryStatus(str, Enum):
+class CallStatus(str, Enum):
     PENDING = "pending"
     DONE = "done"
     CANCELLED = "cancelled"
@@ -35,32 +35,44 @@ class EntryStatus(str, Enum):
 
 
 @dataclass
-class CacheEntry:
+class ToolCall:
+    """One tool call of a session: its query, simulated timing and outcome.
+
+    A query that never materialised is recorded as a call with ``NO_QUERY``,
+    status FAILED and zero timings. The result is computed when the call is
+    spawned; it counts only once the status is DONE.
+    """
+
+    tool: Tool
     block: BlockIndex
     query: ToolQuery
+    started_ms: int = 0
+    query_gen_ms: int = 0
+    tool_ms: int = 0
+    status: CallStatus = CallStatus.PENDING
     result: "WebResult | str | None" = None
-    status: EntryStatus = EntryStatus.PENDING
+    error: str | None = None
+
+    @property
+    def finishes_ms(self) -> int:
+        return self.started_ms + self.query_gen_ms + self.tool_ms
 
 
 @dataclass
 class QueryCache:
     """Per-tool, block-ordered record of every tool call in a session."""
 
-    web: list[CacheEntry] = field(default_factory=list)
-    kg: list[CacheEntry] = field(default_factory=list)
+    web: list[ToolCall] = field(default_factory=list)
+    kg: list[ToolCall] = field(default_factory=list)
 
-    def entries(self, tool: Tool) -> list[CacheEntry]:
+    def calls(self, tool: Tool) -> list[ToolCall]:
         return self.web if tool is Tool.WEB else self.kg
 
-    def add(self, tool: Tool, entry: CacheEntry) -> None:
-        entries = self.entries(tool)
-        if entries and entries[-1].block >= entry.block:
-            raise ValueError(f"cache blocks must strictly increase per tool ({tool.value})")
-        entries.append(entry)
-
-    def latest(self, tool: Tool) -> CacheEntry | None:
-        entries = self.entries(tool)
-        return entries[-1] if entries else None
+    def add(self, call: ToolCall) -> None:
+        calls = self.calls(call.tool)
+        if calls and calls[-1].block >= call.block:
+            raise ValueError(f"cache blocks must strictly increase per tool ({call.tool.value})")
+        calls.append(call)
 
 
 @dataclass(frozen=True)
@@ -77,7 +89,10 @@ class ReflectContext:
 def reflect_with_reason(
     intermediate: ToolQuery, final: ToolQuery, ctx: ReflectContext
 ) -> tuple[bool, str]:
-    """Like reflect(), but also names why the check passed or failed."""
+    """Would the intermediate query's results stand in for the final ones?
+
+    Returns the verdict and the name of the reason for it.
+    """
     if intermediate.is_no_query:
         return False, REASON_INSUFFICIENT
     if intermediate.tool != final.tool:
@@ -98,38 +113,6 @@ def reflect_with_reason(
     if kg_lookup(ctx.kg_store, intermediate) == kg_lookup(ctx.kg_store, final):
         return True, REASON_KG_RESULT_MATCH
     return False, REASON_INSUFFICIENT
-
-
-def reflect(intermediate: ToolQuery, final: ToolQuery, ctx: ReflectContext) -> bool:
-    """Would the intermediate query's results stand in for the final ones?"""
-    ok, _ = reflect_with_reason(intermediate, final, ctx)
-    return ok
-
-
-def select_earliest_sufficient(
-    cache: QueryCache, final: ToolQuery, ctx: ReflectContext
-) -> BlockIndex | None:
-    """Earliest block (before the final one) whose query passes reflect().
-
-    Scans one tool's entries in block order; failed and cancelled calls never
-    qualify. Returns None when nothing before the final entry passes; the
-    caller then uses the final call's own results.
-    """
-    tool = final.tool
-    if tool is None:
-        raise WrongToolError("final query must be a web or kg query")
-    entries = cache.entries(tool)
-    if not entries:
-        return None
-    final_block = entries[-1].block
-    for entry in entries:
-        if entry.block >= final_block:
-            break
-        if entry.status in (EntryStatus.FAILED, EntryStatus.CANCELLED):
-            continue
-        if reflect(entry.query, final, ctx):
-            return entry.block
-    return None
 
 
 def select_earliest_joint(
@@ -154,10 +137,10 @@ def select_earliest_joint(
         if block >= final_block:
             break
 
-        def check(entry: CacheEntry | None, final: ToolQuery) -> tuple[bool, str]:
-            if entry is None or entry.status in (EntryStatus.FAILED, EntryStatus.CANCELLED):
+        def check(call: ToolCall | None, final: ToolQuery) -> tuple[bool, str]:
+            if call is None or call.status in (CallStatus.FAILED, CallStatus.CANCELLED):
                 return False, REASON_INSUFFICIENT
-            return reflect_with_reason(entry.query, final, ctx)
+            return reflect_with_reason(call.query, final, ctx)
 
         web_ok, web_reason = check(web_by_block.get(block), final_web)
         kg_ok, kg_reason = check(kg_by_block.get(block), final_kg)
@@ -171,17 +154,16 @@ def select_earliest_joint(
     return selected, scan_log
 
 
-def cancel_after(cache: QueryCache, selected_block: BlockIndex) -> list[tuple[Tool, BlockIndex]]:
-    """Cancel every still-pending call after the selected block.
+def cancel_after(cache: QueryCache, selected_block: BlockIndex) -> list[ToolCall]:
+    """The still-pending calls after the selected block: the ones to cancel.
 
-    Completed calls keep their results (they are simply unused). Returns the
-    (tool, block) pairs that transitioned to cancelled.
+    Web calls come first, then kg calls, each in block order. Completed calls
+    keep their results (they are simply unused). The cache is not changed;
+    the session cancels each call it is given.
     """
-    cancelled: list[tuple[Tool, BlockIndex]] = []
-    for tool in (Tool.WEB, Tool.KG):
-        for entry in cache.entries(tool):
-            if entry.block > selected_block and entry.status is EntryStatus.PENDING:
-                entry.status = EntryStatus.CANCELLED
-                entry.result = None
-                cancelled.append((tool, entry.block))
-    return cancelled
+    return [
+        call
+        for tool in (Tool.WEB, Tool.KG)
+        for call in cache.calls(tool)
+        if call.block > selected_block and call.status is CallStatus.PENDING
+    ]

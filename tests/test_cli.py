@@ -153,11 +153,21 @@ class TestSimulate:
         result = simulate(tmp_path / "x", "--config", str(config), expect=2)
         assert "no_such_knob" in result.stderr
 
-    def test_jobs_flag_gives_identical_output(self, tmp_path):
-        a, b = tmp_path / "seq", tmp_path / "par"
-        simulate(a, "--strategy", "fixed_interval", "--block-ms", "500")
-        simulate(b, "--strategy", "fixed_interval", "--block-ms", "500", "--jobs", "4")
-        assert digest_dir(a) == digest_dir(b)
+    def test_repeated_scripted_block_is_input_error(self, tmp_path):
+        lines = (FIXTURES / "traces.jsonl").read_text().splitlines()
+        raw = json.loads(lines[0])
+        raw["scripted_queries"]["01"] = raw["scripted_queries"]["1"]
+        bad = tmp_path / "keys.jsonl"
+        bad.write_text("\n".join([*lines[1:], json.dumps(raw)]) + "\n")
+        result = run_cli(
+            "simulate", "--traces", str(bad),
+            "--corpus", str(FIXTURES / "corpus.jsonl"),
+            "--kg", str(FIXTURES / "kg.json"),
+            "--out-dir", str(tmp_path / "x"),
+            expect=2,
+        )
+        assert f"keys.jsonl:{len(lines)}: scripted_queries key '01' repeats block 1" in result.stderr
+        assert not (tmp_path / "x").exists()
 
 
 def label(out_dir: Path, *extra: str, expect: int = 0) -> subprocess.CompletedProcess:
@@ -178,6 +188,13 @@ class TestLabel:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["negatives"] == 0
         assert summary["steps"] > 0
+
+    @pytest.mark.parametrize("prob", ["1.5", "-0.1"])
+    def test_negative_prob_out_of_range_is_input_error(self, tmp_path, prob):
+        result = label(tmp_path / "lab", "--negative-prob", prob, expect=2)
+        assert f"--negative-prob must be in [0, 1], got {float(prob)}" in result.stderr
+        assert "internal error" not in result.stderr
+        assert not (tmp_path / "lab").exists()
 
     def test_walkthrough_rows_in_training_file(self, tmp_path):
         out = tmp_path / "lab"

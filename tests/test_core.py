@@ -216,6 +216,23 @@ class TestTraceIO:
         with pytest.raises(InputError, match=rf"dup\.jsonl:3: duplicate utterance_id '{uid}'"):
             read_traces(str(path))
 
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            (["1", "01"], r"key '01' repeats block 1"),
+            (["0", "1"], r"key '0': blocks are 1-based"),
+            (["-2"], r"key '-2': blocks are 1-based"),
+        ],
+    )
+    def test_ambiguous_or_zero_based_block_keys_rejected(self, tmp_path, keys, message):
+        raw = trace_to_dict(brand_founder_trace())
+        entry = raw["scripted_queries"]["1"]
+        raw["scripted_queries"] = {key: entry for key in keys}
+        path = tmp_path / "keys.jsonl"
+        path.write_text(json.dumps(trace_to_dict(jump_shots_trace())) + "\n" + json.dumps(raw) + "\n")
+        with pytest.raises(InputError, match=rf"keys\.jsonl:2: scripted_queries {message}"):
+            read_traces(str(path))
+
     def test_scripted_queries_round_trip(self):
         raw = trace_to_dict(brand_founder_trace())
         again = trace_from_dict(json.loads(json.dumps(raw)))
@@ -234,7 +251,7 @@ class TestSessionConfig:
         [
             {"block_ms": -5},
             {"ref_length_tokens": -1},
-            {"negative_sample_prob": 1.5},
+            {"web_kg_ratio": (-1, 1)},
             {"top_docs": 0},
             {"endpoint_delay_ms": -1},
         ],

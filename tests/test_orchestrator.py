@@ -301,16 +301,6 @@ class TestRunBatch:
         assert len(outcomes) == 1 and outcomes[0].utterance_id == "brand-founder"
         assert len(errors) == 1 and errors[0][0] == "no-words"
 
-    def test_jobs_parallelism_matches_sequential(self, world, index, backends, headline_latency):
-        traces = random_batch(world, 8, seed=4, block_ms=500)
-        config = session_config(Strategy.FIXED_INTERVAL)
-        factory = lambda t: ScriptedQueryGenerator(t, 500)
-        seq, _ = run_batch(traces, config, factory, backends, headline_latency, jobs=1)
-        par, _ = run_batch(traces, config, factory, backends, headline_latency, jobs=4)
-        assert [o.to_dict(include_events=True) for o in seq] == [
-            o.to_dict(include_events=True) for o in par
-        ]
-
     def test_one_scoring_per_distinct_query_text(self, world, kg_store, headline_latency,
                                                  monkeypatch):
         """Sessions, the reflector, the similarity check and labeling search

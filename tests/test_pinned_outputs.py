@@ -1,4 +1,5 @@
-"""Every file the CLI writes on ``fixtures/`` is pinned by its sha256.
+"""Every file the CLI writes on ``fixtures/`` is pinned by its sha256, and so
+is every session outcome over a batch of random traces (see below).
 
 The digests were recorded before the search path moved from a doc-major CSR
 walk to a term-major inverted index, so a refactor of retrieval (or of
@@ -11,11 +12,18 @@ means to alter outputs must re-record these values and say why.
 from __future__ import annotations
 
 import hashlib
+import json
+import zlib
 from pathlib import Path
 
 import pytest
 
+from conftest import generator_for, session_config
 from streamrag.cli import cli
+from streamrag.core import Strategy
+from streamrag.orchestrator import Backends, LatencyModel, run_batch
+from streamrag.retrieval import KgStore, index_documents
+from streamrag.synth import FixtureWorld, random_batch
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -73,3 +81,73 @@ def test_cli_outputs_match_pinned_digests(name, tmp_path, monkeypatch):
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in sorted(out.iterdir())}
     assert written == PINNED[name]
+
+
+# --- session-level pins --------------------------------------------------
+#
+# Every strategy's outcomes, event logs included, over 200 random traces, as
+# is and (closed_book has no generator) with a generator that fails on a
+# fixed pattern of (utterance, call number). The flaky runs cover failed-query
+# records, preemption and cancellation; the sampled stage delays make the
+# order of RNG draws show.
+# Recorded before the orchestrator's thread objects and the reflector's cache
+# entries were merged into one call record.
+
+SESSION_PINS: dict[tuple[str, bool], str] = {
+    ("closed_book", False): "a4bc862c1d137f85fbeaf779d0112f34af23bf285692b155bbfe649005519e55",
+    ("open_book", False): "c4a90f1e99b9431728ef6da7bba0af3649f4ed9c843b0eb8bcae224582c6d7ba",
+    ("open_book", True): "09e114ec11ac10f7c860445a6874fcb040b5db03cb32436dfbd4319dcdaa48e5",
+    ("fixed_interval", False): "fe7f3257c266ec1b540e9b00bd75bade223c38c10cf8fa1939a01ba36f73a51e",
+    ("fixed_interval", True): "bde5e167ed26a5d21981e9ae68b16d5ad8a85f7c97212a52250c223066a9dbe3",
+    ("model_triggered", False): "3eaed72746cea64e15f444d99b8087e60dea7a415c9dd2f12be4a00390b53224",
+    ("model_triggered", True): "a8cbeece670671dda4384c63a1a6cdef979ff6c0dd1679697c2277e2362e9915",
+}
+
+
+class FlakyGenerator:
+    """Wraps a generator; raises on calls picked by a hash of (utterance, call number)."""
+
+    def __init__(self, inner, utterance_id: str) -> None:
+        self._inner = inner
+        self._utterance_id = utterance_id
+        self._calls = 0
+
+    def generate(self, prefix, prev_web, prev_kg):
+        self._calls += 1
+        if zlib.crc32(f"{self._utterance_id}/{self._calls}".encode()) % 4 == 0:
+            raise RuntimeError("flaky generator")
+        return self._inner.generate(prefix, prev_web, prev_kg)
+
+
+@pytest.fixture(scope="module")
+def pin_world():
+    world = FixtureWorld(200, seed=3)
+    backends = Backends(index_documents(world.corpus), KgStore.from_records(world.kg_records))
+    return backends, random_batch(world, 200, seed=7, block_ms=500)
+
+
+def session_digest(strategy: Strategy, flaky: bool, backends, traces) -> str:
+    config = session_config(strategy)
+    latency = LatencyModel(query_gen=(450, 590, 730), web_fetch=(1900, 2500, 3100),
+                           chunk_rerank=(200, 280), kg_lookup=(150, 250),
+                           response_gen=(2300, 2520), response_tail=(0, 400), seed=5)
+
+    def factory(trace):
+        gen = generator_for(strategy, trace, config, backends.index)
+        return FlakyGenerator(gen, trace.utterance_id) if flaky else gen
+
+    outcomes, errors = run_batch(traces, config, factory, backends, latency)
+    assert errors == []
+    digest = hashlib.sha256()
+    for outcome in outcomes:
+        digest.update(json.dumps(outcome.to_dict(include_events=True), sort_keys=True).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("strategy, flaky", list(SESSION_PINS),
+                         ids=[f"{s}-{'flaky' if f else 'plain'}" for s, f in SESSION_PINS])
+def test_session_outcomes_match_pinned_digests(strategy, flaky, pin_world):
+    backends, traces = pin_world
+    digest = session_digest(Strategy(strategy), flaky, backends, traces)
+    assert digest == SESSION_PINS[strategy, flaky]

@@ -2,29 +2,33 @@ from __future__ import annotations
 
 import pytest
 
-from streamrag.core import KgQuery, ToolQuery
+from streamrag import orchestrator
+from streamrag.core import NO_QUERY, KgQuery, Strategy, Tool, ToolQuery
 from streamrag.errors import WrongToolError
 from streamrag.reflector import (
     REASON_IDENTICAL_QUERY,
     REASON_INSUFFICIENT,
     REASON_KG_RESULT_MATCH,
-    CacheEntry,
-    EntryStatus,
+    CallStatus,
     QueryCache,
+    ToolCall,
     cancel_after,
-    reflect,
     reflect_with_reason,
     select_earliest_joint,
-    select_earliest_sufficient,
 )
 from streamrag.retrieval import web_search
-from streamrag.synth import brand_founder_trace
+from streamrag.synth import brand_founder_trace, random_batch
 
+from conftest import generator_for, session_config
 from oracles import oracle_top_ids
 
 
 def _kg(entity: str) -> ToolQuery:
     return ToolQuery.kg(KgQuery.make("other", {"main_entity": entity}))
+
+
+def _sufficient(intermediate: ToolQuery, final: ToolQuery, ctx) -> bool:
+    return reflect_with_reason(intermediate, final, ctx)[0]
 
 
 class TestReflect:
@@ -36,7 +40,7 @@ class TestReflect:
     def test_kg_queries_identical_up_to_key_order(self, reflect_ctx):
         a = ToolQuery.kg(KgQuery.make("music", {"artist_name": "Red Hot Chili Peppers", "artist_aspect": "member"}))
         b = ToolQuery.kg(KgQuery.make("music", {"artist_aspect": "member", "artist_name": "Red Hot Chili Peppers"}))
-        assert reflect(a, b, reflect_ctx)
+        assert _sufficient(a, b, reflect_ctx)
 
     def test_different_top5_is_insufficient(self, world, index, reflect_ctx):
         a = ToolQuery.web("Who founded what")
@@ -46,7 +50,7 @@ class TestReflect:
             web_search(index, a, 50).ranked_doc_ids[:5] != web_search(index, b, 50).ranked_doc_ids[:5]
         )
         assert oracle_top_ids(world.corpus, a.web_text, 5) != oracle_top_ids(world.corpus, b.web_text, 5)
-        assert not reflect(a, b, reflect_ctx)
+        assert reflect_with_reason(a, b, reflect_ctx) == (False, REASON_INSUFFICIENT)
 
     def test_kg_result_match_when_both_miss(self, reflect_ctx):
         ok, reason = reflect_with_reason(_kg("ghost one"), _kg("ghost two"), reflect_ctx)
@@ -57,35 +61,49 @@ class TestReflect:
         assert not ok and reason == REASON_INSUFFICIENT
 
     def test_no_query_intermediate_is_never_sufficient(self, reflect_ctx):
-        from streamrag.core import NO_QUERY
-
-        assert not reflect(NO_QUERY, ToolQuery.web("final"), reflect_ctx)
+        assert not _sufficient(NO_QUERY, ToolQuery.web("final"), reflect_ctx)
 
     def test_tool_mismatch_rejected(self, reflect_ctx):
         with pytest.raises(WrongToolError):
-            reflect(ToolQuery.web("a"), _kg("b"), reflect_ctx)
+            reflect_with_reason(ToolQuery.web("a"), _kg("b"), reflect_ctx)
 
 
-def _cache(entries: list[tuple[int, ToolQuery, EntryStatus]]) -> QueryCache:
+# A kg query that is identical at every block and in the final, so the joint
+# selection turns on the web calls alone.
+SAME_KG = _kg("Rare Beauty")
+
+
+def _cache(web: list[tuple[int, ToolQuery, CallStatus]],
+           kg_status: dict[int, CallStatus] | None = None) -> QueryCache:
+    """Web calls as given, each paired with a SAME_KG call (DONE unless kg_status says)."""
     cache = QueryCache()
-    for block, query, status in entries:
-        cache.add(query.tool, CacheEntry(block=block, query=query, status=status))
+    for block, query, status in web:
+        cache.add(ToolCall(Tool.WEB, block, query, status=status))
+        kg = (kg_status or {}).get(block, CallStatus.DONE)
+        cache.add(ToolCall(Tool.KG, block, SAME_KG, status=kg))
     return cache
 
 
+def _earliest(cache: QueryCache, final_web: ToolQuery, ctx) -> int | None:
+    selected, _ = select_earliest_joint(cache, final_web, SAME_KG, ctx)
+    return selected
+
+
 class TestSelectEarliestSufficient:
+    """The earliest sufficient block, chosen by select_earliest_joint."""
+
     def test_all_identical_selects_block_1(self, reflect_ctx):
         final = ToolQuery.web("same query")
-        cache = _cache([(b, final, EntryStatus.DONE) for b in range(1, 6)])
-        assert select_earliest_sufficient(cache, final, reflect_ctx) == 1
+        cache = _cache([(b, final, CallStatus.DONE) for b in range(1, 6)])
+        assert _earliest(cache, final, reflect_ctx) == 1
 
     def test_walkthrough_trace_selects_block_3(self, world, index, reflect_ctx):
         trace = brand_founder_trace()
         final = trace.scripted_queries[5].web
         cache = _cache(
-            [(b, trace.scripted_queries[b].web, EntryStatus.PENDING) for b in range(1, 6)]
+            [(b, trace.scripted_queries[b].web, CallStatus.PENDING) for b in range(1, 6)]
         )
-        selected = select_earliest_sufficient(cache, final, reflect_ctx)
+        selected = _earliest(cache, final, reflect_ctx)
         # oracle: brute-force reflect over every cached block
         expected = None
         for b in range(1, 5):
@@ -101,35 +119,38 @@ class TestSelectEarliestSufficient:
     def test_none_when_no_intermediate_passes(self, reflect_ctx):
         cache = _cache(
             [
-                (1, ToolQuery.web("Red Bull founder"), EntryStatus.DONE),
-                (2, ToolQuery.web("Who founded Rare Beauty"), EntryStatus.DONE),
+                (1, ToolQuery.web("Red Bull founder"), CallStatus.DONE),
+                (2, ToolQuery.web("Who founded Rare Beauty"), CallStatus.DONE),
             ]
         )
-        assert select_earliest_sufficient(cache, ToolQuery.web("Who founded Rare Beauty"), reflect_ctx) is None
+        assert _earliest(cache, ToolQuery.web("Who founded Rare Beauty"), reflect_ctx) is None
 
     def test_empty_cache_is_none(self, reflect_ctx):
-        assert select_earliest_sufficient(QueryCache(), ToolQuery.web("final"), reflect_ctx) is None
+        assert select_earliest_joint(QueryCache(), ToolQuery.web("final"), SAME_KG,
+                                     reflect_ctx) == (None, [])
 
     def test_failed_intermediate_never_sufficient(self, reflect_ctx):
         final = ToolQuery.web("the query")
-        cache = _cache(
-            [
-                (1, final, EntryStatus.FAILED),
-                (2, final, EntryStatus.DONE),
-                (3, final, EntryStatus.DONE),
-            ]
-        )
-        assert select_earliest_sufficient(cache, final, reflect_ctx) == 2
+        web = [(b, final, CallStatus.DONE) for b in range(1, 4)]
+        failed_web = [(1, final, CallStatus.FAILED), *web[1:]]
+        assert _earliest(_cache(failed_web), final, reflect_ctx) == 2
+        failed_kg = _cache(web, kg_status={1: CallStatus.FAILED})
+        assert _earliest(failed_kg, final, reflect_ctx) == 2
+        # a query that never materialised is a failed call too
+        no_query = _cache([(1, NO_QUERY, CallStatus.FAILED), *web[1:]])
+        assert _earliest(no_query, final, reflect_ctx) == 2
 
     def test_minimality_exhaustive(self, reflect_ctx):
         trace = brand_founder_trace()
         final = trace.scripted_queries[5].web
         cache = _cache(
-            [(b, trace.scripted_queries[b].web, EntryStatus.DONE) for b in range(1, 6)]
+            [(b, trace.scripted_queries[b].web, CallStatus.DONE) for b in range(1, 6)]
         )
-        selected = select_earliest_sufficient(cache, final, reflect_ctx)
+        selected, scan_log = select_earliest_joint(cache, final, SAME_KG, reflect_ctx)
+        assert selected is not None
         for b in range(1, selected):
-            assert not reflect(trace.scripted_queries[b].web, final, reflect_ctx)
+            assert not _sufficient(trace.scripted_queries[b].web, final, reflect_ctx)
+        assert [r["sufficient"] for r in scan_log] == [False] * (selected - 1) + [True]
 
 
 class TestSelectEarliestJoint:
@@ -137,8 +158,8 @@ class TestSelectEarliestJoint:
         trace = brand_founder_trace()
         cache = QueryCache()
         for b in range(1, 6):
-            cache.add(ToolQuery.web("x").tool, CacheEntry(b, trace.scripted_queries[b].web))
-            cache.add(_kg("x").tool, CacheEntry(b, trace.scripted_queries[b].kg))
+            cache.add(ToolCall(Tool.WEB, b, trace.scripted_queries[b].web))
+            cache.add(ToolCall(Tool.KG, b, trace.scripted_queries[b].kg))
         selected, scan_log = select_earliest_joint(
             cache, trace.scripted_queries[5].web, trace.scripted_queries[5].kg, reflect_ctx
         )
@@ -147,46 +168,90 @@ class TestSelectEarliestJoint:
         assert scan_log[-1]["sufficient"] is True
 
 
+def _statuses(cache: QueryCache) -> list[tuple[Tool, int, CallStatus]]:
+    return [(c.tool, c.block, c.status) for c in (*cache.web, *cache.kg)]
+
+
 class TestCancelAfter:
-    def test_selected_1_cancels_four_pending(self, reflect_ctx):
-        q = ToolQuery.web("q")
-        cache = _cache([(b, q, EntryStatus.PENDING) for b in range(1, 6)])
+    """cancel_after names the calls to cancel; it changes nothing itself."""
+
+    def test_selected_1_cancels_four_pending(self):
+        cache = _cache([(b, ToolQuery.web("q"), CallStatus.PENDING) for b in range(1, 6)])
+        before = _statuses(cache)
         cancelled = cancel_after(cache, 1)
-        assert len(cancelled) == 4
-        assert all(e.status is EntryStatus.CANCELLED for e in cache.web if e.block > 1)
+        assert [(c.tool, c.block) for c in cancelled] == [(Tool.WEB, b) for b in range(2, 6)]
+        assert all(c is cache.web[c.block - 1] for c in cancelled)
+        assert _statuses(cache) == before
 
     def test_selected_last_block_cancels_nothing(self):
-        q = ToolQuery.web("q")
-        cache = _cache([(b, q, EntryStatus.PENDING) for b in range(1, 6)])
+        cache = _cache([(b, ToolQuery.web("q"), CallStatus.PENDING) for b in range(1, 6)])
         assert cancel_after(cache, 5) == []
 
     def test_mixed_statuses_only_pending_cancelled(self):
         q = ToolQuery.web("q")
         entries = [
-            (1, q, EntryStatus.DONE),
-            (2, q, EntryStatus.DONE),
-            (3, q, EntryStatus.PENDING),
-            (4, q, EntryStatus.DONE),
-            (5, q, EntryStatus.PENDING),
+            (1, q, CallStatus.DONE),
+            (2, q, CallStatus.DONE),
+            (3, q, CallStatus.PENDING),
+            (4, q, CallStatus.DONE),
+            (5, q, CallStatus.PENDING),
         ]
         cache = _cache(entries)
         # oracle: filter by status and block
-        expected = [b for b, _, status in entries if b > 2 and status is EntryStatus.PENDING]
+        expected = [b for b, _, status in entries if b > 2 and status is CallStatus.PENDING]
         cancelled = cancel_after(cache, 2)
-        assert [block for _, block in cancelled] == expected
-        done = [e.block for e in cache.web if e.status is EntryStatus.DONE]
+        assert [c.block for c in cancelled] == expected
+        done = [c.block for c in cache.web if c.status is CallStatus.DONE]
         assert done == [1, 2, 4]
 
     def test_no_pending_beyond_selected_after_cancel(self):
-        q = ToolQuery.web("q")
-        cache = _cache([(b, q, EntryStatus.PENDING) for b in range(1, 8)])
-        cancel_after(cache, 3)
-        assert all(e.status is not EntryStatus.PENDING for e in cache.web if e.block > 3)
+        pending = {b: CallStatus.PENDING for b in range(1, 8)}
+        cache = _cache([(b, ToolQuery.web("q"), CallStatus.PENDING) for b in range(1, 8)],
+                       kg_status=pending)
+        cancelled = cancel_after(cache, 3)
+        # all web calls first, then all kg calls, each in block order
+        assert [(c.tool, c.block) for c in cancelled] == (
+            [(Tool.WEB, b) for b in range(4, 8)] + [(Tool.KG, b) for b in range(4, 8)]
+        )
+        for call in cancelled:
+            call.status = CallStatus.CANCELLED
+        assert all(c.status is not CallStatus.PENDING
+                   for c in (*cache.web, *cache.kg) if c.block > 3)
+
+    @pytest.mark.parametrize("strategy", [Strategy.FIXED_INTERVAL, Strategy.MODEL_TRIGGERED])
+    def test_session_cancels_each_call_once(self, strategy, world, index, backends,
+                                            headline_latency, monkeypatch):
+        caches: list[QueryCache] = []
+
+        def recording_cache() -> QueryCache:
+            caches.append(QueryCache())
+            return caches[-1]
+
+        monkeypatch.setattr(orchestrator, "QueryCache", recording_cache)
+        config = session_config(strategy)
+        outcomes, errors = orchestrator.run_batch(
+            random_batch(world, 30, seed=11, block_ms=500), config,
+            lambda t: generator_for(strategy, t, config, index), backends, headline_latency,
+        )
+        assert errors == [] and len(caches) == len(outcomes)
+        total_cancelled = 0
+        for outcome, cache in zip(outcomes, caches):
+            cancel_events = [(e.tool, e.block) for e in outcome.event_log
+                             if e.type == "thread_cancelled"]
+            calls = [*cache.web, *cache.kg]
+            cancelled = [c for c in calls if c.status is CallStatus.CANCELLED]
+            assert all(c.result is None for c in cancelled)
+            assert sorted(cancel_events) == sorted((c.tool.value, c.block) for c in cancelled)
+            assert outcome.threads_cancelled == len(cancelled)
+            assert outcome.threads_spawned == sum(not c.query.is_no_query for c in calls)
+            assert not any(c.status is CallStatus.PENDING for c in calls)
+            total_cancelled += len(cancelled)
+        assert total_cancelled > 0
 
 
 class TestQueryCache:
     def test_blocks_must_strictly_increase(self):
         cache = QueryCache()
-        cache.add(ToolQuery.web("a").tool, CacheEntry(1, ToolQuery.web("a")))
+        cache.add(ToolCall(Tool.WEB, 1, ToolQuery.web("a")))
         with pytest.raises(ValueError):
-            cache.add(ToolQuery.web("b").tool, CacheEntry(1, ToolQuery.web("b")))
+            cache.add(ToolCall(Tool.WEB, 1, ToolQuery.web("b")))
