@@ -33,10 +33,12 @@ from streamrag.synth import (
     random_batch,
 )
 from streamrag.metrics import score_responses
+from streamrag.reflector import REASON_TOP5_MATCH
 from streamrag.triggers import FinalQueryGenerator, ScriptedQueryGenerator
 
 from checkers import check_single_thread_per_tool
 from conftest import generator_for, session_config
+from paraphrase import paraphrase_batch
 from subproc import child_env
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -150,6 +152,44 @@ def test_criterion_4_reflector_quality_guarantee(world, index, backends, headlin
                     f"{trace.utterance_id}: bundle from block {early.selected_block} diverged"
                 )
         assert selected_count >= 50, "population too thin to exercise the guarantee"
+        assert time.monotonic() - started < 30.0
+
+
+def test_criterion_4_paraphrased_queries_ordered_and_set(world, backends, headline_latency):
+    with criterion(4, "paraphrased early queries match by results, ordered and set, same bundle"):
+        started = time.monotonic()
+        traces = paraphrase_batch(world, 200, seed=414, block_ms=1000)
+        config_ob = session_config(Strategy.OPEN_BOOK, block_ms=1000)
+        selected: dict[bool, list] = {True: [], False: []}
+        top5_matches = {True: 0, False: 0}
+        for trace in traces:
+            full = run_session(
+                trace, config_ob, FinalQueryGenerator(trace), backends, headline_latency
+            )
+            for ordered in (True, False):
+                config_fi = session_config(Strategy.FIXED_INTERVAL, block_ms=1000,
+                                           reflect_ordered=ordered)
+                early = run_session(
+                    trace, config_fi, ScriptedQueryGenerator(trace, 1000), backends,
+                    headline_latency,
+                )
+                selected[ordered].append(early.selected_block)
+                top5_matches[ordered] += sum(
+                    1 for e in early.event_log
+                    if e.type == "reflected" and (e.detail or {}).get("web") == REASON_TOP5_MATCH
+                )
+                if early.selected_block is not None:
+                    assert (early.references.to_canonical_text()
+                            == full.references.to_canonical_text()), (
+                        f"{trace.utterance_id} (ordered={ordered}): bundle from block "
+                        f"{early.selected_block} diverged"
+                    )
+        assert top5_matches[True] > 0 and top5_matches[False] > 0
+        # an ordered match is also a set match, so set mode never selects later
+        never = float("inf")
+        pairs = [(o or never, s or never) for o, s in zip(selected[True], selected[False])]
+        assert all(o >= s for o, s in pairs)
+        assert any(o != s for o, s in pairs), "ordered and set modes never disagreed"
         assert time.monotonic() - started < 30.0
 
 
