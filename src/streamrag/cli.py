@@ -79,6 +79,55 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
+_STRATEGIES = [s.value for s in Strategy]
+
+
+def _int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is an int
+
+
+def _positive(value: Any) -> bool:
+    return _int(value) and value >= 1
+
+
+def _non_negative(value: Any) -> bool:
+    return _int(value) and value >= 0
+
+
+def _stage(value: Any) -> bool:
+    """A latency stage: a constant, or an empirical sample list."""
+    if isinstance(value, list):
+        return bool(value) and all(map(_non_negative, value))
+    return _non_negative(value)
+
+
+_STAGES = ("query_gen", "web_fetch", "chunk_rerank", "kg_lookup", "response_gen", "response_tail")
+
+# What each DEFAULTS key accepts, from flags and config files alike.
+_CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "strategy": (lambda v: v in _STRATEGIES, f"one of {_STRATEGIES}"),
+    "block_ms": (lambda v: v is None or _non_negative(v), "a non-negative integer"),
+    "ref_length_tokens": (_non_negative, "a non-negative integer"),
+    "web_kg_ratio": (lambda v: isinstance(v, str), "a string like '2:1'"),
+    "top_docs": (_positive, "a positive integer"),
+    "reflect_top_k": (_positive, "a positive integer"),
+    "chunk_tokens": (_positive, "a positive integer"),
+    "reflect_ordered": (lambda v: isinstance(v, bool), "true or false"),
+    "negative_prob": (lambda v: (_int(v) or isinstance(v, float)) and 0 <= v <= 1,
+                      "in [0, 1]"),
+    "endpoint_delay_ms": (_non_negative, "a non-negative integer"),
+    "seed": (_int, "an integer"),
+    **{f"{stage}_ms": (_stage, "a non-negative integer, or a non-empty list of them")
+       for stage in _STAGES},
+}
+
+
+def _check_value(key: str, value: Any, name: str) -> None:
+    accepts, expected = _CHECKS[key]
+    if not accepts(value):
+        raise InputError(f"{name} must be {expected}, got {value!r}")
+
+
 def _echo(message: str, err: bool = False) -> None:
     """click.echo to the current sys.stdout or sys.stderr.
 
@@ -105,13 +154,21 @@ def _load_config_file(explicit_path: str | None) -> dict[str, Any]:
     unknown = sorted(set(raw) - set(DEFAULTS))
     if unknown:
         raise InputError(f"{path}: unknown config keys {unknown}; valid: {sorted(DEFAULTS)}")
+    for key, value in raw.items():
+        _check_value(key, value, f"{path}: config key {key!r}")
     return raw
 
 
 def _resolve(flags: dict[str, Any], config_path: str | None) -> dict[str, Any]:
+    """Defaults, then the config file, then the flags given. Flags are keyed by
+    parameter name; an error names the flag or the config key."""
     resolved = dict(DEFAULTS)
     resolved.update(_load_config_file(config_path))
-    resolved.update({k: v for k, v in flags.items() if v is not None})
+    options = {p.name: p.opts[0] for p in click.get_current_context().command.params}
+    for key, value in flags.items():
+        if value is not None:
+            _check_value(key, value, options[key])
+            resolved[key] = value
     return resolved
 
 
@@ -221,7 +278,7 @@ def cli() -> None:
 @click.option("--traces", "traces_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--kg", "kg_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--strategy", type=click.Choice([s.value for s in Strategy]), default=None,
+@click.option("--strategy", type=click.Choice(_STRATEGIES), default=None,
               help="Defaults to open_book.")
 @click.option("--block-ms", type=int, default=None)
 @click.option("--ref-tokens", "ref_length_tokens", type=int, default=None)
@@ -241,19 +298,9 @@ def cli() -> None:
 @click.option("--format", "out_format", type=click.Choice(["json", "csv", "both"]), default="both",
               show_default=True, help="Latency table format.")
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-def simulate(traces_path, corpus_path, kg_path, strategy, block_ms, ref_length_tokens,
-             web_kg_ratio, top_docs, reflect_top_k, chunk_tokens, endpoint_delay_ms, seed,
-             query_gen_ms, web_fetch_ms, chunk_rerank_ms, kg_lookup_ms, response_gen_ms,
-             response_tail_ms, out_dir, out_format, config_path) -> None:
+def simulate(traces_path, corpus_path, kg_path, out_dir, out_format, config_path,
+             **flags) -> None:
     """Run sessions for every trace and write outcomes, event logs, and a latency table."""
-    flags = {
-        "strategy": strategy, "block_ms": block_ms, "ref_length_tokens": ref_length_tokens,
-        "web_kg_ratio": web_kg_ratio, "top_docs": top_docs, "reflect_top_k": reflect_top_k,
-        "chunk_tokens": chunk_tokens, "endpoint_delay_ms": endpoint_delay_ms, "seed": seed,
-        "query_gen_ms": query_gen_ms, "web_fetch_ms": web_fetch_ms,
-        "chunk_rerank_ms": chunk_rerank_ms, "kg_lookup_ms": kg_lookup_ms,
-        "response_gen_ms": response_gen_ms, "response_tail_ms": response_tail_ms,
-    }
     cfg = _resolve(flags, config_path)
     strategy_enum = Strategy(cfg["strategy"])
     session_config = SessionConfig(
@@ -346,15 +393,11 @@ def _generator_factory(strategy: Strategy, config: SessionConfig, backends: Back
 @click.option("--show-labels", is_flag=True, help="Echo the per-block label table per utterance.")
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-def label(traces_path, corpus_path, pseudo_gt_path, block_ms, negative_prob, seed,
-          top_docs, reflect_top_k, web_match, show_labels, out_dir, config_path) -> None:
+def label(traces_path, corpus_path, pseudo_gt_path, web_match, show_labels, out_dir,
+          config_path, **flags) -> None:
     """Build a streaming-trigger training set (fire vs NO_QUERY) with negatives."""
-    flags = {"block_ms": block_ms, "negative_prob": negative_prob, "seed": seed,
-             "top_docs": top_docs, "reflect_top_k": reflect_top_k}
     cfg = _resolve(flags, config_path)
     resolved_block_ms = cfg["block_ms"] or 500
-    if not 0.0 <= cfg["negative_prob"] <= 1.0:
-        raise InputError(f"--negative-prob must be in [0, 1], got {cfg['negative_prob']}")
 
     traces = read_traces(traces_path)
     if not traces:
@@ -444,9 +487,9 @@ def _read_pseudo_gt(path: str, traces) -> dict[str, dict]:
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--seed", type=int, default=None)
 def report(baseline_path, strategy_path, judgments_path, out_dir, out_format,
-           config_path, seed) -> None:
+           config_path, **flags) -> None:
     """Compare paired outcome sets: latency savings, plus scores when judged."""
-    cfg = _resolve({"seed": seed}, config_path)
+    cfg = _resolve(flags, config_path)
     baseline = _read_outcomes(baseline_path)
     strategy = _read_outcomes(strategy_path)
 

@@ -231,10 +231,8 @@ class SimClock:
     current time never decreases.
     """
 
-    def __init__(self, start_ms: int = 0) -> None:
-        if start_ms < 0:
-            raise ValueError("start_ms must be non-negative")
-        self._now_ms = start_ms
+    def __init__(self) -> None:
+        self._now_ms = 0
         self._queue: list[_Scheduled] = []
         self._next_seq = 0
 
@@ -263,30 +261,13 @@ class SimClock:
             return item.event
         return None
 
-    def advance(self, until_ms: int) -> list[Any]:
-        """Fire every event due at or before until_ms; end with now_ms == until_ms."""
+    def advance(self, until_ms: int) -> None:
+        """Move now_ms forward to until_ms; events due by then must be popped first."""
         if until_ms < self._now_ms:
             raise ValueError("clock cannot move backwards")
-        fired: list[Any] = []
-        while True:
-            event = self.pop_due(until_ms)
-            if event is None:
-                break
-            fired.append(event)
+        if self._queue and self._queue[0].fire_at_ms <= until_ms:
+            raise ValueError(f"an event due at {self._queue[0].fire_at_ms} ms is still pending")
         self._now_ms = until_ms
-        return fired
-
-    def drain(self) -> list[Any]:
-        """Fire everything still pending, advancing to the final event time."""
-        fired: list[Any] = []
-        while self._queue:
-            fired.extend(self.advance(self._queue[0].fire_at_ms))
-        return fired
-
-
-def advance_clock(clock: SimClock, until_ms: int) -> list[Any]:
-    """Advance the clock to until_ms, returning the events that fired."""
-    return clock.advance(until_ms)
 
 
 @dataclass

@@ -3,8 +3,8 @@
 Given per-block reference queries (precomputed offline; this module never
 calls a model), each block is labeled either with the reference query (fire)
 or with NO_QUERY when the reference query is equivalent to the most recent
-fired one. Equivalence is exact canonical match for KG queries and same
-top-document retrieval for web queries.
+fired one, by the reflector's check without a KG store: exact canonical match
+for KG queries and same top-document retrieval for web queries.
 
 To teach recovery from early misfires, a fraction of steps get their
 previous query swapped for a wrong one drawn from other utterances, with the
@@ -25,38 +25,18 @@ from .core import (
     UtteranceTrace,
     blocks_of,
 )
-from .errors import InputError, WrongToolError
+from .errors import InputError
 from .orchestrator import substream_rng
-from .retrieval import DocIndex, top_docs_match
+from .reflector import SimilarityContext, reflect_with_reason
 
 TRAINING_SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class SimilarityContext:
-    """Backend and knobs for query-equivalence checks.
-
-    Web equivalence compares top-document *sets* by default (ordered=False);
-    the session reflector defaults to ordered lists instead.
-    """
-
-    index: DocIndex
-    compare_k: int = 5
-    retrieve_k: int = 50
-    ordered: bool = False
 
 
 def similarity_f(current: ToolQuery, prev: ToolQuery, ctx: SimilarityContext) -> bool:
     """True when firing `current` would be redundant given `prev` already ran."""
     if current.is_no_query:
         raise ValueError("current query must be a real web or kg query")
-    if prev.is_no_query:
-        return False
-    if current.tool != prev.tool:
-        raise WrongToolError(f"cannot compare a {current.tool} query against a {prev.tool} query")
-    if current.tool is Tool.KG:
-        return current.kg_query.canonical_key() == prev.kg_query.canonical_key()
-    return top_docs_match(ctx.index, current, prev, ctx.compare_k, ctx.retrieve_k, ctx.ordered)
+    return reflect_with_reason(current, prev, ctx)[0]
 
 
 @dataclass(frozen=True)

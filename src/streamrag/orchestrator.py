@@ -37,7 +37,7 @@ from .errors import IncompleteSessionError
 from .reflector import (
     CallStatus,
     QueryCache,
-    ReflectContext,
+    SimilarityContext,
     ToolCall,
     cancel_after,
     select_earliest_joint,
@@ -422,12 +422,12 @@ def run_session(
     elif strategy is Strategy.FIXED_INTERVAL:
         final_web = session.prev_fired[Tool.WEB]
         final_kg = session.prev_fired[Tool.KG]
-        ctx = ReflectContext(
+        ctx = SimilarityContext(
             index=backends.index,
-            kg_store=backends.kg_store,
             compare_k=config.reflect_top_k,
             retrieve_k=config.top_docs,
             ordered=config.reflect_ordered,
+            kg_store=backends.kg_store,
         )
         selected, scan_log = select_earliest_joint(session.cache, final_web, final_kg, ctx)
         for record in scan_log:

@@ -1,4 +1,4 @@
-"""Sufficiency checking for intermediate tool calls, and cancellation.
+"""Query equivalence, sufficiency of intermediate tool calls, and cancellation.
 
 Once the utterance is complete, the session knows the final query per tool.
 An intermediate call is sufficient when it would have produced the same
@@ -76,24 +76,29 @@ class QueryCache:
 
 
 @dataclass(frozen=True)
-class ReflectContext:
-    """Backends and comparison knobs for sufficiency checks."""
+class SimilarityContext:
+    """Backends and comparison knobs for the query-equivalence check.
+
+    ``ordered`` picks list vs set comparison of the top ``compare_k`` doc ids.
+    Without ``kg_store``, kg queries are equivalent only when their canonical
+    keys are equal; with it, also when the store gives both the same answer.
+    """
 
     index: DocIndex
-    kg_store: KgStore
     compare_k: int = 5
     retrieve_k: int = 50
-    ordered: bool = True
+    ordered: bool = False
+    kg_store: KgStore | None = None
 
 
 def reflect_with_reason(
-    intermediate: ToolQuery, final: ToolQuery, ctx: ReflectContext
+    intermediate: ToolQuery, final: ToolQuery, ctx: SimilarityContext
 ) -> tuple[bool, str]:
     """Would the intermediate query's results stand in for the final ones?
 
     Returns the verdict and the name of the reason for it.
     """
-    if intermediate.is_no_query:
+    if intermediate.is_no_query or final.is_no_query:
         return False, REASON_INSUFFICIENT
     if intermediate.tool != final.tool:
         raise WrongToolError(
@@ -110,13 +115,15 @@ def reflect_with_reason(
     # KG: compare lookup results, not query text
     if intermediate.kg_query.canonical_key() == final.kg_query.canonical_key():
         return True, REASON_IDENTICAL_QUERY
-    if kg_lookup(ctx.kg_store, intermediate) == kg_lookup(ctx.kg_store, final):
+    if ctx.kg_store is not None and (
+        kg_lookup(ctx.kg_store, intermediate) == kg_lookup(ctx.kg_store, final)
+    ):
         return True, REASON_KG_RESULT_MATCH
     return False, REASON_INSUFFICIENT
 
 
 def select_earliest_joint(
-    cache: QueryCache, final_web: ToolQuery, final_kg: ToolQuery, ctx: ReflectContext
+    cache: QueryCache, final_web: ToolQuery, final_kg: ToolQuery, ctx: SimilarityContext
 ) -> tuple[BlockIndex | None, list[dict]]:
     """Earliest block at which BOTH tools' intermediate calls are sufficient.
 

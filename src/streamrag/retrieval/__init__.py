@@ -376,11 +376,6 @@ def assemble_references(
     return ReferenceBundle(tuple(web_chunks), tuple(kg_answers), total)
 
 
-def top_doc_ids(index: DocIndex, query: ToolQuery, compare_k: int, retrieve_k: int) -> tuple[str, ...]:
-    """The first compare_k doc ids of a retrieve_k-deep search."""
-    return web_search(index, query, retrieve_k).ranked_doc_ids[:compare_k]
-
-
 def top_docs_match(
     index: DocIndex,
     first: ToolQuery,
@@ -391,13 +386,8 @@ def top_docs_match(
 ) -> bool:
     """Whether two web queries retrieve the same leading documents.
 
-    Identical query text short-circuits to True. ``ordered`` picks list vs
-    set comparison of the top compare_k ids.
+    ``ordered`` picks list vs set comparison of the top compare_k ids.
     """
-    if first.tool is not Tool.WEB or second.tool is not Tool.WEB:
-        raise WrongToolError("top_docs_match compares web queries")
-    if first.web_text == second.web_text:
-        return True
-    a = top_doc_ids(index, first, compare_k, retrieve_k)
-    b = top_doc_ids(index, second, compare_k, retrieve_k)
+    a = web_search(index, first, retrieve_k).ranked_doc_ids[:compare_k]
+    b = web_search(index, second, retrieve_k).ranked_doc_ids[:compare_k]
     return a == b if ordered else set(a) == set(b)

@@ -166,28 +166,28 @@ class StreamingScriptedGenerator:
         return GeneratedQueries(web=web, kg=kg)
 
 
-def fixed_interval_step(
-    gen: QueryGenerator, prefix: str, block: BlockIndex, fired_at_ms: int
+def _step(
+    gen: QueryGenerator,
+    prefix: str,
+    prev_web: ToolQuery,
+    prev_kg: ToolQuery,
+    block: BlockIndex,
+    fired_at_ms: int,
+    instead: TriggerAction,
 ) -> TriggerDecision:
-    """Fire a fresh query pair for this block, ignoring any previous query.
-
-    A generator error (or an illegal NO_QUERY under this policy) is recorded
-    as a failed decision for the affected tool; the session carries on.
-    """
+    """Fire each tool's generated query; a NO_QUERY, or a generator error for
+    both tools, becomes the ``instead`` action."""
     try:
-        raw = gen.generate(prefix, NO_QUERY, NO_QUERY)
+        raw = gen.generate(prefix, prev_web, prev_kg)
     except Exception:
-        log.warning("query generator failed at block %d; recording failed threads", block)
-        return TriggerDecision(
-            block=block,
-            fired_at_ms=fired_at_ms,
-            web=ToolDecision(TriggerAction.FAILED),
-            kg=ToolDecision(TriggerAction.FAILED),
-        )
+        log.warning("query generator failed at block %d; both tools record %s",
+                    block, instead.value)
+        skip = ToolDecision(instead)
+        return TriggerDecision(block=block, fired_at_ms=fired_at_ms, web=skip, kg=skip)
 
     def decide(query: ToolQuery) -> ToolDecision:
         if query.is_no_query:
-            return ToolDecision(TriggerAction.FAILED)
+            return ToolDecision(instead)
         return ToolDecision(TriggerAction.FIRE, query)
 
     return TriggerDecision(
@@ -197,6 +197,17 @@ def fixed_interval_step(
         kg=decide(raw.kg),
         declared_latency_ms=raw.latency_ms,
     )
+
+
+def fixed_interval_step(
+    gen: QueryGenerator, prefix: str, block: BlockIndex, fired_at_ms: int
+) -> TriggerDecision:
+    """Fire a fresh query pair for this block, ignoring any previous query.
+
+    A generator error (or an illegal NO_QUERY under this policy) is recorded
+    as a failed decision for the affected tool; the session carries on.
+    """
+    return _step(gen, prefix, NO_QUERY, NO_QUERY, block, fired_at_ms, TriggerAction.FAILED)
 
 
 def model_trigger_step(
@@ -211,26 +222,4 @@ def model_trigger_step(
 
     Generator errors degrade to NO_QUERY so the running tool call survives.
     """
-    try:
-        raw = gen.generate(prefix, prev_web, prev_kg)
-    except Exception:
-        log.warning("query generator failed at block %d; keeping running calls", block)
-        return TriggerDecision(
-            block=block,
-            fired_at_ms=fired_at_ms,
-            web=ToolDecision(TriggerAction.NO_QUERY),
-            kg=ToolDecision(TriggerAction.NO_QUERY),
-        )
-
-    def decide(query: ToolQuery) -> ToolDecision:
-        if query.is_no_query:
-            return ToolDecision(TriggerAction.NO_QUERY)
-        return ToolDecision(TriggerAction.FIRE, query)
-
-    return TriggerDecision(
-        block=block,
-        fired_at_ms=fired_at_ms,
-        web=decide(raw.web),
-        kg=decide(raw.kg),
-        declared_latency_ms=raw.latency_ms,
-    )
+    return _step(gen, prefix, prev_web, prev_kg, block, fired_at_ms, TriggerAction.NO_QUERY)

@@ -5,7 +5,6 @@ import pytest
 from streamrag.core import SessionConfig, Strategy
 from streamrag.labeling import SimilarityContext, similarity_f
 from streamrag.orchestrator import Backends, LatencyModel
-from streamrag.reflector import ReflectContext
 from streamrag.retrieval import KgStore, index_documents
 from streamrag.synth import FixtureWorld
 from streamrag.triggers import (
@@ -37,7 +36,8 @@ def backends(index, kg_store):
 
 @pytest.fixture(scope="session")
 def reflect_ctx(index, kg_store):
-    return ReflectContext(index=index, kg_store=kg_store, compare_k=5, retrieve_k=50)
+    return SimilarityContext(index=index, compare_k=5, retrieve_k=50, ordered=True,
+                             kg_store=kg_store)
 
 
 @pytest.fixture(scope="session")

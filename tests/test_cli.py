@@ -11,10 +11,17 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from streamrag.cli import cli
+from streamrag import cli as cli_module
+from streamrag.cli import DEFAULTS, _check_value, cli, main
 from subproc import child_env
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+INPUTS = {
+    "simulate": ["--traces", str(FIXTURES / "traces.jsonl"),
+                 "--corpus", str(FIXTURES / "corpus.jsonl"), "--kg", str(FIXTURES / "kg.json")],
+    "label": ["--traces", str(FIXTURES / "traces.jsonl"),
+              "--corpus", str(FIXTURES / "corpus.jsonl")],
+}
 
 
 def run_cli(*args: str, expect: int = 0) -> subprocess.CompletedProcess:
@@ -26,6 +33,19 @@ def run_cli(*args: str, expect: int = 0) -> subprocess.CompletedProcess:
         f"exit {result.returncode} != {expect}\nstdout: {result.stdout}\nstderr: {result.stderr}"
     )
     return result
+
+
+@pytest.fixture
+def run_main(monkeypatch, capsys):
+    """Run the console entry point in-process; returns (exit code, stderr)."""
+    monkeypatch.delenv("STREAMRAG_CONFIG", raising=False)
+
+    def run(*args: str) -> tuple[int, str]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(args))
+        return exit_info.value.code, capsys.readouterr().err
+
+    return run
 
 
 def digest_dir(path: Path) -> dict[str, str]:
@@ -85,9 +105,14 @@ class TestSimulate:
         )
         assert "file" in result.stderr.lower()
 
-    def test_internal_error_exit_code(self, tmp_path):
-        result = simulate(tmp_path / "x", "--query-gen-ms", "-5", expect=3)
-        assert "internal error" in result.stderr
+    def test_internal_error_exit_code(self, tmp_path, monkeypatch, run_main):
+        def broken_index(corpus):
+            raise RuntimeError("injected index fault")
+
+        monkeypatch.setattr(cli_module, "index_documents", broken_index)
+        code, err = run_main("simulate", *INPUTS["simulate"], "--out-dir", str(tmp_path / "x"))
+        assert code == 3
+        assert "internal error: injected index fault" in err
 
     def test_parse_error_reports_line_number(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -168,6 +193,57 @@ class TestSimulate:
         )
         assert f"keys.jsonl:{len(lines)}: scripted_queries key '01' repeats block 1" in result.stderr
         assert not (tmp_path / "x").exists()
+
+
+class TestValueChecks:
+    """Every config value and flag is checked before any work starts."""
+
+    def test_every_default_passes_its_check(self):
+        for key, value in DEFAULTS.items():
+            _check_value(key, value, key)
+
+    @pytest.mark.parametrize("source", ["--config", "STREAMRAG_CONFIG"])
+    @pytest.mark.parametrize("command,values", [
+        ("simulate", {"block_ms": "fast"}),
+        ("label", {"negative_prob": "high"}),
+        ("simulate", {"strategy": "bogus"}),
+        ("simulate", {"web_kg_ratio": 5}),
+        ("simulate", {"reflect_ordered": "no"}),
+        ("simulate", {"top_docs": True}),  # JSON true is an int in Python
+        ("simulate", {"seed": 1.5}),
+    ])
+    def test_bad_config_value_is_input_error(self, tmp_path, monkeypatch, run_main, source,
+                                             command, values):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        args = [command, *INPUTS[command], "--out-dir", str(tmp_path / "out")]
+        if source == "--config":
+            args += ["--config", str(config)]
+        else:
+            monkeypatch.setenv("STREAMRAG_CONFIG", str(config))
+        code, err = run_main(*args)
+        (key,) = values
+        assert code == 2
+        assert f"input error: {config}: config key {key!r} must be " in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("simulate", "--query-gen-ms", "-5"),
+        ("simulate", "--web-fetch-ms", "-1"),
+        ("simulate", "--chunk-rerank-ms", "-1"),
+        ("simulate", "--kg-lookup-ms", "-1"),
+        ("simulate", "--response-gen-ms", "-1"),
+        ("simulate", "--response-tail-ms", "-1"),
+        ("label", "--block-ms", "-5"),
+        ("label", "--top-docs", "0"),
+        ("label", "--reflect-top-k", "0"),
+    ])
+    def test_out_of_range_flag_is_input_error(self, tmp_path, run_main, command, flag, value):
+        code, err = run_main(command, *INPUTS[command], flag, value,
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"input error: {flag} must be " in err and f"got {value}" in err
+        assert not (tmp_path / "out").exists()
 
 
 def label(out_dir: Path, *extra: str, expect: int = 0) -> subprocess.CompletedProcess:

@@ -18,7 +18,6 @@ from streamrag.core import (
     ToolQuery,
     UtteranceTrace,
     Word,
-    advance_clock,
     blocks_of,
     default_block_ms,
     read_traces,
@@ -30,10 +29,19 @@ from streamrag.errors import EmptyTraceError, InputError
 from streamrag.synth import brand_founder_trace, jump_shots_trace
 
 
+def _pump(clock: SimClock, until_ms: int) -> list:
+    """Pop every event due by until_ms, then land on until_ms, as a session does."""
+    fired = []
+    while (event := clock.pop_due(until_ms)) is not None:
+        fired.append(event)
+    clock.advance(until_ms)
+    return fired
+
+
 class TestSimClock:
     def test_advance_empty_queue(self):
         clock = SimClock()
-        assert advance_clock(clock, 500) == []
+        assert clock.advance(500) is None
         assert clock.now_ms == 500
 
     def test_ties_fire_in_insertion_order(self):
@@ -41,15 +49,15 @@ class TestSimClock:
         clock.schedule(300, "a")
         clock.schedule(300, "b")
         clock.schedule(700, "late")
-        assert clock.advance(500) == ["a", "b"]
+        assert _pump(clock, 500) == ["a", "b"]
         assert clock.now_ms == 500
-        assert clock.advance(700) == ["late"]
+        assert _pump(clock, 700) == ["late"]
 
     def test_event_fires_exactly_at_scheduled_ms(self):
         clock = SimClock()
         clock.schedule(590, "query-ready")
-        assert clock.advance(589) == []
-        assert clock.advance(590) == ["query-ready"]
+        assert _pump(clock, 589) == []
+        assert _pump(clock, 590) == ["query-ready"]
         assert clock.now_ms == 590
 
     def test_cannot_move_backwards(self):
@@ -70,11 +78,14 @@ class TestSimClock:
                 clock.schedule(200, "second")
         assert fired == ["first", "second"]
 
-    def test_drain_fires_everything(self):
+    def test_advance_past_a_due_event_raises(self):
         clock = SimClock()
         for t in (10, 5, 20):
             clock.schedule(t, t)
-        assert clock.drain() == [5, 10, 20]
+        with pytest.raises(ValueError):
+            clock.advance(5)
+        assert clock.now_ms == 0
+        assert _pump(clock, 20) == [5, 10, 20]
         assert clock.now_ms == 20
 
 

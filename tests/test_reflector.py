@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from streamrag import orchestrator
 from streamrag.core import NO_QUERY, KgQuery, Strategy, Tool, ToolQuery
 from streamrag.errors import WrongToolError
+from streamrag.labeling import similarity_f
 from streamrag.reflector import (
     REASON_IDENTICAL_QUERY,
     REASON_INSUFFICIENT,
     REASON_KG_RESULT_MATCH,
+    REASON_TOP5_MATCH,
     CallStatus,
     QueryCache,
+    SimilarityContext,
     ToolCall,
     cancel_after,
     reflect_with_reason,
@@ -66,6 +71,49 @@ class TestReflect:
     def test_tool_mismatch_rejected(self, reflect_ctx):
         with pytest.raises(WrongToolError):
             reflect_with_reason(ToolQuery.web("a"), _kg("b"), reflect_ctx)
+
+
+class TestOneCheck:
+    """The labeler's and trigger's similarity_f is the reflector's check run
+    without a kg store."""
+
+    @pytest.mark.parametrize("ordered", [True, False])
+    def test_similarity_f_agrees_with_reflect_with_reason(self, world, index, kg_store,
+                                                          ordered):
+        label_ctx = SimilarityContext(index=index, ordered=ordered)
+        reflect_ctx = replace(label_ctx, kg_store=kg_store)
+        e = world.entities
+        rare = ToolQuery.web("Who founded Rare Beauty")
+        # (current, prev, reason with a kg store when ordered, when set)
+        table = [
+            (rare, ToolQuery.web("Who founded Rare Beauty"),
+             REASON_IDENTICAL_QUERY, REASON_IDENTICAL_QUERY),
+            (ToolQuery.web("Who founded rare beauty in 2019"), rare,
+             REASON_INSUFFICIENT, REASON_TOP5_MATCH),
+            (ToolQuery.web(f"{e[2]} facts part 2"), world.web_query(e[2]),
+             REASON_TOP5_MATCH, REASON_TOP5_MATCH),
+            (ToolQuery.web(f"{e[0]} facts part 2"), world.web_query(e[0]),
+             REASON_INSUFFICIENT, REASON_TOP5_MATCH),
+            (ToolQuery.web("Who founded what"), rare, REASON_INSUFFICIENT, REASON_INSUFFICIENT),
+            (rare, NO_QUERY, REASON_INSUFFICIENT, REASON_INSUFFICIENT),
+            (world.kg_query(e[0]), _kg(e[0].upper()),
+             REASON_IDENTICAL_QUERY, REASON_IDENTICAL_QUERY),
+            # entities 3 and 7 are both missing from the KG: the same answer
+            (world.kg_query(e[3]), world.kg_query(e[7]),
+             REASON_KG_RESULT_MATCH, REASON_KG_RESULT_MATCH),
+            (world.kg_query(e[0]), world.kg_query(e[1]),
+             REASON_INSUFFICIENT, REASON_INSUFFICIENT),
+            (world.kg_query(e[0]), NO_QUERY, REASON_INSUFFICIENT, REASON_INSUFFICIENT),
+        ]
+        for current, prev, ordered_reason, set_reason in table:
+            reason = ordered_reason if ordered else set_reason
+            assert reflect_with_reason(current, prev, reflect_ctx) == (
+                reason != REASON_INSUFFICIENT, reason
+            )
+            # without a kg store, only a kg result match turns into a mismatch
+            expected = reason in (REASON_IDENTICAL_QUERY, REASON_TOP5_MATCH)
+            assert similarity_f(current, prev, label_ctx) is expected
+            assert reflect_with_reason(current, prev, label_ctx)[0] is expected
 
 
 # A kg query that is identical at every block and in the final, so the joint
