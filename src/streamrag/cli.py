@@ -438,6 +438,7 @@ def label(traces_path, corpus_path, pseudo_gt_path, web_match, show_labels, out_
     inputs = {"traces": traces_path, "corpus": corpus_path}
     if pseudo_gt_path:
         inputs["pseudo_gt"] = pseudo_gt_path
+    cfg["reflect_ordered"] = ctx.ordered  # the mode that ran, set by --web-match
     _write_manifest(out, "label", cfg, inputs, ["training.jsonl", "summary.json"], seed=cfg["seed"])
     _echo(
         f"labeled {summary['steps']} steps: {summary['fires']} fire, "

@@ -6,10 +6,18 @@ deterministic so that result-equivalence checks (same top-k documents, same
 KG answer) can be verified exactly. The embedding re-ranker this stands in
 for can be swapped in behind the same functions.
 
-A search walks only the posting lists of the query's terms, in ascending term
-id. Each document thus adds up its products in the same order as a walk over
-its own terms would, so its score is the same double bit for bit. A heap then
-keeps the top k of the documents that share a term with the query.
+A search for the top k is the threshold algorithm (Fagin, Lotem & Naor, 2001).
+It walks the posting lists of the query's terms side by side, each in
+descending order of impact (weight / document norm), and scores each newly
+seen document exactly: it looks the document up in every query term's
+postings and adds the products in ascending term id, as a walk over the
+document's own terms would, so its score is the same double bit for bit. The
+walk stops once the k-th best score is strictly above what any unseen
+document could reach, the sum of query weight times the next impact of each
+list, with a relative slack far above the rounding error, so a tie that a
+smaller doc_id would win is never left unseen. A heap then keeps the top k of
+the documents seen. Each term's impact order is built on first use and kept,
+since the index is immutable.
 
 Streaming strategies search the same query text many times, so each index
 memoises its rankings by query text. The index is immutable and the ranking
@@ -23,6 +31,7 @@ import math
 import string
 import threading
 from array import array
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -35,6 +44,11 @@ _PUNCT_TO_SPACE = str.maketrans({c: " " for c in string.punctuation})
 # Rankings each DocIndex keeps, one per query text, least recently used
 # evicted first.
 RANKING_MEMO_SIZE = 1024
+
+# Relative slack on the top-k walk's stopping bound: far above a score's
+# rounding error (under 1e-15 per query term), so rounding never stops the
+# walk before a document that ties the k-th best score.
+_BOUND_SLACK = 1.0 + 1e-9
 
 
 def tokenize(text: str) -> list[str]:
@@ -133,6 +147,8 @@ class DocIndex:
         self._norms = norms
         # zero-score documents fill a short ranking in doc_id order
         self._by_doc_id = array("i", sorted(range(n_docs), key=self.doc_ids.__getitem__))
+        # term id -> its postings in impact order (see _impact_order)
+        self._impact_orders: dict[int, tuple[list[int], list[float]]] = {}
         # query text -> (largest k asked, doc ids, scores), oldest use first
         self._rankings: OrderedDict[str, tuple] = OrderedDict()
         self._rankings_lock = threading.Lock()
@@ -160,19 +176,67 @@ class DocIndex:
         terms.sort()
         return terms, math.sqrt(sq)
 
-    def score_all(self, query_text: str) -> dict[int, float]:
-        """Cosine score of every document sharing a term with the query, keyed
-        by document index; every other document scores 0."""
+    def score_all(self, query_text: str, k: int | None = None) -> dict[int, float]:
+        """Cosine scores of documents sharing a term with the query, keyed by
+        document index; every other document scores 0.
+
+        Without ``k`` every such document is scored. With it, the walk stops
+        once no unseen document can enter the top k, and only the documents
+        seen are returned; they hold the top k, with the same scores.
+        """
         terms, qnorm = self._query_terms(query_text)
-        dots: dict[int, float] = {}
-        get = dots.get
-        starts, post_docs, post_weights = self._starts, self._post_docs, self._post_weights
-        for tid, qw in terms:
-            lo, hi = starts[tid], starts[tid + 1]
-            for d, w in zip(post_docs[lo:hi], post_weights[lo:hi]):
-                dots[d] = get(d, 0.0) + qw * w
-        norms = self._norms
-        return {d: dot / (norms[d] * qnorm) for d, dot in dots.items()}
+        starts, post_docs, post_weights, norms = (
+            self._starts, self._post_docs, self._post_weights, self._norms)
+        spans = [(starts[tid], starts[tid + 1], qw) for tid, qw in terms]
+        # longest list first, so lists drop off the end as the walk exhausts them
+        walks = sorted(((qw, *self._impact_order(tid)) for tid, qw in terms),
+                       key=lambda walk: len(walk[1]), reverse=True)
+        scores: dict[int, float] = {}
+        best: list[float] = []  # the k best scores seen, smallest first
+        depth = 0
+        while walks:
+            if len(best) == k:
+                # each list's next impact caps an unseen document's share
+                bound = 0.0
+                for qw, _, impacts in walks:
+                    bound += qw * impacts[depth]
+                if best[0] > bound / qnorm * _BOUND_SLACK:
+                    break
+            for _, docs, _ in walks:
+                d = docs[depth]
+                if d in scores:
+                    continue
+                dot = 0.0
+                for lo, hi, qw in spans:
+                    i = bisect_left(post_docs, d, lo, hi)
+                    if i < hi and post_docs[i] == d:
+                        dot += qw * post_weights[i]
+                score = scores[d] = dot / (norms[d] * qnorm)
+                if k is None:
+                    continue
+                if len(best) < k:
+                    heapq.heappush(best, score)
+                elif score > best[0]:
+                    heapq.heapreplace(best, score)
+            depth += 1
+            while walks and len(walks[-1][1]) == depth:
+                walks.pop()
+        return scores
+
+    def _impact_order(self, tid: int) -> tuple[list[int], list[float]]:
+        """The postings of term ``tid`` as (document indices, impacts) in
+        descending impact, ties in ascending document index; built on first
+        use and kept. A concurrent first use builds the same lists."""
+        order = self._impact_orders.get(tid)
+        if order is None:
+            lo, hi = self._starts[tid], self._starts[tid + 1]
+            docs = self._post_docs[lo:hi]
+            norms = self._norms
+            impacts = [w / norms[d] for d, w in zip(docs, self._post_weights[lo:hi])]
+            ranked = sorted(range(hi - lo), key=impacts.__getitem__, reverse=True)
+            order = [docs[i] for i in ranked], [impacts[i] for i in ranked]
+            self._impact_orders[tid] = order
+        return order
 
     def ranking(self, query_text: str, k: int) -> tuple[tuple[str, ...], tuple[float, ...]]:
         """The top k doc ids and their scores, in ``(-score, doc_id)`` order.
@@ -199,8 +263,9 @@ class DocIndex:
 
     def _rank(self, query_text: str, k: int) -> tuple[tuple[str, ...], tuple[float, ...]]:
         """Rank afresh: a heap keeps the top k scored documents, and zero-scored
-        documents fill a short ranking in doc_id order."""
-        scores = self.score_all(query_text)
+        documents fill a short ranking in doc_id order. A short ranking means
+        the walk ran to the end, so ``scores`` holds every touched document."""
+        scores = self.score_all(query_text, k)
         doc_ids = self.doc_ids
         top = heapq.nsmallest(k, ((-score, doc_ids[d], d) for d, score in scores.items()))
         ranked = [(d, -neg) for neg, _, d in top]

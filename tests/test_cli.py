@@ -289,6 +289,15 @@ class TestLabel:
         label(b, "--negative-prob", "0.2", "--seed", "7")
         assert digest_dir(a) == digest_dir(b)
 
+    def test_manifest_records_the_web_match_mode(self, tmp_path):
+        manifests = {}
+        for mode in ("set", "ordered"):
+            label(tmp_path / mode, "--web-match", mode)
+            manifests[mode] = json.loads((tmp_path / mode / "manifest.json").read_text())
+        assert manifests["set"] != manifests["ordered"]
+        assert manifests["set"]["config"]["reflect_ordered"] is False
+        assert manifests["ordered"]["config"]["reflect_ordered"] is True
+
     def test_show_labels_prints_block_table(self, tmp_path):
         result = label(tmp_path / "lab", "--negative-prob", "0", "--show-labels")
         assert 'block  3 web "Who founded Rare Beauty"' in result.stdout

@@ -22,6 +22,7 @@ from streamrag import retrieval
 from streamrag.core import KgQuery, ToolQuery
 from streamrag.errors import WrongToolError
 from streamrag.retrieval import DocIndex, index_documents, web_search
+from streamrag.synth import FixtureWorld
 
 from oracles import OracleDenseIndex
 
@@ -129,6 +130,69 @@ def test_zero_overlap_query_ranks_all_by_doc_id():
     assert result.doc_scores == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("query", ["unseen words", " ", "!! -"])
+def test_out_of_vocabulary_or_tokenless_query_walks_nothing(query):
+    corpus = [{"doc_id": doc_id, "text": "alpha beta"} for doc_id in ("d999", "d1000", "d2")]
+    index = index_documents(corpus)
+    assert index.score_all(query) == {}
+    assert index.score_all(query, 2) == {}
+    result = web_search(index, ToolQuery.web(query), 2)
+    assert result.ranked_doc_ids == ("d1000", "d2")
+    assert result.doc_scores == (0.0, 0.0)
+
+
+def _tie_corpus(text: str) -> list[dict]:
+    # d1000 sorts before d999 but comes later in impact order, where equal
+    # impacts keep index order
+    return [{"doc_id": "d999", "text": text}, {"doc_id": "d1000", "text": text},
+            {"doc_id": "d5", "text": "beta gamma"}, {"doc_id": "d7", "text": "delta echo fox"}]
+
+
+# When the walk reaches d1000, the bound on its score rounds to exactly the
+# k-th score ("alpha") or to one ulp below it ("alpha beta").
+@pytest.mark.parametrize("text", ["alpha", "alpha beta"])
+def test_a_tie_at_the_kth_score_goes_to_the_smaller_doc_id_seen_later(text):
+    corpus = _tie_corpus(text)
+    index = index_documents(corpus)
+    result = web_search(index, ToolQuery.web("alpha"), 1)
+    assert result.ranked_doc_ids == ("d1000",)
+    assert_top_k_match(index, OracleDenseIndex(corpus), "alpha")
+
+
+def test_the_stop_is_strict_without_slack(monkeypatch):
+    """Slack aside, a bound equal to the k-th score does not stop the walk."""
+    monkeypatch.setattr(retrieval, "_BOUND_SLACK", 1.0)
+    index = index_documents(_tie_corpus("alpha"))
+    assert web_search(index, ToolQuery.web("alpha"), 1).ranked_doc_ids == ("d1000",)
+
+
+@pytest.mark.parametrize("k", [4, 6, 9])
+def test_k_at_or_above_the_touched_documents_walks_them_all(k):
+    corpus = [{"doc_id": doc_id, "text": text} for doc_id, text in
+              [("d999", "alpha beta"), ("d5", "alpha"), ("d1000", "alpha alpha gamma"),
+               ("d2", "beta"), ("d30", "gamma delta"), ("d4", "echo")]]
+    index = index_documents(corpus)
+    assert index.score_all("alpha beta", k) == index.score_all("alpha beta")
+    assert len(index.score_all("alpha beta")) == 4
+    assert_top_k_match(index, OracleDenseIndex(corpus), "alpha beta")
+    result = web_search(index, ToolQuery.web("alpha beta"), k)
+    assert len(result.doc_scores) == min(k, 6)
+    assert result.doc_scores[4:] == (0.0,) * (len(result.doc_scores) - 4)  # the zero fill
+
+
+def test_top_k_walk_stops_long_before_the_touched_documents():
+    """The 50th-best score for an entity's web query comes from documents
+    matching only its two common terms; the walk still stops early."""
+    world = FixtureWorld(2000)
+    index = index_documents(world.corpus)
+    query = world.web_query(world.entities[0]).web_text
+    touched = index.score_all(query)
+    seen = index.score_all(query, 50)
+    assert len(touched) >= 1900
+    assert 50 <= len(seen) <= 200
+    assert {d: touched[d] for d in seen} == seen
+
+
 def _depths(n: int) -> list[int]:
     return sorted({1, 5, 50, n, n + 7})
 
@@ -164,9 +228,9 @@ def _count_scoring(monkeypatch) -> Counter:
     calls: Counter = Counter()
     score_all = DocIndex.score_all
 
-    def counted(self, query_text):
+    def counted(self, query_text, *args):
         calls[query_text] += 1
-        return score_all(self, query_text)
+        return score_all(self, query_text, *args)
 
     monkeypatch.setattr(DocIndex, "score_all", counted)
     return calls

@@ -310,9 +310,9 @@ class TestRunBatch:
         searched: list[str] = []
         score_all = retrieval.DocIndex.score_all
 
-        def counted_score_all(self, query_text):
+        def counted_score_all(self, query_text, *args):
             scored[query_text] += 1
-            return score_all(self, query_text)
+            return score_all(self, query_text, *args)
 
         def recorded(search):
             def web_search(index, query, k):

@@ -57,7 +57,9 @@ PINNED: dict[str, dict[str, str]] = {
         "outcomes.jsonl": "a1ae203c5647481ad785847d1244388a1e62f812faa7d700fb9916bf685d4f76",
     },
     "label": {
-        "manifest.json": "634c7ac218f712727d9d7d3600bdbafae3597508c5375df9944cae8f143c3d59",
+        # re-recorded when the manifest began to record --web-match (default
+        # set) as reflect_ordered
+        "manifest.json": "d229b6f9694a2566207b6ef4e95afffdfcdc4e22194b5c6581692b3c07a9fc0a",
         "summary.json": "8c96d3a4142ce379a467c6762357ad5f993dfdd5a78e8c2a7275ae6ce53e37c2",
         "training.jsonl": "8b686afb8ff601a867fa17c8dffe77f006e87196d7c3f9030baed648797aa5bd",
     },
