@@ -138,6 +138,16 @@ def inject_negative_samples(
     if p > 0 and not any(pool.get(tool) for tool in (Tool.WEB, Tool.KG)):
         raise InputError("negative sampling needs a non-empty pool")
 
+    # each tool's pool positions per utterance and per query
+    positions: dict[Tool, tuple[dict[str, list[int]], dict[ToolQuery, list[int]]]] = {}
+    for tool in (Tool.WEB, Tool.KG) if p > 0 else ():
+        by_utterance: dict[str, list[int]] = {}
+        by_query: dict[ToolQuery, list[int]] = {}
+        for i, (uid, query) in enumerate(pool.get(tool, [])):
+            by_utterance.setdefault(uid, []).append(i)
+            by_query.setdefault(query, []).append(i)
+        positions[tool] = by_utterance, by_query
+
     out: list[LabeledStep] = []
     rngs: dict[str, object] = {}
     for step in steps:
@@ -148,16 +158,21 @@ def inject_negative_samples(
         if p == 0.0 or rng.random() >= p:
             out.append(step)
             continue
-        candidates = [
-            query
-            for uid, query in pool.get(step.tool, [])
-            if uid != step.utterance_id and query != step.prev_query
-        ]
-        if not candidates:
+        candidates = pool.get(step.tool, [])
+        by_utterance, by_query = positions[step.tool]
+        excluded = sorted(set(by_utterance.get(step.utterance_id, ())).union(
+            by_query.get(step.prev_query, ())))
+        if len(excluded) == len(candidates):
             raise InputError(
                 f"{step.utterance_id}: no usable negative candidates for tool {step.tool.value}"
             )
-        negative = candidates[rng.randrange(len(candidates))]
+        # the drawn index among the usable candidates, as a pool position
+        position = rng.randrange(len(candidates) - len(excluded))
+        for skipped in excluded:
+            if skipped > position:
+                break
+            position += 1
+        negative = candidates[position][1]
         out.append(
             replace(
                 step,

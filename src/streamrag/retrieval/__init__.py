@@ -6,6 +6,14 @@ deterministic so that result-equivalence checks (same top-k documents, same
 KG answer) can be verified exactly. The embedding re-ranker this stands in
 for can be swapped in behind the same functions.
 
+The index is built in one pass over the corpus's tokens (single-pass
+in-memory inversion, Heinz & Zobel 2003): the texts are lowercased and
+stripped in one call, and each document's tokens, split one document at a
+time, assign term ids and append the document to a term's postings at its
+first occurrence there. A second pass over each document's counts, in
+ascending term id, sums its norm and records the counts beside the postings.
+A posting's weight, count times idf, is computed where it is read.
+
 A search for the top k is the threshold algorithm (Fagin, Lotem & Naor, 2001).
 It walks the posting lists of the query's terms side by side, each in
 descending order of impact (weight / document norm), and scores each newly
@@ -17,7 +25,10 @@ document could reach, the sum of query weight times the next impact of each
 list, with a relative slack far above the rounding error, so a tie that a
 smaller doc_id would win is never left unseen. A heap then keeps the top k of
 the documents seen. Each term's impact order is built on first use and kept,
-since the index is immutable.
+since the index is immutable. A k no smaller than the corpus, or than the
+query terms' postings together, would walk every document sharing a term with
+the query, so it skips the walk: the postings are added term at a time, in
+ascending term id, which gives each document the same sum.
 
 Streaming strategies search the same query text many times, so each index
 memoises its rankings by query text. The index is immutable and the ranking
@@ -34,7 +45,7 @@ from array import array
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ..core import KgQuery, Tool, ToolQuery
 from ..errors import DuplicateDocIdError, InputError, WrongToolError
@@ -54,6 +65,20 @@ _BOUND_SLACK = 1.0 + 1e-9
 def tokenize(text: str) -> list[str]:
     """Lowercase, strip punctuation to spaces, split on whitespace."""
     return text.lower().translate(_PUNCT_TO_SPACE).split()
+
+
+def tokenize_all(texts: Sequence[str]) -> Iterator[list[str]]:
+    """``tokenize`` of each text, lazily, in order.
+
+    The texts are joined on NUL and lowercased and stripped in one call. NUL is
+    neither cased nor case-ignorable, so it bounds the final-sigma context as
+    a text's ends do, and each part lowercases as its text alone would. Texts
+    that themselves hold a NUL, like an empty list, are tokenized one by one.
+    """
+    joined = "\x00".join(texts)
+    if joined.count("\x00") != len(texts) - 1:
+        return map(tokenize, texts)
+    return (part.split() for part in joined.lower().translate(_PUNCT_TO_SPACE).split("\x00"))
 
 
 def count_tokens(text: str) -> int:
@@ -86,11 +111,13 @@ class WebResult:
 class DocIndex:
     """Immutable lexical index over a document corpus.
 
-    Stores per-term document frequencies and an inverted index: the postings
-    of term ``t`` are ``_post_docs[_starts[t]:_starts[t + 1]]`` (document
-    indices, ascending) with their idf-weighted term counts in
-    ``_post_weights``. Rebuilding from the same corpus yields the same index;
-    all lookups are pure, so rankings are memoised (see ``ranking``).
+    Term ids follow first occurrence in the corpus. ``postings[t]`` holds the
+    indices of the documents containing term ``t``, ascending, and
+    ``post_counts[t]`` its count in each; a posting's weight is
+    ``count * idf[t]``, computed where it is read. Both lists come from one
+    pass over the corpus's tokens, the document norms from a second pass over
+    each document's counts. Rebuilding from the same corpus yields the same
+    index; all lookups are pure, so rankings are memoised (see ``ranking``).
     """
 
     def __init__(self, docs: Sequence[tuple[str, str]]) -> None:
@@ -104,49 +131,47 @@ class DocIndex:
 
         self.doc_ids: list[str] = [doc_id for doc_id, _ in docs]
         self._texts: dict[str, str] = {doc_id: text for doc_id, text in docs}
-        n_docs = len(docs)
+        self.n_docs = len(docs)
 
         vocab: dict[str, int] = {}
-        doc_term_counts: list[dict[int, int]] = []
-        df_acc: dict[int, int] = {}
-        for _, text in docs:
+        postings: list[list[int]] = []
+        doc_counts: list[dict[int, int] | None] = []
+        for d, tokens in enumerate(tokenize_all([text for _, text in docs])):
             counts: dict[int, int] = {}
-            for token in tokenize(text):
-                tid = vocab.setdefault(token, len(vocab))
-                counts[tid] = counts.get(tid, 0) + 1
-            doc_term_counts.append(counts)
-            for tid in counts:
-                df_acc[tid] = df_acc.get(tid, 0) + 1
+            for token in tokens:
+                tid = vocab.get(token)
+                if tid is None:
+                    tid = vocab[token] = len(vocab)
+                    postings.append([d])
+                    counts[tid] = 1
+                elif tid in counts:
+                    counts[tid] += 1
+                else:
+                    postings[tid].append(d)
+                    counts[tid] = 1
+            doc_counts.append(counts)
 
         self.vocab = vocab
-        self.n_docs = n_docs
-        self.df = array("i", (df_acc.get(t, 0) for t in range(len(vocab))))
-        self.idf = array("d", (self._idf_value(self.df[t]) for t in range(len(vocab))))
+        self.postings = postings
+        self.idf = idf = array("d", (self._idf_value(len(term_docs)) for term_docs in postings))
         self._default_idf = self._idf_value(0)
 
-        starts = array("l", [0])
-        for df in self.df:
-            starts.append(starts[-1] + df)
-        next_slot = list(starts[:-1])
-        post_docs = array("i", bytes(4 * starts[-1]))
-        post_weights = array("d", bytes(8 * starts[-1]))
+        # norms sum each document's weights in ascending term id
+        post_counts: list[list[int]] = [[] for _ in postings]
         norms = array("d")
-        for d, counts in enumerate(doc_term_counts):
+        for d, counts in enumerate(doc_counts):
+            doc_counts[d] = None
             sq = 0.0
             for tid in sorted(counts):
-                w = counts[tid] * self.idf[tid]
-                slot = next_slot[tid]
-                next_slot[tid] = slot + 1
-                post_docs[slot] = d
-                post_weights[slot] = w
+                count = counts[tid]
+                post_counts[tid].append(count)
+                w = count * idf[tid]
                 sq += w * w
             norms.append(math.sqrt(sq))
-        self._starts = starts
-        self._post_docs = post_docs
-        self._post_weights = post_weights
+        self.post_counts = post_counts
         self._norms = norms
         # zero-score documents fill a short ranking in doc_id order
-        self._by_doc_id = array("i", sorted(range(n_docs), key=self.doc_ids.__getitem__))
+        self._by_doc_id = array("i", sorted(range(self.n_docs), key=self.doc_ids.__getitem__))
         # term id -> its postings in impact order (see _impact_order)
         self._impact_orders: dict[int, tuple[list[int], list[float]]] = {}
         # query text -> (largest k asked, doc ids, scores), oldest use first
@@ -180,14 +205,24 @@ class DocIndex:
         """Cosine scores of documents sharing a term with the query, keyed by
         document index; every other document scores 0.
 
-        Without ``k`` every such document is scored. With it, the walk stops
-        once no unseen document can enter the top k, and only the documents
-        seen are returned; they hold the top k, with the same scores.
+        Without ``k``, or with a ``k`` no smaller than the corpus or the
+        query terms' postings, every such document is scored, term at a time.
+        Otherwise the walk stops once no unseen document can enter the top k,
+        and only the documents seen are returned; they hold the top k, with
+        the same scores.
         """
         terms, qnorm = self._query_terms(query_text)
-        starts, post_docs, post_weights, norms = (
-            self._starts, self._post_docs, self._post_weights, self._norms)
-        spans = [(starts[tid], starts[tid + 1], qw) for tid, qw in terms]
+        postings, post_counts, idf, norms = self.postings, self.post_counts, self.idf, self._norms
+        if k is None or k >= min(self.n_docs, sum(len(postings[tid]) for tid, _ in terms)):
+            # each document's products add from 0.0 in ascending term id
+            dots: dict[int, float] = {}
+            for tid, qw in terms:
+                idf_t = idf[tid]
+                for d, count in zip(postings[tid], post_counts[tid]):
+                    dots[d] = dots.get(d, 0.0) + qw * (count * idf_t)
+            return {d: dot / (norms[d] * qnorm) for d, dot in dots.items()}
+
+        lists = [(postings[tid], post_counts[tid], idf[tid], qw) for tid, qw in terms]
         # longest list first, so lists drop off the end as the walk exhausts them
         walks = sorted(((qw, *self._impact_order(tid)) for tid, qw in terms),
                        key=lambda walk: len(walk[1]), reverse=True)
@@ -207,13 +242,11 @@ class DocIndex:
                 if d in scores:
                     continue
                 dot = 0.0
-                for lo, hi, qw in spans:
-                    i = bisect_left(post_docs, d, lo, hi)
-                    if i < hi and post_docs[i] == d:
-                        dot += qw * post_weights[i]
+                for term_docs, counts, idf_t, qw in lists:
+                    i = bisect_left(term_docs, d)
+                    if i < len(term_docs) and term_docs[i] == d:
+                        dot += qw * (counts[i] * idf_t)
                 score = scores[d] = dot / (norms[d] * qnorm)
-                if k is None:
-                    continue
                 if len(best) < k:
                     heapq.heappush(best, score)
                 elif score > best[0]:
@@ -229,11 +262,9 @@ class DocIndex:
         use and kept. A concurrent first use builds the same lists."""
         order = self._impact_orders.get(tid)
         if order is None:
-            lo, hi = self._starts[tid], self._starts[tid + 1]
-            docs = self._post_docs[lo:hi]
-            norms = self._norms
-            impacts = [w / norms[d] for d, w in zip(docs, self._post_weights[lo:hi])]
-            ranked = sorted(range(hi - lo), key=impacts.__getitem__, reverse=True)
+            docs, idf_t, norms = self.postings[tid], self.idf[tid], self._norms
+            impacts = [count * idf_t / norms[d] for d, count in zip(docs, self.post_counts[tid])]
+            ranked = sorted(range(len(docs)), key=impacts.__getitem__, reverse=True)
             order = [docs[i] for i in ranked], [impacts[i] for i in ranked]
             self._impact_orders[tid] = order
         return order
@@ -282,10 +313,10 @@ class DocIndex:
         terms, qnorm = self._query_terms(query_text)
         query = dict(terms)
         scores = []
-        for text in texts:
+        for tokens in tokenize_all(texts):
             counts: dict[int, int] = {}
             sq = 0.0  # out-of-vocabulary tokens first, then terms in id order
-            for token in tokenize(text):
+            for token in tokens:
                 tid = self.vocab.get(token)
                 if tid is None:
                     sq += self._default_idf * self._default_idf

@@ -28,9 +28,20 @@ from oracles import OracleDenseIndex
 
 WORDS = ["alpha", "beta", "gamma", "delta", "echo", "fox", "golf", "hotel"]
 
-token = st.sampled_from(WORDS + ["Alpha,", "beta.", "-", "!!"])
-text = st.lists(token, max_size=12).map(" ".join)
-query_text = st.lists(st.sampled_from(WORDS + ["unseen", "words", "ALPHA?"]),
+# Tokens whose lowercasing depends on their neighbours or on the text's ends:
+# capital sigma (final "\u03c2" at a word's end, "\u03c3" elsewhere; the corpus
+# spells both, a query the final one), a sigma after a soft hyphen, dotted
+# capital I (two code points when lowercased) and whitespace-only runs. NUL
+# is left out: one in any text sends the whole corpus through per-text
+# tokenizing (see test_a_corpus_holding_nul_matches_the_oracle).
+TRICKY = ["\u039f\u0394\u039f\u03a3", "\u03bf\u03b4\u03bf\u03c3", "\u03a3",
+          "\u00ad\u03a3", "\u0130", "i\u0307", "\t", "\u2028"]
+token = st.sampled_from(WORDS + ["Alpha,", "beta.", "-", "!!"] + TRICKY)
+# joined without a space, tokens run into each other's casing context
+text = st.tuples(st.lists(token, max_size=12), st.sampled_from([" ", " ", ""])).map(
+    lambda parts: parts[1].join(parts[0]))
+query_text = st.lists(st.sampled_from(WORDS + ["unseen", "words", "ALPHA?", "\u03bf\u03b4\u03bf\u03c2",
+                                               "\u0130"]),
                       min_size=1, max_size=6).map(" ".join)
 # "d" + number ids: string order differs from index order (d1000 < d999)
 doc_ids = st.lists(st.integers(0, 1200).map(lambda i: f"d{i}"), min_size=1, max_size=25,
@@ -109,6 +120,16 @@ def test_score_texts_matches_oracle_on_fixture_chunks(world, index):
     texts += ["", "unseen tokens only", "Rare Beauty unseen"]
     for query in _fixture_queries(world)[::5]:
         assert _hex(index.score_texts(query, texts)) == _hex(oracle.score_texts(query, texts))
+
+
+def test_a_corpus_holding_nul_matches_the_oracle():
+    corpus = [{"doc_id": "d1", "text": "alpha\x00beta \u039f\u0394\u039f\u03a3"},
+              {"doc_id": "d2", "text": "\u03a3 alpha"}, {"doc_id": "d3", "text": "beta\x00"}]
+    index = index_documents(corpus)
+    oracle = OracleDenseIndex(corpus)
+    for query in ["alpha", "alpha\x00beta", "\u03bf\u03b4\u03bf\u03c2 \u03c3", "beta"]:
+        assert_scores_match(index, oracle, query)
+        assert_top_k_match(index, oracle, query)
 
 
 def test_short_ranking_fills_with_zero_scores_in_doc_id_string_order():

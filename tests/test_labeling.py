@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from streamrag.core import NO_QUERY, KgQuery, Tool, ToolQuery, UtteranceTrace, Word, blocks_of
@@ -13,6 +15,7 @@ from streamrag.labeling import (
     read_training_set,
     similarity_f,
 )
+from streamrag.orchestrator import substream_rng
 from streamrag.synth import brand_founder_trace, jump_shots_trace, random_batch
 from streamrag.triggers import TriggerAction, model_trigger_step
 from streamrag.retrieval import web_search
@@ -193,6 +196,41 @@ class TestInjectNegativeSamples:
                     for uid, queries in by_utterance.items()
                     if uid != step.utterance_id
                 )
+
+    @pytest.mark.parametrize("pool_kind", ["whole", "shrunk", "one utterance"])
+    def test_each_draw_picks_from_the_pool_filtered_for_its_step(self, world, similarity_ctx,
+                                                                 pool_kind):
+        """The same draw from the same substream, read against the pool filtered
+        for the step, picks the same query; a step left with no candidate is
+        an input error."""
+        steps = self._steps(world, similarity_ctx, n_traces=12, seed=4)
+        pool = build_negative_pool(steps)
+        if pool_kind == "shrunk":  # two utterances, interleaved, one query repeated
+            pool = {tool: candidates[:2] + candidates[-2:] + candidates[:1]
+                    for tool, candidates in pool.items()}
+        elif pool_kind == "one utterance":
+            pool = {tool: [c for c in candidates if c[0] == steps[0].utterance_id]
+                    for tool, candidates in pool.items()}
+        rngs: dict = {}
+        expected = []
+        for step in steps:
+            if step.utterance_id not in rngs:
+                rngs[step.utterance_id] = substream_rng(9, "negatives", step.utterance_id)
+            rng = rngs[step.utterance_id]
+            if rng.random() >= 0.4:
+                expected.append(step)
+                continue
+            candidates = [query for uid, query in pool[step.tool]
+                          if uid != step.utterance_id and query != step.prev_query]
+            if not candidates:
+                assert pool_kind == "one utterance"
+                with pytest.raises(InputError, match="no usable negative candidates"):
+                    inject_negative_samples(steps, 0.4, 9, pool)
+                return
+            expected.append(replace(step, label=step.pseudo_gt, is_negative_sample=True,
+                                    negative_prev=candidates[rng.randrange(len(candidates))]))
+        assert inject_negative_samples(steps, 0.4, 9, pool) == expected
+        assert sum(step.is_negative_sample for step in expected) > 20
 
     def test_empty_pool_with_positive_p_rejected(self, world, similarity_ctx):
         steps = self._steps(world, similarity_ctx)

@@ -15,6 +15,7 @@ from streamrag.retrieval import (
     index_documents,
     kg_lookup,
     tokenize,
+    tokenize_all,
     top_docs_match,
     web_search,
 )
@@ -35,6 +36,38 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("  ...  ") == []
+
+
+# Characters whose lowercasing or splitting depends on their neighbours or
+# on the text's ends: NUL (the batch separator), final sigma, the soft hyphen
+# (case-ignorable, so it does not end a sigma's word), dotted capital I
+# (lowercases to two code points) and Unicode whitespace.
+TRICKY = ["\x00", "\u03a3", "\u03c3", "\u00ad", "\u0130", "A", "b", "'", "-", " ", "\t",
+          "\x1c", "\u2028"]
+tricky_text = st.lists(st.one_of(st.text(max_size=6), st.sampled_from(TRICKY)),
+                       max_size=8).map("".join)
+
+
+class TestTokenizeAll:
+    @settings(max_examples=300, deadline=None)
+    @given(texts=st.lists(st.one_of(tricky_text, st.sampled_from(["", " ", "\t\n"])),
+                          max_size=8),
+           keep_nul=st.booleans())
+    def test_equals_tokenize_of_each_text(self, texts, keep_nul):
+        if not keep_nul:  # a NUL anywhere sends the whole batch one by one
+            texts = [text.replace("\x00", "") for text in texts]
+        assert list(tokenize_all(texts)) == [tokenize(text) for text in texts]
+
+    def test_a_text_end_bounds_final_sigma(self):
+        texts = ["A\u03a3", "\u03a3b", "A\u03a3\u00ad", "\u00adb"]
+        assert list(tokenize_all(texts)) == [["a\u03c2"], ["\u03c3b"], ["a\u03c2\u00ad"],
+                                             ["\u00adb"]]
+
+    def test_texts_holding_nul_are_tokenized_one_by_one(self):
+        assert list(tokenize_all(["a\x00B", "c"])) == [["a\x00b"], ["c"]]
+
+    def test_no_texts(self):
+        assert list(tokenize_all([])) == []
 
 
 class TestIndexDocuments:
