@@ -25,10 +25,7 @@ document could reach, the sum of query weight times the next impact of each
 list, with a relative slack far above the rounding error, so a tie that a
 smaller doc_id would win is never left unseen. A heap then keeps the top k of
 the documents seen. Each term's impact order is built on first use and kept,
-since the index is immutable. A k no smaller than the corpus, or than the
-query terms' postings together, would walk every document sharing a term with
-the query, so it skips the walk: the postings are added term at a time, in
-ascending term id, which gives each document the same sum.
+since the index is immutable.
 
 Streaming strategies search the same query text many times, so each index
 memoises its rankings by query text. The index is immutable and the ranking
@@ -205,23 +202,12 @@ class DocIndex:
         """Cosine scores of documents sharing a term with the query, keyed by
         document index; every other document scores 0.
 
-        Without ``k``, or with a ``k`` no smaller than the corpus or the
-        query terms' postings, every such document is scored, term at a time.
-        Otherwise the walk stops once no unseen document can enter the top k,
-        and only the documents seen are returned; they hold the top k, with
-        the same scores.
+        Without ``k`` every such document is scored. With it, the walk stops
+        once no unseen document can enter the top k, and only the documents
+        seen are returned; they hold the top k, with the same scores.
         """
         terms, qnorm = self._query_terms(query_text)
         postings, post_counts, idf, norms = self.postings, self.post_counts, self.idf, self._norms
-        if k is None or k >= min(self.n_docs, sum(len(postings[tid]) for tid, _ in terms)):
-            # each document's products add from 0.0 in ascending term id
-            dots: dict[int, float] = {}
-            for tid, qw in terms:
-                idf_t = idf[tid]
-                for d, count in zip(postings[tid], post_counts[tid]):
-                    dots[d] = dots.get(d, 0.0) + qw * (count * idf_t)
-            return {d: dot / (norms[d] * qnorm) for d, dot in dots.items()}
-
         lists = [(postings[tid], post_counts[tid], idf[tid], qw) for tid, qw in terms]
         # longest list first, so lists drop off the end as the walk exhausts them
         walks = sorted(((qw, *self._impact_order(tid)) for tid, qw in terms),
@@ -247,6 +233,8 @@ class DocIndex:
                     if i < len(term_docs) and term_docs[i] == d:
                         dot += qw * (counts[i] * idf_t)
                 score = scores[d] = dot / (norms[d] * qnorm)
+                if k is None:
+                    continue
                 if len(best) < k:
                     heapq.heappush(best, score)
                 elif score > best[0]:
