@@ -17,7 +17,6 @@ from .orchestrator import (
     Backends,
     LatencyModel,
     SessionOutcome,
-    first_token_latency,
     run_batch,
     run_session,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "assemble_references",
     "blocks_of",
     "chunk_and_rerank",
-    "first_token_latency",
     "index_documents",
     "kg_lookup",
     "run_batch",

@@ -159,10 +159,12 @@ def _load_config_file(explicit_path: str | None) -> dict[str, Any]:
     return raw
 
 
-def _resolve(flags: dict[str, Any], config_path: str | None) -> dict[str, Any]:
-    """Defaults, then the config file, then the flags given. Flags are keyed by
-    parameter name; an error names the flag or the config key."""
-    resolved = dict(DEFAULTS)
+def _resolve(flags: dict[str, Any], config_path: str | None,
+             **command_defaults: Any) -> dict[str, Any]:
+    """Defaults (a command's own first), then the config file, then the flags
+    given. Flags are keyed by parameter name; an error names the flag or the
+    config key."""
+    resolved = {**DEFAULTS, **command_defaults}
     resolved.update(_load_config_file(config_path))
     options = {p.name: p.opts[0] for p in click.get_current_context().command.params}
     for key, value in flags.items():
@@ -388,15 +390,17 @@ def _generator_factory(strategy: Strategy, config: SessionConfig, backends: Back
 @click.option("--seed", type=int, default=None)
 @click.option("--top-docs", type=int, default=None)
 @click.option("--reflect-top-k", type=int, default=None)
-@click.option("--web-match", type=click.Choice(["set", "ordered"]), default="set",
-              show_default=True, help="Top-document comparison mode for web equivalence.")
+@click.option("--web-match", "reflect_ordered", type=click.Choice(["set", "ordered"]),
+              callback=lambda ctx, param, mode: None if mode is None else mode == "ordered",
+              help="Top-document comparison mode for web equivalence; defaults to the "
+                   "config's reflect_ordered, else set.")
 @click.option("--show-labels", is_flag=True, help="Echo the per-block label table per utterance.")
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-def label(traces_path, corpus_path, pseudo_gt_path, web_match, show_labels, out_dir,
+def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
           config_path, **flags) -> None:
     """Build a streaming-trigger training set (fire vs NO_QUERY) with negatives."""
-    cfg = _resolve(flags, config_path)
+    cfg = _resolve(flags, config_path, reflect_ordered=False)
     resolved_block_ms = cfg["block_ms"] or 500
 
     traces = read_traces(traces_path)
@@ -404,7 +408,7 @@ def label(traces_path, corpus_path, pseudo_gt_path, web_match, show_labels, out_
         raise InputError(f"{traces_path}: no traces")
     index = index_documents(_read_corpus(corpus_path))
     ctx = SimilarityContext(index=index, compare_k=cfg["reflect_top_k"],
-                            retrieve_k=cfg["top_docs"], ordered=(web_match == "ordered"))
+                            retrieve_k=cfg["top_docs"], ordered=cfg["reflect_ordered"])
 
     pseudo_gt = _read_pseudo_gt(pseudo_gt_path, traces) if pseudo_gt_path else {}
 
@@ -438,7 +442,6 @@ def label(traces_path, corpus_path, pseudo_gt_path, web_match, show_labels, out_
     inputs = {"traces": traces_path, "corpus": corpus_path}
     if pseudo_gt_path:
         inputs["pseudo_gt"] = pseudo_gt_path
-    cfg["reflect_ordered"] = ctx.ordered  # the mode that ran, set by --web-match
     _write_manifest(out, "label", cfg, inputs, ["training.jsonl", "summary.json"], seed=cfg["seed"])
     _echo(
         f"labeled {summary['steps']} steps: {summary['fires']} fire, "

@@ -357,23 +357,15 @@ def read_traces(path: str) -> list[UtteranceTrace]:
     """
     traces = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                trace = trace_from_dict(raw)
-            except InputError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
-            if trace.utterance_id in seen:
-                raise InputError(f"{path}:{lineno}: duplicate utterance_id {trace.utterance_id!r}")
-            seen.add(trace.utterance_id)
-            traces.append(trace)
+    for lineno, raw in iter_jsonl(path):
+        try:
+            trace = trace_from_dict(raw)
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from exc
+        if trace.utterance_id in seen:
+            raise InputError(f"{path}:{lineno}: duplicate utterance_id {trace.utterance_id!r}")
+        seen.add(trace.utterance_id)
+        traces.append(trace)
     return traces
 
 

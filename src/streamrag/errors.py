@@ -24,7 +24,3 @@ class AlignmentError(InputError):
 
 class WrongToolError(ValueError):
     """A query of one tool kind was passed to an operation for another."""
-
-
-class IncompleteSessionError(ValueError):
-    """A session outcome is missing the fields a finished run must have."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from .core import (
@@ -33,7 +34,6 @@ from .core import (
     UtteranceTrace,
     blocks_of,
 )
-from .errors import IncompleteSessionError
 from .reflector import (
     CallStatus,
     QueryCache,
@@ -187,26 +187,13 @@ class Backends:
     kg_store: KgStore
 
 
-# clock payloads
-@dataclass(frozen=True)
-class _BlockDue:
-    block: BlockIndex
-    prefix: str
-
-
-@dataclass(frozen=True)
-class _ThreadDue:
-    call: ToolCall
-
-
-@dataclass(frozen=True)
-class _Marker:
-    kind: str
-    detail: dict | None = None
-
-
 class _Session:
-    """Mutable state for one run; mutated only by the event loop."""
+    """Mutable state for one run; mutated only by the event loop.
+
+    The tool calls in ``cache`` are the session's only record of what ran:
+    previous queries, pending calls and the reported counts are read from
+    them.
+    """
 
     def __init__(
         self,
@@ -222,24 +209,20 @@ class _Session:
         self.backends = backends
         self.latency = latency
         self.rng = substream_rng(config.rng_seed, latency.seed, trace.utterance_id)
-        self.clock = SimClock()
+        self.clock = SimClock()  # events are zero-argument callables
         self.events: list[LogEvent] = []
         self.cache = QueryCache()  # every tool call, per tool in block order
-        self.threads_spawned = 0
-        self.prev_fired: dict[Tool, ToolQuery] = {Tool.WEB: NO_QUERY, Tool.KG: NO_QUERY}
-        self.pending_count: dict[Tool, int] = {Tool.WEB: 0, Tool.KG: 0}
         self.max_parallel = 0
-        self.threads_cancelled = 0
         self.selected_block: BlockIndex | None = None
         self.utterance_end_ms = trace.end_ms + config.endpoint_delay_ms
 
     # -- event log ---------------------------------------------------------
 
     def log(self, type_: str, tool: Tool | None = None, block: BlockIndex | None = None,
-            detail: dict | None = None, t_ms: int | None = None) -> None:
+            detail: dict | None = None) -> None:
         self.events.append(
             LogEvent(
-                t_ms=self.clock.now_ms if t_ms is None else t_ms,
+                t_ms=self.clock.now_ms,
                 type=type_,
                 tool=tool.value if tool else None,
                 block=block,
@@ -249,14 +232,8 @@ class _Session:
 
     # -- thread lifecycle ----------------------------------------------------
 
-    def spawn_thread(self, tool: Tool, block: BlockIndex, query: ToolQuery,
-                     declared_latency_ms: int | None) -> ToolCall:
-        now = self.clock.now_ms
-        query_gen_ms = (
-            declared_latency_ms
-            if declared_latency_ms is not None
-            else self.latency.sample("query_gen", self.rng)
-        )
+    def spawn_thread(self, tool: Tool, block: BlockIndex, query: ToolQuery) -> None:
+        query_gen_ms = self.latency.sample("query_gen", self.rng)
         if tool is Tool.WEB:
             tool_ms = self.latency.sample("web_fetch", self.rng) + self.latency.sample(
                 "chunk_rerank", self.rng
@@ -265,7 +242,7 @@ class _Session:
             tool_ms = self.latency.sample("kg_lookup", self.rng)
 
         call = ToolCall(
-            tool=tool, block=block, query=query, started_ms=now,
+            tool=tool, block=block, query=query, started_ms=self.clock.now_ms,
             query_gen_ms=query_gen_ms, tool_ms=tool_ms,
         )
         # Content is computed eagerly and deterministically; the simulated
@@ -279,27 +256,21 @@ class _Session:
             call.error = str(exc)
 
         self.cache.add(call)
-        self.threads_spawned += 1
-        self.pending_count[tool] += 1
-        self.max_parallel = max(self.max_parallel, self.pending_count[tool])
-        self.prev_fired[tool] = query
-        self.clock.schedule(call.finishes_ms, _ThreadDue(call))
+        pending = sum(c.status is CallStatus.PENDING for c in self.cache.calls(tool))
+        self.max_parallel = max(self.max_parallel, pending)
+        self.clock.schedule(call.finishes_ms, partial(self.finish_thread, call))
         self.log("query_fired", tool=tool, block=block, detail={"query": query.to_wire()})
-        return call
 
     def cancel_thread(self, call: ToolCall) -> None:
         if call.status is not CallStatus.PENDING:
             return
         call.status = CallStatus.CANCELLED
         call.result = None
-        self.pending_count[call.tool] -= 1
-        self.threads_cancelled += 1
         self.log("thread_cancelled", tool=call.tool, block=call.block)
 
     def finish_thread(self, call: ToolCall) -> None:
         if call.status is not CallStatus.PENDING:
             return  # cancelled before completion
-        self.pending_count[call.tool] -= 1
         if call.error is not None:
             call.status = CallStatus.FAILED
             self.log("thread_done", tool=call.tool, block=call.block,
@@ -308,12 +279,6 @@ class _Session:
             call.status = CallStatus.DONE
             self.log("thread_done", tool=call.tool, block=call.block,
                      detail={"status": "done"})
-
-    def pending_thread(self, tool: Tool) -> ToolCall | None:
-        for call in reversed(self.cache.calls(tool)):
-            if call.status is CallStatus.PENDING:
-                return call
-        return None
 
     def latest_thread(self, tool: Tool) -> ToolCall | None:
         calls = self.cache.calls(tool)
@@ -325,35 +290,28 @@ class _Session:
                 return call
         return None
 
+    def prev_query(self, tool: Tool) -> ToolQuery:
+        """The query of the tool's latest call that had one."""
+        for call in reversed(self.cache.calls(tool)):
+            if not call.query.is_no_query:
+                return call.query
+        return NO_QUERY
+
     # -- main loop -----------------------------------------------------------
 
     def pump_until(self, until_ms: int) -> None:
-        """Process every due event in time order, then land on until_ms."""
-        while True:
-            payload = self.clock.pop_due(until_ms)
-            if payload is None:
-                break
-            self.handle(payload)
+        """Run every due event in time order, then land on until_ms."""
+        while (event := self.clock.pop_due(until_ms)) is not None:
+            event()
         self.clock.advance(until_ms)
-
-    def handle(self, payload: Any) -> None:
-        if isinstance(payload, _ThreadDue):
-            self.finish_thread(payload.call)
-        elif isinstance(payload, _BlockDue):
-            self.on_block(payload.block, payload.prefix)
-        elif isinstance(payload, _Marker):
-            self.log(payload.kind, detail=payload.detail)
 
     def on_block(self, block: BlockIndex, prefix: str) -> None:
         self.log("block_ingested", block=block, detail={"prefix": prefix})
-        strategy = self.config.strategy
-        if strategy is Strategy.FIXED_INTERVAL:
-            decision = fixed_interval_step(self.gen, prefix, block, self.clock.now_ms)
-            self.apply_decision(decision, preempt=False)
-        elif strategy is Strategy.MODEL_TRIGGERED:
+        if self.config.strategy is Strategy.FIXED_INTERVAL:
+            self.apply_decision(fixed_interval_step(self.gen, prefix, block), preempt=False)
+        else:
             decision = model_trigger_step(
-                self.gen, prefix, self.prev_fired[Tool.WEB], self.prev_fired[Tool.KG],
-                block, self.clock.now_ms,
+                self.gen, prefix, self.prev_query(Tool.WEB), self.prev_query(Tool.KG), block
             )
             self.apply_decision(decision, preempt=True)
 
@@ -361,12 +319,11 @@ class _Session:
         for tool in (Tool.WEB, Tool.KG):
             tool_decision = decision.for_tool(tool)
             if tool_decision.action is TriggerAction.FIRE:
-                if preempt:
-                    running = self.pending_thread(tool)
-                    if running is not None:
-                        self.cancel_thread(running)
-                self.spawn_thread(tool, decision.block, tool_decision.query,
-                                  decision.declared_latency_ms)
+                # under preemption each fire cancels the call before it, so only
+                # the tool's latest call can still be pending
+                if preempt and (running := self.latest_thread(tool)) is not None:
+                    self.cancel_thread(running)
+                self.spawn_thread(tool, decision.block, tool_decision.query)
             elif tool_decision.action is TriggerAction.NO_QUERY:
                 self.log("no_query", tool=tool, block=decision.block)
             else:  # FAILED: the query never materialized; record a failed call
@@ -374,18 +331,6 @@ class _Session:
                                         started_ms=self.clock.now_ms, status=CallStatus.FAILED))
                 self.log("thread_done", tool=tool, block=decision.block,
                          detail={"status": "failed", "error": "query generation failed"})
-
-
-def _block_fire_times(trace: UtteranceTrace, block_ms: int) -> list[tuple[BlockIndex, str, int]]:
-    """(block, prefix, fire time): interior blocks fire at their boundary, the
-    final block when the last word completes."""
-    blocks = blocks_of(trace, block_ms)
-    last_end = trace.end_ms
-    out = []
-    for b, prefix in blocks:
-        fire_at = b * block_ms if b < len(blocks) else last_end
-        out.append((b, prefix, fire_at))
-    return out
 
 
 def run_session(
@@ -404,24 +349,23 @@ def run_session(
     utterance_end = session.utterance_end_ms
 
     if strategy in (Strategy.FIXED_INTERVAL, Strategy.MODEL_TRIGGERED):
-        for block, prefix, fire_at in _block_fire_times(trace, config.block_ms):
-            session.clock.schedule(fire_at, _BlockDue(block, prefix))
+        # interior blocks fire at their boundary, the final block when the
+        # last word completes
+        blocks = blocks_of(trace, config.block_ms)
+        for block, prefix in blocks:
+            fire_at = block * config.block_ms if block < len(blocks) else trace.end_ms
+            session.clock.schedule(fire_at, partial(session.on_block, block, prefix))
     session.pump_until(utterance_end)
 
-    awaited: dict[Tool, ToolCall | None] = {Tool.WEB: None, Tool.KG: None}
-    rerank_query: dict[Tool, ToolQuery] = {Tool.WEB: NO_QUERY, Tool.KG: NO_QUERY}
-
     if strategy is Strategy.OPEN_BOOK:
-        final_prefix = trace.transcript()
-        decision = fixed_interval_step(session.gen, final_prefix, 1, session.clock.now_ms)
+        decision = fixed_interval_step(session.gen, trace.transcript(), 1)
         session.apply_decision(decision, preempt=False)
-        awaited[Tool.WEB] = session.latest_thread(Tool.WEB)
-        awaited[Tool.KG] = session.latest_thread(Tool.KG)
-        rerank_query[Tool.WEB] = decision.web.query
+    calls = session.cache.web + session.cache.kg  # complete: nothing fires after this
 
-    elif strategy is Strategy.FIXED_INTERVAL:
-        final_web = session.prev_fired[Tool.WEB]
-        final_kg = session.prev_fired[Tool.KG]
+    rerank_text: str | None = None  # None: rerank with the web result's own query
+    if strategy is Strategy.FIXED_INTERVAL:
+        final_web = session.prev_query(Tool.WEB)
+        final_kg = session.prev_query(Tool.KG)
         ctx = SimilarityContext(
             index=backends.index,
             compare_k=config.reflect_top_k,
@@ -434,31 +378,25 @@ def run_session(
             session.log("reflected", block=record["block"], detail=record)
         session.log("reflected", detail={"selected_block": selected})
 
-        blocks_present = sorted({e.block for e in session.cache.web} | {e.block for e in session.cache.kg})
-        effective = selected if selected is not None else (blocks_present[-1] if blocks_present else 0)
+        last_block = max((call.block for call in calls), default=0)
+        effective = selected if selected is not None else last_block
         for call in cancel_after(session.cache, effective):
             session.cancel_thread(call)
         session.selected_block = selected
-        awaited[Tool.WEB] = session.thread_at(Tool.WEB, effective)
-        awaited[Tool.KG] = session.thread_at(Tool.KG, effective)
-        rerank_query[Tool.WEB] = final_web
+        web_call = session.thread_at(Tool.WEB, effective)
+        kg_call = session.thread_at(Tool.KG, effective)
+        rerank_text = final_web.web_text
+    else:
+        web_call = session.latest_thread(Tool.WEB)
+        kg_call = session.latest_thread(Tool.KG)
 
-    elif strategy is Strategy.MODEL_TRIGGERED:
-        awaited[Tool.WEB] = session.latest_thread(Tool.WEB)
-        awaited[Tool.KG] = session.latest_thread(Tool.KG)
-        if awaited[Tool.WEB] is not None:
-            rerank_query[Tool.WEB] = awaited[Tool.WEB].query
-
-    ready_ms = utterance_end
-    for call in awaited.values():
-        if call is not None and call.status is not CallStatus.CANCELLED:
-            ready_ms = max(ready_ms, call.finishes_ms)
+    awaited = [call for call in (web_call, kg_call)
+               if call is not None and call.status is not CallStatus.CANCELLED]
+    ready_ms = max([utterance_end] + [call.finishes_ms for call in awaited])
     session.pump_until(ready_ms)
 
     web_result: WebResult | None = None
     kg_answer: str | None = None
-    web_call = awaited[Tool.WEB]
-    kg_call = awaited[Tool.KG]
     if web_call is not None and web_call.status is CallStatus.DONE:
         web_result = web_call.result
     if kg_call is not None and kg_call.status is CallStatus.DONE:
@@ -468,14 +406,13 @@ def run_session(
     if web_result is not None or kg_answer is not None:
         chunked = None
         if web_result is not None:
-            query_text = rerank_query[Tool.WEB]
-            text = query_text.web_text if query_text.tool is Tool.WEB else web_result.query_text
             trimmed = replace(
                 web_result,
                 ranked_doc_ids=web_result.ranked_doc_ids[: config.reflect_top_k],
                 doc_scores=web_result.doc_scores[: config.reflect_top_k],
             )
-            chunked = chunk_and_rerank(backends.index, trimmed, text, config.chunk_tokens)
+            chunked = chunk_and_rerank(backends.index, trimmed,
+                                       rerank_text or web_result.query_text, config.chunk_tokens)
         references = assemble_references(
             chunked, kg_answer, config.ref_length_tokens, config.web_kg_ratio
         )
@@ -489,19 +426,13 @@ def run_session(
     response_tail_ms = session.latency.sample("response_tail", session.rng)
     first_token_abs = ready_ms + response_gen_ms
     last_token_abs = first_token_abs + response_tail_ms
-    session.clock.schedule(first_token_abs, _Marker("first_token"))
-    session.clock.schedule(last_token_abs, _Marker("last_token"))
+    session.clock.schedule(first_token_abs, partial(session.log, "first_token"))
+    session.clock.schedule(last_token_abs, partial(session.log, "last_token"))
 
     # let stragglers (threads before the selected block) run to completion
-    session.pump_until(last_token_abs)
-    while session.clock.peek_next_ms() is not None:
-        session.pump_until(session.clock.peek_next_ms())
+    session.pump_until(max([last_token_abs] + [call.finishes_ms for call in calls]))
 
-    query_gen_charge = 0
-    for call in awaited.values():
-        if call is not None and call.status is not CallStatus.CANCELLED:
-            query_gen_charge = max(query_gen_charge, call.query_gen_ms)
-
+    query_gen_charge = max((call.query_gen_ms for call in awaited), default=0)
     first_token_ms = first_token_abs - utterance_end
     latency_breakdown = LatencyBreakdown(
         query_gen_ms=query_gen_charge,
@@ -518,8 +449,8 @@ def run_session(
         selected_block=session.selected_block,
         references=references,
         latency=latency_breakdown,
-        threads_spawned=session.threads_spawned,
-        threads_cancelled=session.threads_cancelled,
+        threads_spawned=sum(not call.query.is_no_query for call in calls),
+        threads_cancelled=sum(call.status is CallStatus.CANCELLED for call in calls),
         max_parallel_threads=session.max_parallel,
         degraded=degraded,
         response_text=trace.final_answer_ref,
@@ -546,19 +477,6 @@ def outcome_from_dict(raw: dict) -> SessionOutcome:
         degraded=bool(raw.get("degraded", False)),
         response_text=raw.get("response_text"),
     )
-
-
-def first_token_latency(outcome: SessionOutcome) -> dict[str, int]:
-    """First-token latency decomposition of a completed session, in ms."""
-    if outcome.latency is None:
-        raise IncompleteSessionError(f"{outcome.utterance_id}: session has no latency record")
-    lat = outcome.latency
-    return {
-        "query_gen_ms": lat.query_gen_ms,
-        "tool_results_ms": lat.tool_results_ms,
-        "response_gen_ms": lat.response_gen_ms,
-        "total_ms": lat.first_token_ms,
-    }
 
 
 GeneratorFactory = Callable[[UtteranceTrace], QueryGenerator | None]

@@ -5,11 +5,13 @@ decisions: the fixed-interval policy fires a fresh query pair on every
 block, while the model-triggered policy may emit NO_QUERY to keep the
 current tool call running and only fires when the query actually changes.
 
-``QueryGenerator`` is the extension point for a live model adapter. The
-default implementations replay queries scripted on the trace, keyed by
-prefix text so identical prefixes always produce identical queries. A
-generator may declare its own per-call latency; when it does not, the
-orchestrator samples the query-generation stage of its latency model.
+``QueryGenerator`` is the extension point for a live model adapter: it
+returns a ``ScriptedQueries`` pair per prefix, as the scripted generators
+here do. The default implementations replay queries scripted on the trace,
+keyed by prefix text so identical prefixes always produce identical queries.
+A generator's time is not its own: the orchestrator samples the
+query-generation stage of its latency model (a constant or an empirical
+list) for every fired call.
 """
 
 from __future__ import annotations
@@ -33,18 +35,6 @@ from .errors import InputError
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class GeneratedQueries:
-    """One generator call's output: a query (or NO_QUERY) per tool."""
-
-    web: ToolQuery
-    kg: ToolQuery
-    latency_ms: int | None = None
-
-    def for_tool(self, tool: Tool) -> ToolQuery:
-        return self.web if tool is Tool.WEB else self.kg
-
-
 class QueryGenerator(Protocol):
     """Deterministic mapping (prefix, previous queries) -> queries.
 
@@ -53,7 +43,7 @@ class QueryGenerator(Protocol):
     model-triggered policy; the fixed-interval policy treats it as a failure.
     """
 
-    def generate(self, prefix: str, prev_web: ToolQuery, prev_kg: ToolQuery) -> GeneratedQueries:
+    def generate(self, prefix: str, prev_web: ToolQuery, prev_kg: ToolQuery) -> ScriptedQueries:
         ...
 
 
@@ -72,10 +62,8 @@ class ToolDecision:
 @dataclass(frozen=True)
 class TriggerDecision:
     block: BlockIndex
-    fired_at_ms: int
     web: ToolDecision
     kg: ToolDecision
-    declared_latency_ms: int | None = None
 
     def for_tool(self, tool: Tool) -> ToolDecision:
         return self.web if tool is Tool.WEB else self.kg
@@ -116,11 +104,11 @@ class ScriptedQueryGenerator:
         self._utterance_id = trace.utterance_id
         self._by_prefix = _prefix_map(trace, block_ms)
 
-    def generate(self, prefix: str, prev_web: ToolQuery, prev_kg: ToolQuery) -> GeneratedQueries:
+    def generate(self, prefix: str, prev_web: ToolQuery, prev_kg: ToolQuery) -> ScriptedQueries:
         entry = self._by_prefix.get(prefix)
         if entry is None:
             raise InputError(f"{self._utterance_id}: no scripted queries for prefix {prefix!r}")
-        return GeneratedQueries(web=entry.web, kg=entry.kg)
+        return entry
 
 
 class FinalQueryGenerator:
@@ -137,8 +125,8 @@ class FinalQueryGenerator:
         final_block = max(trace.scripted_queries)
         self._entry = trace.scripted_queries[final_block]
 
-    def generate(self, prefix: str, prev_web: ToolQuery, prev_kg: ToolQuery) -> GeneratedQueries:
-        return GeneratedQueries(web=self._entry.web, kg=self._entry.kg)
+    def generate(self, prefix: str, prev_web: ToolQuery, prev_kg: ToolQuery) -> ScriptedQueries:
+        return self._entry
 
 
 class StreamingScriptedGenerator:
@@ -159,11 +147,11 @@ class StreamingScriptedGenerator:
         self._inner = ScriptedQueryGenerator(trace, block_ms)
         self._similar = similar
 
-    def generate(self, prefix: str, prev_web: ToolQuery, prev_kg: ToolQuery) -> GeneratedQueries:
+    def generate(self, prefix: str, prev_web: ToolQuery, prev_kg: ToolQuery) -> ScriptedQueries:
         raw = self._inner.generate(prefix, prev_web, prev_kg)
         web = NO_QUERY if self._similar(raw.web, prev_web) else raw.web
         kg = NO_QUERY if self._similar(raw.kg, prev_kg) else raw.kg
-        return GeneratedQueries(web=web, kg=kg)
+        return ScriptedQueries(web=web, kg=kg)
 
 
 def _step(
@@ -172,7 +160,6 @@ def _step(
     prev_web: ToolQuery,
     prev_kg: ToolQuery,
     block: BlockIndex,
-    fired_at_ms: int,
     instead: TriggerAction,
 ) -> TriggerDecision:
     """Fire each tool's generated query; a NO_QUERY, or a generator error for
@@ -183,31 +170,23 @@ def _step(
         log.warning("query generator failed at block %d; both tools record %s",
                     block, instead.value)
         skip = ToolDecision(instead)
-        return TriggerDecision(block=block, fired_at_ms=fired_at_ms, web=skip, kg=skip)
+        return TriggerDecision(block=block, web=skip, kg=skip)
 
     def decide(query: ToolQuery) -> ToolDecision:
         if query.is_no_query:
             return ToolDecision(instead)
         return ToolDecision(TriggerAction.FIRE, query)
 
-    return TriggerDecision(
-        block=block,
-        fired_at_ms=fired_at_ms,
-        web=decide(raw.web),
-        kg=decide(raw.kg),
-        declared_latency_ms=raw.latency_ms,
-    )
+    return TriggerDecision(block=block, web=decide(raw.web), kg=decide(raw.kg))
 
 
-def fixed_interval_step(
-    gen: QueryGenerator, prefix: str, block: BlockIndex, fired_at_ms: int
-) -> TriggerDecision:
+def fixed_interval_step(gen: QueryGenerator, prefix: str, block: BlockIndex) -> TriggerDecision:
     """Fire a fresh query pair for this block, ignoring any previous query.
 
     A generator error (or an illegal NO_QUERY under this policy) is recorded
     as a failed decision for the affected tool; the session carries on.
     """
-    return _step(gen, prefix, NO_QUERY, NO_QUERY, block, fired_at_ms, TriggerAction.FAILED)
+    return _step(gen, prefix, NO_QUERY, NO_QUERY, block, TriggerAction.FAILED)
 
 
 def model_trigger_step(
@@ -216,10 +195,9 @@ def model_trigger_step(
     prev_web: ToolQuery,
     prev_kg: ToolQuery,
     block: BlockIndex,
-    fired_at_ms: int,
 ) -> TriggerDecision:
     """Ask the generator whether each tool needs a new query given its last one.
 
     Generator errors degrade to NO_QUERY so the running tool call survives.
     """
-    return _step(gen, prefix, prev_web, prev_kg, block, fired_at_ms, TriggerAction.NO_QUERY)
+    return _step(gen, prefix, prev_web, prev_kg, block, TriggerAction.NO_QUERY)

@@ -298,6 +298,40 @@ class TestLabel:
         assert manifests["set"]["config"]["reflect_ordered"] is False
         assert manifests["ordered"]["config"]["reflect_ordered"] is True
 
+    @pytest.mark.parametrize("source", ["--config", "STREAMRAG_CONFIG"])
+    @pytest.mark.parametrize("config_ordered,flag,expected", [
+        (None, None, False),  # label's own default, not simulate's
+        (True, None, True),
+        (False, None, False),
+        (True, "set", False),
+        (False, "ordered", True),
+    ])
+    def test_web_match_resolves_flag_then_config_then_set(self, tmp_path, monkeypatch, source,
+                                                          config_ordered, flag, expected):
+        monkeypatch.delenv("STREAMRAG_CONFIG", raising=False)
+        modes = []
+        assign = cli_module.assign_streaming_labels
+
+        def recording_assign(trace, block_ms, ctx, overrides):
+            modes.append(ctx.ordered)
+            return assign(trace, block_ms, ctx, overrides)
+
+        monkeypatch.setattr(cli_module, "assign_streaming_labels", recording_assign)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {} if config_ordered is None else {"reflect_ordered": config_ordered}))
+        args = ["label", *INPUTS["label"], "--out-dir", str(tmp_path / "out")]
+        if source == "--config":
+            args += ["--config", str(config)]
+        else:
+            monkeypatch.setenv("STREAMRAG_CONFIG", str(config))
+        if flag:
+            args += ["--web-match", flag]
+        cli.main(args=args, standalone_mode=False)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"]["reflect_ordered"] is expected
+        assert modes and set(modes) == {expected}
+
     def test_show_labels_prints_block_table(self, tmp_path):
         result = label(tmp_path / "lab", "--negative-prob", "0", "--show-labels")
         assert 'block  3 web "Who founded Rare Beauty"' in result.stdout

@@ -141,7 +141,7 @@ class TestAssignStreamingLabels:
             prev = {Tool.WEB: NO_QUERY, Tool.KG: NO_QUERY}
             decisions = []
             for b, prefix in blocks_of(trace, 500):
-                decision = model_trigger_step(gen, prefix, prev[Tool.WEB], prev[Tool.KG], b, b * 500)
+                decision = model_trigger_step(gen, prefix, prev[Tool.WEB], prev[Tool.KG], b)
                 for tool in (Tool.WEB, Tool.KG):
                     td = decision.for_tool(tool)
                     decisions.append(

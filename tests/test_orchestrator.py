@@ -13,13 +13,11 @@ from streamrag.core import (
     Word,
     blocks_of,
 )
-from streamrag.errors import IncompleteSessionError
 from streamrag.labeling import SimilarityContext, assign_streaming_labels
 from streamrag.orchestrator import (
     Backends,
     LatencyModel,
-    SessionOutcome,
-    first_token_latency,
+    LatencyBreakdown,
     outcome_from_dict,
     run_batch,
     run_session,
@@ -35,6 +33,7 @@ from checkers import (
     max_pending_per_tool,
 )
 from conftest import generator_for, session_config
+from test_pinned_outputs import FlakyGenerator
 
 
 class FailingGenerator:
@@ -74,9 +73,10 @@ class TestClosedAndOpenBook:
         outcome = run_session(
             trace, session_config(Strategy.CLOSED_BOOK), None, backends, headline_latency
         )
-        assert first_token_latency(outcome) == {
-            "query_gen_ms": 0, "tool_results_ms": 0, "response_gen_ms": 2520, "total_ms": 2520,
-        }
+        assert outcome.latency == LatencyBreakdown(
+            query_gen_ms=0, tool_results_ms=0, response_gen_ms=2520,
+            first_token_ms=2520, last_token_ms=2520,
+        )
         assert outcome.threads_spawned == 0
         assert outcome.references.total_tokens == 0
 
@@ -86,9 +86,10 @@ class TestClosedAndOpenBook:
             trace, session_config(Strategy.OPEN_BOOK), FinalQueryGenerator(trace),
             backends, headline_latency,
         )
-        assert first_token_latency(outcome) == {
-            "query_gen_ms": 590, "tool_results_ms": 2780, "response_gen_ms": 2520, "total_ms": 5890,
-        }
+        assert outcome.latency == LatencyBreakdown(
+            query_gen_ms=590, tool_results_ms=2780, response_gen_ms=2520,
+            first_token_ms=5890, last_token_ms=5890,
+        )
         assert outcome.threads_spawned == 2
         assert not outcome.degraded
 
@@ -110,9 +111,10 @@ class TestModelTriggered:
         gen = generator_for(Strategy.MODEL_TRIGGERED, trace, config, index)
         outcome = run_session(trace, config, gen, backends, headline_latency)
         # last fire at 1500 ms, utterance ends at 2080 ms: 580 ms of overlap
-        assert first_token_latency(outcome) == {
-            "query_gen_ms": 590, "tool_results_ms": 2200, "response_gen_ms": 2520, "total_ms": 5310,
-        }
+        assert outcome.latency == LatencyBreakdown(
+            query_gen_ms=590, tool_results_ms=2200, response_gen_ms=2520,
+            first_token_ms=5310, last_token_ms=5310,
+        )
         assert outcome.max_parallel_threads == 1
 
     def test_event_log_invariants(self, world, index, backends, headline_latency):
@@ -344,6 +346,53 @@ class TestRunBatch:
                       headline_latency)
 
 
+class TestEventLogOracle:
+    """The counts a session reports, rebuilt from its event log alone."""
+
+    @staticmethod
+    def counts_from_events(events) -> tuple[int, int, int]:
+        spawned = sum(e.type == "query_fired" for e in events)
+        cancelled = sum(e.type == "thread_cancelled" for e in events)
+        fired: set[tuple[str, int]] = set()
+        pending: Counter = Counter()
+        peak = 0
+        for e in events:
+            if e.type == "query_fired":
+                fired.add((e.tool, e.block))
+                pending[e.tool] += 1
+                peak = max(peak, pending[e.tool])
+            # a thread_done with no fire at its (tool, block) is a failed generation
+            elif e.type in ("thread_done", "thread_cancelled") and (e.tool, e.block) in fired:
+                pending[e.tool] -= 1
+        return spawned, cancelled, peak
+
+    @pytest.mark.parametrize("flaky", [False, True], ids=["plain", "flaky"])
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_reported_counts_match_the_event_log(self, strategy, flaky, world, index, backends):
+        config = session_config(strategy)
+        latency = LatencyModel(query_gen=(450, 590, 730), web_fetch=(1900, 2500, 3100),
+                               chunk_rerank=(200, 280), kg_lookup=(150, 250), seed=5)
+
+        def factory(trace):
+            gen = generator_for(strategy, trace, config, index)
+            return FlakyGenerator(gen, trace.utterance_id) if flaky and gen else gen
+
+        traces = random_batch(world, 100, seed=13, block_ms=500)
+        outcomes, errors = run_batch(traces, config, factory, backends, latency)
+        assert errors == [] and len(outcomes) == len(traces)
+        for outcome in outcomes:
+            reported = (outcome.threads_spawned, outcome.threads_cancelled,
+                        outcome.max_parallel_threads)
+            assert reported == self.counts_from_events(outcome.event_log), outcome.utterance_id
+        if strategy is Strategy.FIXED_INTERVAL:
+            assert max(o.max_parallel_threads for o in outcomes) > 1
+        if strategy in (Strategy.FIXED_INTERVAL, Strategy.MODEL_TRIGGERED):
+            assert sum(o.threads_cancelled for o in outcomes) > 0
+        if flaky and strategy is Strategy.FIXED_INTERVAL:
+            assert any((e.detail or {}).get("error") == "query generation failed"
+                       for o in outcomes for e in o.event_log)
+
+
 class TestOutcomeSerialization:
     def test_round_trip(self, world, index, backends, headline_latency):
         trace = brand_founder_trace()
@@ -356,11 +405,6 @@ class TestOutcomeSerialization:
         assert again.latency == outcome.latency
         assert again.references == outcome.references
         assert again.selected_block == outcome.selected_block
-
-    def test_first_token_latency_requires_completion(self):
-        incomplete = SessionOutcome(utterance_id="x", strategy=Strategy.OPEN_BOOK)
-        with pytest.raises(IncompleteSessionError):
-            first_token_latency(incomplete)
 
 
 class TestDeterminism:

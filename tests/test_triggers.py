@@ -2,13 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from streamrag.core import NO_QUERY, KgQuery, Tool, ToolQuery, blocks_of
+from streamrag.core import NO_QUERY, KgQuery, ScriptedQueries, Tool, ToolQuery, blocks_of
 from streamrag.errors import InputError
 from streamrag.labeling import similarity_f
 from streamrag.synth import brand_founder_trace, jump_shots_trace
 from streamrag.triggers import (
     FinalQueryGenerator,
-    GeneratedQueries,
     ScriptedQueryGenerator,
     StreamingScriptedGenerator,
     TriggerAction,
@@ -24,7 +23,7 @@ class FailingGenerator:
 
 class NoQueryUnderFixed:
     def generate(self, prefix, prev_web, prev_kg):
-        return GeneratedQueries(web=NO_QUERY, kg=NO_QUERY)
+        return ScriptedQueries(web=NO_QUERY, kg=NO_QUERY)
 
 
 def _streaming_gen(trace, similarity_ctx, block_ms=500):
@@ -67,7 +66,7 @@ class TestFixedIntervalStep:
         trace = brand_founder_trace()
         gen = ScriptedQueryGenerator(trace, 500)
         decisions = [
-            fixed_interval_step(gen, prefix, b, b * 500) for b, prefix in blocks_of(trace, 500)
+            fixed_interval_step(gen, prefix, b) for b, prefix in blocks_of(trace, 500)
         ]
         assert len(decisions) == 5
         assert all(d.web.action is TriggerAction.FIRE for d in decisions)
@@ -77,16 +76,16 @@ class TestFixedIntervalStep:
         trace = brand_founder_trace()
         gen = ScriptedQueryGenerator(trace, 500)
         blocks = dict(blocks_of(trace, 500))
-        decision = fixed_interval_step(gen, blocks[3], 3, 1500)
+        decision = fixed_interval_step(gen, blocks[3], 3)
         assert decision.web.query == ToolQuery.web("Who founded Rare Beauty")
 
     def test_generator_failure_becomes_failed_decision(self):
-        decision = fixed_interval_step(FailingGenerator(), "prefix", 2, 1000)
+        decision = fixed_interval_step(FailingGenerator(), "prefix", 2)
         assert decision.web.action is TriggerAction.FAILED
         assert decision.kg.action is TriggerAction.FAILED
 
     def test_no_query_is_illegal_under_fixed_interval(self):
-        decision = fixed_interval_step(NoQueryUnderFixed(), "prefix", 1, 500)
+        decision = fixed_interval_step(NoQueryUnderFixed(), "prefix", 1)
         assert decision.web.action is TriggerAction.FAILED
 
 
@@ -97,7 +96,7 @@ class TestModelTriggerStep:
         blocks = dict(blocks_of(trace, 500))
         prev_web = ToolQuery.web("Who founded Rare Beauty")
         prev_kg = ToolQuery.kg(KgQuery.make("other", {"main_entity": "Rare Beauty"}))
-        decision = model_trigger_step(gen, blocks[4], prev_web, prev_kg, 4, 2000)
+        decision = model_trigger_step(gen, blocks[4], prev_web, prev_kg, 4)
         assert decision.web.action is TriggerAction.NO_QUERY
         assert decision.kg.action is TriggerAction.NO_QUERY
 
@@ -107,7 +106,7 @@ class TestModelTriggerStep:
         blocks = dict(blocks_of(trace, 500))
         decision = model_trigger_step(
             gen, blocks[2], ToolQuery.web("Who founded what"),
-            ToolQuery.kg(KgQuery.make("other", {"main_entity": "Who"})), 2, 1000,
+            ToolQuery.kg(KgQuery.make("other", {"main_entity": "Who"})), 2,
         )
         assert decision.web.action is TriggerAction.FIRE
         assert decision.web.query == ToolQuery.web("Red Bull founder")
@@ -116,13 +115,13 @@ class TestModelTriggerStep:
         trace = brand_founder_trace()
         gen = _streaming_gen(trace, similarity_ctx)
         blocks = dict(blocks_of(trace, 500))
-        decision = model_trigger_step(gen, blocks[1], NO_QUERY, NO_QUERY, 1, 500)
+        decision = model_trigger_step(gen, blocks[1], NO_QUERY, NO_QUERY, 1)
         assert decision.web.action is TriggerAction.FIRE
         assert decision.kg.action is TriggerAction.FIRE
 
     def test_generator_failure_keeps_running_call(self):
         decision = model_trigger_step(
-            FailingGenerator(), "prefix", ToolQuery.web("prev"), NO_QUERY, 3, 1500
+            FailingGenerator(), "prefix", ToolQuery.web("prev"), NO_QUERY, 3
         )
         assert decision.web.action is TriggerAction.NO_QUERY
         assert decision.kg.action is TriggerAction.NO_QUERY
@@ -136,7 +135,7 @@ class TestPolicyInvariants:
         fires: dict[Tool, list[int]] = {Tool.WEB: [], Tool.KG: []}
         decisions = []
         for b, prefix in blocks_of(trace, 500):
-            decision = model_trigger_step(gen, prefix, prev[Tool.WEB], prev[Tool.KG], b, b * 500)
+            decision = model_trigger_step(gen, prefix, prev[Tool.WEB], prev[Tool.KG], b)
             decisions.append(decision)
             for tool in (Tool.WEB, Tool.KG):
                 td = decision.for_tool(tool)
@@ -157,7 +156,7 @@ class TestPolicyInvariants:
             prev = {Tool.WEB: NO_QUERY, Tool.KG: NO_QUERY}
             log = []
             for b, prefix in blocks_of(trace, 500):
-                decision = model_trigger_step(gen, prefix, prev[Tool.WEB], prev[Tool.KG], b, b * 500)
+                decision = model_trigger_step(gen, prefix, prev[Tool.WEB], prev[Tool.KG], b)
                 for tool in (Tool.WEB, Tool.KG):
                     td = decision.for_tool(tool)
                     log.append((b, tool.value, td.action.value, td.query.to_wire()))
