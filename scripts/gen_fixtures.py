@@ -6,10 +6,9 @@ Deterministic: rerunning produces byte-identical files.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
-from streamrag.core import write_traces
+from streamrag.core import write_json, write_jsonl, write_traces
 from streamrag.metrics import Judgment
 from streamrag.synth import (
     JUDGMENT_ROWS,
@@ -27,26 +26,16 @@ OUT = Path(__file__).resolve().parent.parent / "fixtures"
 def main() -> None:
     OUT.mkdir(exist_ok=True)
     world = FixtureWorld()
-
-    with open(OUT / "corpus.jsonl", "w", encoding="utf-8") as fh:
-        for record in world.corpus:
-            fh.write(json.dumps(record) + "\n")
-
-    with open(OUT / "kg.json", "w", encoding="utf-8") as fh:
-        json.dump(world.kg_records, fh, indent=2)
-        fh.write("\n")
+    write_jsonl(OUT / "corpus.jsonl", world.corpus)
+    write_json(OUT / "kg.json", world.kg_records)
 
     traces = [brand_founder_trace(), jump_shots_trace(), early_fire_trace(world)]
     traces += random_batch(world, count=8, seed=11, block_ms=500)
     write_traces(traces, str(OUT / "traces.jsonl"))
 
     judgments: list[Judgment] = judgment_fixture("text-a")
-    with open(OUT / "judgments.jsonl", "w", encoding="utf-8") as fh:
-        for judgment in judgments:
-            fh.write(
-                json.dumps({"utterance_id": judgment.utterance_id, "verdict": judgment.verdict.value})
-                + "\n"
-            )
+    write_jsonl(OUT / "judgments.jsonl",
+                ({"utterance_id": j.utterance_id, "verdict": j.verdict.value} for j in judgments))
 
     print(f"fixtures written to {OUT}")
     print(f"  corpus.jsonl: {len(world.corpus)} docs")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import sys
@@ -22,11 +23,17 @@ import click
 
 from . import __version__
 from .core import (
+    ScriptedQueries,
     SessionConfig,
     Strategy,
     UtteranceTrace,
-    iter_jsonl,
+    make_out_dir,
+    read_json,
+    read_jsonl,
     read_traces,
+    write_atomic,
+    write_json,
+    write_jsonl,
 )
 from .errors import AlignmentError, InputError
 from .labeling import (
@@ -142,13 +149,7 @@ def _load_config_file(explicit_path: str | None) -> dict[str, Any]:
     path = explicit_path or os.environ.get("STREAMRAG_CONFIG")
     if not path:
         return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON config: {exc}") from exc
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise InputError(f"{path}: config must be a JSON object")
     unknown = sorted(set(raw) - set(DEFAULTS))
@@ -183,36 +184,15 @@ def _parse_ratio(raw: str) -> tuple[int, int]:
 
 
 def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-def _write_jsonl(path: Path, records: list[dict]) -> None:
-    _atomic_write(path, "".join(json.dumps(r) + "\n" for r in records))
-
-
-def _write_json(path: Path, payload: Any) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2) + "\n")
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
-    import io
-
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    _atomic_write(path, buf.getvalue())
+    writer.writerows(rows)
+    write_atomic(path, [buf.getvalue()])
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict[str, str],
@@ -226,48 +206,24 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict[str,
         "inputs": {name: _sha256(path) for name, path in sorted(inputs.items())},
         "outputs": sorted(outputs),
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest)
 
 
 def _read_corpus(path: str) -> list[dict]:
-    records = []
-    for lineno, raw in iter_jsonl(path):
-        if not isinstance(raw, dict) or "doc_id" not in raw or "text" not in raw:
-            raise InputError(f"{path}:{lineno}: corpus record needs doc_id and text")
-        records.append(raw)
-    if not records:
-        raise InputError(f"{path}: corpus is empty")
-    return records
+    return read_jsonl(path, lambda doc: {"doc_id": doc["doc_id"], "text": doc["text"]},
+                      "corpus record")
 
 
 def _read_kg(path: str) -> KgStore:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(raw, list):
+    records = read_json(path)
+    if not isinstance(records, list):
         raise InputError(f"{path}: KG fixture must be a JSON array")
-    return KgStore.from_records(raw)
+    return KgStore.from_records(records, source=path)
 
 
 def _read_outcomes(path: str):
-    outcomes = []
-    seen: set[str] = set()
-    for lineno, raw in iter_jsonl(path):
-        try:
-            outcome = outcome_from_dict(raw)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}:{lineno}: malformed outcome: {exc}") from exc
-        if outcome.utterance_id in seen:
-            raise InputError(f"{path}:{lineno}: duplicate utterance_id {outcome.utterance_id!r}")
-        seen.add(outcome.utterance_id)
-        outcomes.append(outcome)
-    if not outcomes:
-        raise InputError(f"{path}: no outcomes")
-    return outcomes
+    return read_jsonl(path, outcome_from_dict, "outcome",
+                      key=lambda outcome: f"utterance_id {outcome.utterance_id!r}")
 
 
 @click.group()
@@ -329,8 +285,6 @@ def simulate(traces_path, corpus_path, kg_path, out_dir, out_format, config_path
 
     backends = Backends(index=index_documents(_read_corpus(corpus_path)), kg_store=_read_kg(kg_path))
     traces = read_traces(traces_path)
-    if not traces:
-        raise InputError(f"{traces_path}: no traces")
 
     factory = _generator_factory(strategy_enum, session_config, backends)
     outcomes, errors = run_batch(traces, session_config, factory, backends, latency)
@@ -339,27 +293,22 @@ def simulate(traces_path, corpus_path, kg_path, out_dir, out_format, config_path
     if not outcomes:
         raise InputError("every trace failed; nothing to report")
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_dir)
     outputs = ["outcomes.jsonl", "events.jsonl"]
-    _write_jsonl(out / "outcomes.jsonl", [o.to_dict() for o in outcomes])
-    event_rows = []
-    for outcome in outcomes:
-        for event in outcome.event_log:
-            row = {"utterance_id": outcome.utterance_id}
-            row.update(event.to_dict())
-            event_rows.append(row)
-    _write_jsonl(out / "events.jsonl", event_rows)
+    write_jsonl(out / "outcomes.jsonl", (o.to_dict() for o in outcomes))
+    write_jsonl(out / "events.jsonl", ({"utterance_id": o.utterance_id, **e.to_dict()}
+                                       for o in outcomes for e in o.event_log))
 
     table = aggregate_latency(outcomes)
     if out_format in ("json", "both"):
-        _write_json(out / "latency_table.json", table.rows())
+        write_json(out / "latency_table.json", table.rows())
         outputs.append("latency_table.json")
     if out_format in ("csv", "both"):
         _write_csv(out / "latency_table.csv", table.rows(),
                    ["strategy", "stat", "query_gen", "tool_results", "response_gen", "total"])
         outputs.append("latency_table.csv")
 
+    cfg["block_ms"] = session_config.block_ms  # the size that ran, default or not
     _write_manifest(out, "simulate", cfg,
                     {"traces": traces_path, "corpus": corpus_path, "kg": kg_path},
                     outputs, seed=cfg["seed"])
@@ -401,11 +350,9 @@ def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
           config_path, **flags) -> None:
     """Build a streaming-trigger training set (fire vs NO_QUERY) with negatives."""
     cfg = _resolve(flags, config_path, reflect_ordered=False)
-    resolved_block_ms = cfg["block_ms"] or 500
+    cfg["block_ms"] = block_ms = cfg["block_ms"] or 500
 
     traces = read_traces(traces_path)
-    if not traces:
-        raise InputError(f"{traces_path}: no traces")
     index = index_documents(_read_corpus(corpus_path))
     ctx = SimilarityContext(index=index, compare_k=cfg["reflect_top_k"],
                             retrieve_k=cfg["top_docs"], ordered=cfg["reflect_ordered"])
@@ -415,7 +362,7 @@ def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
     all_steps = []
     for trace in traces:
         overrides = pseudo_gt.get(trace.utterance_id)
-        steps = assign_streaming_labels(trace, resolved_block_ms, ctx, overrides)
+        steps = assign_streaming_labels(trace, block_ms, ctx, overrides)
         all_steps.extend(steps)
         if show_labels:
             _echo(f"{trace.utterance_id}:")
@@ -425,8 +372,7 @@ def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
     pool = build_negative_pool(all_steps)
     labeled = inject_negative_samples(all_steps, cfg["negative_prob"], cfg["seed"], pool)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_dir)
     export_training_set(labeled, str(out / "training.jsonl"))
 
     fires = sum(1 for s in labeled if not s.label.is_no_query)
@@ -436,9 +382,9 @@ def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
         "no_query": len(labeled) - fires,
         "negatives": sum(1 for s in labeled if s.is_negative_sample),
         "utterances": len(traces),
-        "block_ms": resolved_block_ms,
+        "block_ms": block_ms,
     }
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     inputs = {"traces": traces_path, "corpus": corpus_path}
     if pseudo_gt_path:
         inputs["pseudo_gt"] = pseudo_gt_path
@@ -450,31 +396,16 @@ def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
 
 
 def _read_pseudo_gt(path: str, traces) -> dict[str, dict]:
-    from .core import ScriptedQueries, Tool, ToolQuery
-
-    known = {t.utterance_id for t in traces}
-    per_utterance: dict[str, dict] = {}
-    unknown = set()
-    for lineno, raw in iter_jsonl(path):
-        try:
-            uid = str(raw["utterance_id"])
-            block = int(raw["block"])
-            entry = ScriptedQueries(
-                web=ToolQuery.from_wire(raw["web"], Tool.WEB),
-                kg=ToolQuery.from_wire(raw["kg"], Tool.KG),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}:{lineno}: malformed reference-query record: {exc}") from exc
-        if uid not in known:
-            unknown.add(uid)
-            continue
-        blocks = per_utterance.setdefault(uid, {})
-        if block in blocks:
-            raise InputError(f"{path}:{lineno}: duplicate reference query for utterance "
-                             f"{uid!r} block {block}")
-        blocks[block] = entry
+    records = read_jsonl(
+        path, lambda r: (str(r["utterance_id"]), int(r["block"]), ScriptedQueries.from_wire(r)),
+        "reference query", empty_ok=True,
+        key=lambda r: f"reference query for utterance {r[0]!r} block {r[1]}")
+    unknown = {uid for uid, _, _ in records} - {t.utterance_id for t in traces}
     if unknown:
         raise AlignmentError(f"{path}: reference queries for unknown utterances: {sorted(unknown)}")
+    per_utterance: dict[str, dict] = {}
+    for uid, block, entry in records:
+        per_utterance.setdefault(uid, {})[block] = entry
     return per_utterance
 
 
@@ -504,12 +435,11 @@ def report(baseline_path, strategy_path, judgments_path, out_dir, out_format,
         raise InputError(f"{baseline_path}: {exc}") from exc
     pair_rows = per_pair_savings_rows(baseline, strategy)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(out_dir)
     outputs = []
     savings_rows = [r.to_dict() for r in reports]
     if out_format in ("json", "both"):
-        _write_json(out / "savings.json", savings_rows)
+        write_json(out / "savings.json", savings_rows)
         outputs.append("savings.json")
     if out_format in ("csv", "both"):
         _write_csv(out / "savings.csv", savings_rows,
@@ -524,7 +454,7 @@ def report(baseline_path, strategy_path, judgments_path, out_dir, out_format,
     inputs = {"baseline": baseline_path, "strategy": strategy_path}
     if judgments_path:
         scores = score_responses(read_judgments(judgments_path))
-        _write_json(out / "scores.json", scores)
+        write_json(out / "scores.json", scores)
         outputs.append("scores.json")
         inputs["judgments"] = judgments_path
     else:

@@ -9,15 +9,19 @@ block boundary is excluded until the block in which it completes.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import json
+import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Iterator
+from pathlib import Path
+from typing import Any, BinaryIO, Callable, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import EmptyTraceError, InputError
 
 BlockIndex = int
+T = TypeVar("T")
 
 NO_QUERY_LITERAL = "NO_QUERY"
 
@@ -154,6 +158,14 @@ class ScriptedQueries:
     def for_tool(self, tool: Tool) -> ToolQuery:
         return self.web if tool is Tool.WEB else self.kg
 
+    def to_wire(self) -> dict[str, Any]:
+        return {"web": self.web.to_wire(), "kg": self.kg.to_wire()}
+
+    @classmethod
+    def from_wire(cls, raw: dict[str, Any]) -> "ScriptedQueries":
+        return cls(web=ToolQuery.from_wire(raw["web"], Tool.WEB),
+                   kg=ToolQuery.from_wire(raw["kg"], Tool.KG))
+
 
 @dataclass
 class UtteranceTrace:
@@ -246,9 +258,6 @@ class SimClock:
         heapq.heappush(self._queue, _Scheduled(fire_at_ms, self._next_seq, event))
         self._next_seq += 1
 
-    def peek_next_ms(self) -> int | None:
-        return self._queue[0].fire_at_ms if self._queue else None
-
     def pop_due(self, until_ms: int) -> Any | None:
         """Pop the next event with fire_at_ms <= until_ms, advancing to it.
 
@@ -311,78 +320,156 @@ def default_block_ms(strategy: Strategy) -> int:
     return 500 if strategy is Strategy.MODEL_TRIGGERED else 1000
 
 
-# --- trace JSONL I/O ------------------------------------------------------
+# --- file I/O ------------------------------------------------------------
+#
+# Every input file is read, and every output file written, through these
+# functions: a fault in a file is an InputError naming it and, where it can,
+# the line or record; an output appears whole or not at all.
+
+def _open(path: str) -> BinaryIO:
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_json(data: bytes, path: str, first_line: int = 1) -> Any:
+    """Parse UTF-8 JSON that starts on ``first_line`` of ``path``; a fault is
+    an InputError at its line."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        cause, line, problem = exc, data.count(b"\n", 0, exc.start), "not UTF-8"
+    except (ValueError, RecursionError) as exc:
+        cause, line, problem = exc, getattr(exc, "lineno", 1) - 1, "invalid JSON"
+    raise InputError(f"{path}:{first_line + line}: {problem}: {cause}") from cause
+
+
+def iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
+    """Yield (lineno, parsed value) for each non-blank line of a UTF-8 JSONL file."""
+    with _open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if line:
+                yield lineno, _parse_json(line, path, lineno)
+
+
+def read_json(path: str) -> Any:
+    """Parse a whole-file UTF-8 JSON document."""
+    with _open(path) as fh:
+        return _parse_json(fh.read(), path)
+
+
+def parse_records(numbered: Iterable[tuple[int, Any]], parse: Callable[[dict], T], what: str,
+                  at: str, key: Callable[[T], Hashable] | None = None) -> list[T]:
+    """Parse numbered JSON values into records; ``at`` plus a value's number
+    locates it. A value that is not a JSON object, any fault in one, or a
+    record whose ``key`` repeats, is an InputError at its location; the
+    message shows the key as ``str`` does, so a key such as
+    ``"utterance_id 'u1'"`` reads as a description."""
+    records: list[T] = []
+    first: dict[Hashable, int] = {}
+    for n, raw in numbered:
+        if not isinstance(raw, dict):
+            raise InputError(f"{at}{n}: {what} must be a JSON object, got {type(raw).__name__}")
+        try:
+            record = parse(raw)
+        except InputError as exc:
+            raise InputError(f"{at}{n}: {exc}") from exc
+        except KeyError as exc:
+            raise InputError(f"{at}{n}: {what} lacks key {exc}") from exc
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise InputError(f"{at}{n}: malformed {what}: {exc}") from exc
+        if key is not None:
+            name = key(record)
+            if name in first:
+                raise InputError(f"{at}{n}: duplicate {name} (first at {at}{first[name]})")
+            first[name] = n
+        records.append(record)
+    return records
+
+
+def read_jsonl(path: str, parse: Callable[[dict], T], what: str,
+               key: Callable[[T], Hashable] | None = None, empty_ok: bool = False) -> list[T]:
+    """Parse a JSONL file of ``what`` records, one JSON object per line; faults
+    are reported at ``path:line``. A file without records is an InputError
+    unless ``empty_ok``."""
+    records = parse_records(iter_jsonl(path), parse, what, f"{path}:", key)
+    if not records and not empty_ok:
+        raise InputError(f"{path}: no records (expected one {what} per line)")
+    return records
+
+
+def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write text to ``path`` whole or not at all: the chunks go to a
+    temporary file beside it, which is then renamed over it."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def write_jsonl(path: str | Path, records: Iterable[Any]) -> None:
+    write_atomic(path, (json.dumps(r) + "\n" for r in records))
+
+
+def write_json(path: str | Path, payload: Any) -> None:
+    write_atomic(path, [json.dumps(payload, indent=2) + "\n"])
+
+
+def make_out_dir(path: str) -> Path:
+    """Create an output directory (and its parents) if it does not exist."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {out}: {exc}") from exc
+    return out
+
 
 def trace_to_dict(trace: UtteranceTrace) -> dict[str, Any]:
     return {
         "utterance_id": trace.utterance_id,
         "words": [{"text": w.text, "start_ms": w.start_ms, "end_ms": w.end_ms} for w in trace.words],
-        "scripted_queries": {
-            str(b): {"web": sq.web.to_wire(), "kg": sq.kg.to_wire()}
-            for b, sq in sorted(trace.scripted_queries.items())
-        },
+        "scripted_queries": {str(b): sq.to_wire()
+                             for b, sq in sorted(trace.scripted_queries.items())},
         "final_answer_ref": trace.final_answer_ref,
     }
 
 
 def trace_from_dict(raw: dict[str, Any]) -> UtteranceTrace:
-    try:
-        words = [Word(str(w["text"]), int(w["start_ms"]), int(w["end_ms"])) for w in raw["words"]]
-        scripted: dict[int, ScriptedQueries] = {}
-        for key, entry in raw.get("scripted_queries", {}).items():
-            block = int(key)
-            if block < 1:
-                raise InputError(f"scripted_queries key {key!r}: blocks are 1-based")
-            if block in scripted:
-                raise InputError(f"scripted_queries key {key!r} repeats block {block}")
-            scripted[block] = ScriptedQueries(
-                web=ToolQuery.from_wire(entry["web"], Tool.WEB),
-                kg=ToolQuery.from_wire(entry["kg"], Tool.KG),
-            )
-        return UtteranceTrace(
-            utterance_id=str(raw["utterance_id"]),
-            words=words,
-            scripted_queries=scripted,
-            final_answer_ref=raw.get("final_answer_ref"),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed trace record: {exc}") from exc
+    words = [Word(str(w["text"]), int(w["start_ms"]), int(w["end_ms"])) for w in raw["words"]]
+    scripted: dict[int, ScriptedQueries] = {}
+    for key, entry in raw.get("scripted_queries", {}).items():
+        block = int(key)
+        if block < 1:
+            raise InputError(f"scripted_queries key {key!r}: blocks are 1-based")
+        if block in scripted:
+            raise InputError(f"scripted_queries key {key!r} repeats block {block}")
+        scripted[block] = ScriptedQueries.from_wire(entry)
+    return UtteranceTrace(
+        utterance_id=str(raw["utterance_id"]),
+        words=words,
+        scripted_queries=scripted,
+        final_answer_ref=raw.get("final_answer_ref"),
+    )
 
 
 def read_traces(path: str) -> list[UtteranceTrace]:
-    """Read a JSONL trace file; parse errors carry 1-based line numbers.
+    """Read a JSONL trace file with at least one trace.
 
     A repeated utterance_id is an error: ids key the latency RNG substreams
     and the outcome pairing, so a duplicate could only be dropped silently.
     """
-    traces = []
-    seen: set[str] = set()
-    for lineno, raw in iter_jsonl(path):
-        try:
-            trace = trace_from_dict(raw)
-        except InputError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from exc
-        if trace.utterance_id in seen:
-            raise InputError(f"{path}:{lineno}: duplicate utterance_id {trace.utterance_id!r}")
-        seen.add(trace.utterance_id)
-        traces.append(trace)
-    return traces
+    return read_jsonl(path, trace_from_dict, "trace",
+                      key=lambda trace: f"utterance_id {trace.utterance_id!r}")
 
 
 def write_traces(traces: Iterable[UtteranceTrace], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for trace in traces:
-            fh.write(json.dumps(trace_to_dict(trace)) + "\n")
-
-
-def iter_jsonl(path: str) -> Iterator[tuple[int, Any]]:
-    """Yield (lineno, parsed object) pairs from a JSONL file."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+    write_jsonl(path, map(trace_to_dict, traces))

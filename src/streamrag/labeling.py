@@ -13,7 +13,6 @@ label forced back to the reference query.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 from .core import (
@@ -24,12 +23,12 @@ from .core import (
     ToolQuery,
     UtteranceTrace,
     blocks_of,
+    read_jsonl,
+    write_jsonl,
 )
 from .errors import InputError
 from .orchestrator import substream_rng
 from .reflector import SimilarityContext, reflect_with_reason
-
-TRAINING_SCHEMA_VERSION = 1
 
 
 def similarity_f(current: ToolQuery, prev: ToolQuery, ctx: SimilarityContext) -> bool:
@@ -201,53 +200,29 @@ def step_to_dict(step: LabeledStep) -> dict:
 
 
 def step_from_dict(raw: dict) -> LabeledStep:
-    try:
-        tool = Tool(raw["tool"])
-        is_negative = bool(raw["is_negative_sample"])
-        exported_prev = ToolQuery.from_wire(raw["prev_query"], tool)
-        if is_negative:
-            prev = ToolQuery.from_wire(raw["original_prev"], tool)
-            negative_prev = exported_prev
-        else:
-            prev = exported_prev
-            negative_prev = None
-        return LabeledStep(
-            utterance_id=str(raw["utterance_id"]),
-            block=int(raw["block"]),
-            tool=tool,
-            prefix=str(raw["prefix_text"]),
-            prev_query=prev,
-            pseudo_gt=ToolQuery.from_wire(raw["pseudo_gt"], tool),
-            label=ToolQuery.from_wire(raw["label"], tool),
-            is_negative_sample=is_negative,
-            negative_prev=negative_prev,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed training record: {exc}") from exc
+    tool = Tool(raw["tool"])
+    is_negative = bool(raw["is_negative_sample"])
+
+    def query(key: str) -> ToolQuery:
+        return ToolQuery.from_wire(raw[key], tool)
+
+    return LabeledStep(
+        utterance_id=str(raw["utterance_id"]),
+        block=int(raw["block"]),
+        tool=tool,
+        prefix=str(raw["prefix_text"]),
+        prev_query=query("original_prev" if is_negative else "prev_query"),
+        pseudo_gt=query("pseudo_gt"),
+        label=query("label"),
+        is_negative_sample=is_negative,
+        negative_prev=query("prev_query") if is_negative else None,
+    )
 
 
 def export_training_set(steps: list[LabeledStep], path: str) -> None:
     """Write steps as JSONL; an empty step list yields a valid empty file."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            for step in steps:
-                fh.write(json.dumps(step_to_dict(step)) + "\n")
-    except OSError as exc:
-        raise InputError(f"cannot write training set to {path}: {exc}") from exc
+    write_jsonl(path, map(step_to_dict, steps))
 
 
 def read_training_set(path: str) -> list[LabeledStep]:
-    steps = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    steps.append(step_from_dict(json.loads(line)))
-                except (json.JSONDecodeError, InputError) as exc:
-                    raise InputError(f"{path}:{lineno}: {exc}") from exc
-    except OSError as exc:
-        raise InputError(f"cannot read training set from {path}: {exc}") from exc
-    return steps
+    return read_jsonl(path, step_from_dict, "training record", empty_ok=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .core import read_jsonl
 from .errors import AlignmentError, InputError
 from .orchestrator import SessionOutcome
 
@@ -220,12 +221,5 @@ def score_responses(judgments: Sequence[Judgment]) -> dict[str, float]:
 
 
 def read_judgments(path: str) -> list[Judgment]:
-    from .core import iter_jsonl
-
-    judgments = []
-    for lineno, raw in iter_jsonl(path):
-        try:
-            judgments.append(Judgment(str(raw["utterance_id"]), Verdict(raw["verdict"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"{path}:{lineno}: malformed judgment: {exc}") from exc
-    return judgments
+    return read_jsonl(path, lambda raw: Judgment(str(raw["utterance_id"]), Verdict(raw["verdict"])),
+                      "judgment")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Any, Callable, Sequence
 
@@ -34,6 +34,7 @@ from .core import (
     UtteranceTrace,
     blocks_of,
 )
+from .errors import InputError
 from .reflector import (
     CallStatus,
     QueryCache,
@@ -457,10 +458,20 @@ def run_session(
     )
 
 
+_LATENCY_FIELDS = sorted(f.name for f in fields(LatencyBreakdown))
+
+
 def outcome_from_dict(raw: dict) -> SessionOutcome:
-    """Rebuild an outcome from its exported form (events are not restored)."""
-    lat = raw.get("latency")
-    refs = raw.get("references") or {}
+    """Rebuild an outcome from its exported form (events are not restored).
+
+    Reports do arithmetic on ``latency``, so it must map the five breakdown
+    fields to non-negative integers; JSON true is not one.
+    """
+    lat = raw["latency"]
+    if sorted(lat) != _LATENCY_FIELDS or any(type(v) is not int or v < 0 for v in lat.values()):
+        raise InputError(f"latency must map {_LATENCY_FIELDS} to non-negative integers, "
+                         f"got {lat!r}")
+    refs = raw["references"]
     return SessionOutcome(
         utterance_id=str(raw["utterance_id"]),
         strategy=Strategy(raw["strategy"]),
@@ -470,7 +481,7 @@ def outcome_from_dict(raw: dict) -> SessionOutcome:
             tuple(refs.get("kg_answers", ())),
             int(refs.get("total_tokens", 0)),
         ),
-        latency=LatencyBreakdown(**lat) if lat else None,
+        latency=LatencyBreakdown(**lat),
         threads_spawned=int(raw.get("threads_spawned", 0)),
         threads_cancelled=int(raw.get("threads_cancelled", 0)),
         max_parallel_threads=int(raw.get("max_parallel_threads", 0)),

@@ -44,7 +44,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
-from ..core import KgQuery, Tool, ToolQuery
+from ..core import KgQuery, Tool, ToolQuery, parse_records
 from ..errors import DuplicateDocIdError, InputError, WrongToolError
 
 _PUNCT_TO_SPACE = str.maketrans({c: " " for c in string.punctuation})
@@ -379,21 +379,18 @@ class KgStore:
         for query, answer in entries:
             self._entries[query.canonical_key()] = answer
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def lookup(self, query: KgQuery) -> str | None:
         return self._entries.get(query.canonical_key())
 
     @classmethod
-    def from_records(cls, records: Iterable[dict]) -> "KgStore":
-        entries = []
-        for record in records:
-            try:
-                entries.append((KgQuery.from_flat_dict(record["query"]), str(record["answer"])))
-            except (KeyError, TypeError) as exc:
-                raise InputError(f"kg record must have query and answer: {record!r}") from exc
-        return cls(entries)
+    def from_records(cls, records: Iterable[dict], source: str = "kg") -> "KgStore":
+        """Build a store from {"query", "answer"} records. A fault in a record,
+        or a canonical query (``KgQuery.canonical_key``) that an earlier record
+        holds, is an InputError naming ``source`` and the record's index."""
+        return cls(parse_records(
+            enumerate(records),
+            lambda record: (KgQuery.from_flat_dict(record["query"]), str(record["answer"])),
+            "kg record", f"{source}: record ", key=lambda entry: entry[0].canonical_key()))
 
 
 def kg_lookup(store: KgStore, query: ToolQuery) -> str | None:

@@ -1,0 +1,348 @@
+"""One reading and writing contract for every file the CLI touches.
+
+A fault in any input file exits 2 with a message naming the file and, where
+it can, the line or record; an output that cannot be written exits 2 naming
+its path. Every manifest records the block size that ran.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import copy
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from streamrag.cli import cli, main
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+TRACES, CORPUS, KG = (str(FIXTURES / name) for name in ("traces.jsonl", "corpus.jsonl", "kg.json"))
+STRATEGIES = ["closed_book", "open_book", "fixed_interval", "model_triggered"]
+
+
+def run_main(*args: str) -> tuple[int, str]:
+    """The console entry point in-process: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exit_info:
+        main(list(args))
+    return exit_info.value.code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def outcomes(tmp_path_factory) -> Path:
+    """open_book outcomes over the fixtures."""
+    out = tmp_path_factory.mktemp("outcomes")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("STREAMRAG_CONFIG", raising=False)
+        code, err = run_main("simulate", "--traces", TRACES, "--corpus", CORPUS, "--kg", KG,
+                             "--strategy", "open_book", "--out-dir", str(out))
+    assert code == 0, err
+    return out / "outcomes.jsonl"
+
+
+@pytest.fixture(autouse=True)
+def no_env_config(monkeypatch):
+    monkeypatch.delenv("STREAMRAG_CONFIG", raising=False)
+
+
+def _lines(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _bad_outcome(change):
+    def edit(rows: list[dict]) -> list:
+        rows[1] = change(rows[1])
+        return rows
+    return edit
+
+
+def _set(key, value):
+    return lambda row: {**row, key: value}
+
+
+# (case id, records edited on line 2 of an open_book outcomes file)
+BAD_OUTCOMES = [
+    ("line-is-a-list", _bad_outcome(lambda row: [1])),
+    ("references-is-a-list", _bad_outcome(_set("references", []))),
+    ("no-latency", _bad_outcome(lambda row: {k: v for k, v in row.items() if k != "latency"})),
+    ("query-gen-ms-is-text",
+     _bad_outcome(lambda row: {**row, "latency": {**row["latency"], "query_gen_ms": "x"}})),
+    ("latency-is-null", _bad_outcome(_set("latency", None))),
+    ("latency-field-is-true",
+     _bad_outcome(lambda row: {**row, "latency": {**row["latency"], "first_token_ms": True}})),
+]
+
+
+class TestFaultyInputsExitTwo:
+    """Inputs that once escaped as internal errors (exit 3)."""
+
+    def test_trace_with_scripted_queries_list(self, tmp_path):
+        rows = _lines(Path(TRACES))
+        rows[1]["scripted_queries"] = []
+        bad = tmp_path / "traces.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        code, err = run_main("simulate", "--traces", str(bad), "--corpus", CORPUS, "--kg", KG,
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"input error: {bad}:2: malformed trace: " in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("side", ["--baseline", "--strategy"])
+    @pytest.mark.parametrize("edit", [e for _, e in BAD_OUTCOMES], ids=[i for i, _ in BAD_OUTCOMES])
+    def test_malformed_outcome(self, tmp_path, outcomes, side, edit):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in edit(_lines(outcomes))))
+        good = str(outcomes)
+        paths = {"--baseline": good, "--strategy": good, side: str(bad)}
+        code, err = run_main("report", *(a for kv in paths.items() for a in kv),
+                             "--out-dir", str(tmp_path / "rep"))
+        assert code == 2, err
+        assert f"input error: {bad}:2: " in err
+        assert not (tmp_path / "rep").exists()
+
+    def test_empty_judgments_file(self, tmp_path, outcomes):
+        empty = tmp_path / "judgments.jsonl"
+        empty.write_text("\n")
+        code, err = run_main("report", "--baseline", str(outcomes), "--strategy", str(outcomes),
+                             "--judgments", str(empty), "--out-dir", str(tmp_path / "rep"))
+        assert code == 2
+        assert f"input error: {empty}: no records" in err
+
+    @pytest.mark.parametrize("kind", ["traces", "corpus", "kg", "config"])
+    def test_non_utf8_bytes(self, tmp_path, kind):
+        sources = {"traces": TRACES, "corpus": CORPUS, "kg": KG}
+        if kind == "config":
+            lines = [b"{\n", b'  "seed": 3\n', b"}\n"]
+        else:
+            lines = Path(sources[kind]).read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:1] + b"\xff\xfe" + lines[2][1:]
+        bad = tmp_path / f"bad-{kind}"
+        bad.write_bytes(b"".join(lines))
+        args = {"--traces": TRACES, "--corpus": CORPUS, "--kg": KG}
+        if kind == "config":
+            args["--config"] = str(bad)
+        else:
+            args[f"--{kind}"] = str(bad)
+        code, err = run_main("simulate", *(a for kv in args.items() for a in kv),
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"input error: {bad}:3: not UTF-8" in err
+
+    def test_non_utf8_config_from_environment(self, tmp_path, monkeypatch):
+        bad = tmp_path / "config.json"
+        bad.write_bytes(b'{"seed": "\xe9"}')
+        monkeypatch.setenv("STREAMRAG_CONFIG", str(bad))
+        code, err = run_main("label", "--traces", TRACES, "--corpus", CORPUS,
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"input error: {bad}:1: not UTF-8" in err
+
+    def test_repeated_kg_query_names_both_records(self, tmp_path):
+        records = json.loads(Path(KG).read_text(encoding="utf-8"))
+        repeat = copy.deepcopy(records[1])
+        # canonical keys ignore the case of attribute values
+        repeat["query"] = {k: v.upper() if k != "domain" else v for k, v in repeat["query"].items()}
+        repeat["answer"] = "a different answer"
+        bad = tmp_path / "kg.json"
+        bad.write_text(json.dumps([*records, repeat]))
+        code, err = run_main("simulate", "--traces", TRACES, "--corpus", CORPUS, "--kg", str(bad),
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        canonical = (repeat["query"]["domain"], tuple(sorted(
+            (k, v.lower()) for k, v in repeat["query"].items() if k != "domain")))
+        assert (f"input error: {bad}: record {len(records)}: duplicate {canonical} "
+                f"(first at {bad}: record 1)") in err
+
+
+class TestUnwritableOutputs:
+    def _args(self, command: str, outcomes: Path) -> list[str]:
+        if command == "report":
+            return ["report", "--baseline", str(outcomes), "--strategy", str(outcomes)]
+        if command == "label":
+            return ["label", "--traces", TRACES, "--corpus", CORPUS]
+        return ["simulate", "--traces", TRACES, "--corpus", CORPUS, "--kg", KG]
+
+    @pytest.mark.parametrize("command", ["simulate", "label", "report"])
+    def test_out_dir_under_a_regular_file(self, tmp_path, outcomes, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        out = blocker / "x"
+        code, err = run_main(*self._args(command, outcomes), "--out-dir", str(out))
+        assert code == 2
+        assert f"input error: cannot create output directory {out}: " in err
+
+    @pytest.mark.parametrize("command,output", [("simulate", "outcomes.jsonl"),
+                                                ("label", "training.jsonl"),
+                                                ("report", "savings.json")])
+    def test_output_occupied_by_a_directory(self, tmp_path, outcomes, command, output):
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)
+        code, err = run_main(*self._args(command, outcomes), "--out-dir", str(out))
+        assert code == 2
+        assert f"input error: cannot write {out / output}: " in err
+        assert not (out / f"{output}.tmp").exists()
+
+
+class TestManifestBlockSize:
+    """The manifest records the block size the run used, defaulted or given."""
+
+    # the fixtures script queries for 500 ms blocks, which 1000 ms blocks align with
+    @pytest.mark.parametrize("given", [None, 500, 1000])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_simulate(self, tmp_path, strategy, given):
+        out = tmp_path / "out"
+        flags = [] if given is None else ["--block-ms", str(given)]
+        cli.main(args=["simulate", "--traces", TRACES, "--corpus", CORPUS, "--kg", KG,
+                       "--strategy", strategy, *flags, "--out-dir", str(out)],
+                 standalone_mode=False)
+        recorded = json.loads((out / "manifest.json").read_text())["config"]["block_ms"]
+        ingested = [e for e in _lines(out / "events.jsonl") if e["type"] == "block_ingested"]
+        if strategy in ("fixed_interval", "model_triggered"):
+            # a block before an utterance's last is ingested at b * block_ms
+            last = {e["utterance_id"]: e["block"] for e in ingested}
+            interior = [e for e in ingested if e["block"] < last[e["utterance_id"]]]
+            assert interior and {e["t_ms"] / e["block"] for e in interior} == {recorded}
+        else:
+            assert ingested == []  # these strategies never split the utterance
+        default = 500 if strategy == "model_triggered" else 1000
+        assert recorded == (default if given is None else given)
+
+    @pytest.mark.parametrize("given", [None, 1000])
+    def test_label(self, tmp_path, given):
+        out = tmp_path / "out"
+        flags = [] if given is None else ["--block-ms", str(given)]
+        cli.main(args=["label", "--traces", TRACES, "--corpus", CORPUS, *flags,
+                       "--out-dir", str(out)], standalone_mode=False)
+        recorded = json.loads((out / "manifest.json").read_text())["config"]["block_ms"]
+        assert recorded == json.loads((out / "summary.json").read_text())["block_ms"]
+        assert recorded == (500 if given is None else given)
+
+
+# --- fuzzing ---------------------------------------------------------------
+#
+# One line (one record, for kg and config) of one input file is damaged:
+# truncated, a value swapped for one of another type, a key dropped, or bytes
+# that are not UTF-8 injected. Whatever the damage, the CLI exits 0 or 2.
+# Swapped integers stay below 10**4: a word timestamp near 10**18 makes a
+# trace of that many milliseconds, whose blocks no run could finish.
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9_999), st.text(max_size=4),
+    st.floats(-1e4, 1e4), st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+json_values = st.one_of(scalars, st.lists(scalars, max_size=2),
+                        st.dictionaries(st.text(max_size=3), scalars, max_size=2))
+
+KINDS = {  # file kind -> the commands that read it
+    "traces": ["simulate", "label"],
+    "corpus": ["simulate", "label"],
+    "kg": ["simulate"],
+    "outcomes": ["report"],
+    "pseudo_gt": ["label"],
+    "judgments": ["report"],
+    "config": ["simulate", "label", "report"],
+}
+JSON_KINDS = {"kg": "kg.json", "config": "config.json"}
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory, outcomes) -> tuple[Path, dict[str, list]]:
+    """Small, valid inputs for every file kind, as lists of records."""
+    traces = _lines(Path(TRACES))[:3]
+    uids = {t["utterance_id"] for t in traces}
+    records = {
+        "traces": traces,
+        "corpus": _lines(Path(CORPUS)),
+        "kg": json.loads(Path(KG).read_text(encoding="utf-8")),
+        "outcomes": [o for o in _lines(outcomes) if o["utterance_id"] in uids],
+        "pseudo_gt": [{"utterance_id": t["utterance_id"], "block": int(b), **entry}
+                      for t in traces for b, entry in t["scripted_queries"].items()],
+        "judgments": [{"utterance_id": uid, "verdict": "accurate"} for uid in sorted(uids)],
+        "config": [{"seed": 3, "top_docs": 20, "block_ms": 500, "negative_prob": 0.5}],
+    }
+    return tmp_path_factory.mktemp("fuzz"), records
+
+
+def _dump(kind: str, records: list) -> bytes:
+    if kind == "kg":
+        return (json.dumps(records, indent=2) + "\n").encode()
+    if kind == "config":
+        return (json.dumps(records[0], indent=2) + "\n").encode()
+    return "".join(json.dumps(r) + "\n" for r in records).encode()
+
+
+def _damage_value(data, record):
+    """Swap one value, somewhere inside the record, for one of another type,
+    or drop one key; returns the damaged copy."""
+    record = copy.deepcopy(record)
+    container = record
+    while True:
+        keys = list(container) if isinstance(container, dict) else list(range(len(container)))
+        key = data.draw(st.sampled_from(keys))
+        child = container[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            container = child
+            continue
+        if isinstance(container, dict) and data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = data.draw(json_values.filter(lambda v: type(v) is not type(child)))
+        return record
+
+
+def _file_name(kind: str) -> str:
+    return JSON_KINDS.get(kind, f"{kind}.jsonl")
+
+
+def _command(command: str, paths: dict[str, str], strategy: str, out: str) -> list[str]:
+    config = ["--config", paths["config"], "--out-dir", out]
+    if command == "simulate":
+        return ["simulate", "--traces", paths["traces"], "--corpus", paths["corpus"],
+                "--kg", paths["kg"], "--strategy", strategy, *config]
+    if command == "label":
+        return ["label", "--traces", paths["traces"], "--corpus", paths["corpus"],
+                "--pseudo-gt", paths["pseudo_gt"], *config]
+    return ["report", "--baseline", paths["outcomes"], "--strategy", paths["outcomes"],
+            "--judgments", paths["judgments"], *config]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_damaged_input_exits_zero_or_two(fuzz_inputs, data):
+    base, records = fuzz_inputs
+    kind = data.draw(st.sampled_from(sorted(KINDS)), label="kind")
+    command = data.draw(st.sampled_from(KINDS[kind]), label="command")
+    strategy = data.draw(st.sampled_from(STRATEGIES), label="strategy")
+    damage = data.draw(st.sampled_from(["truncate", "value", "bytes"]), label="damage")
+    damaged = list(records[kind])
+    if damage == "value":
+        i = data.draw(st.integers(0, len(damaged) - 1), label="record")
+        damaged[i] = _damage_value(data, damaged[i])
+    raw_lines = _dump(kind, damaged).splitlines(keepends=True)
+    if damage != "value":
+        line = data.draw(st.integers(0, len(raw_lines) - 1), label="line")
+        text = raw_lines[line].rstrip(b"\n")
+        cut = data.draw(st.integers(0, len(text)), label="at")
+        if damage == "truncate":
+            raw_lines[line] = text[:cut] + b"\n"
+        else:
+            junk = data.draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82", b"\x80\x80"]))
+            raw_lines[line] = text[:cut] + junk + text[cut:] + b"\n"
+
+    with tempfile.TemporaryDirectory(dir=base) as work:
+        paths = {}
+        for name in KINDS:
+            path = Path(work) / _file_name(name)
+            path.write_bytes(b"".join(raw_lines) if name == kind else _dump(name, records[name]))
+            paths[name] = str(path)
+        code, err = run_main(*_command(command, paths, strategy, str(Path(work) / "out")))
+    assert code in (0, 2), err
+    if damage == "bytes":
+        assert f"{paths[kind]}:{line + 1}: not UTF-8" in err
