@@ -27,6 +27,8 @@ from .core import (
     SessionConfig,
     Strategy,
     UtteranceTrace,
+    is_int,
+    json_int,
     make_out_dir,
     read_json,
     read_jsonl,
@@ -35,7 +37,7 @@ from .core import (
     write_json,
     write_jsonl,
 )
-from .errors import AlignmentError, InputError
+from .errors import AlignmentError, EmptyTraceError, InputError
 from .labeling import (
     SimilarityContext,
     assign_streaming_labels,
@@ -89,16 +91,12 @@ DEFAULTS: dict[str, Any] = {
 _STRATEGIES = [s.value for s in Strategy]
 
 
-def _int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is an int
-
-
 def _positive(value: Any) -> bool:
-    return _int(value) and value >= 1
+    return is_int(value) and value >= 1
 
 
 def _non_negative(value: Any) -> bool:
-    return _int(value) and value >= 0
+    return is_int(value) and value >= 0
 
 
 def _stage(value: Any) -> bool:
@@ -120,10 +118,10 @@ _CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "reflect_top_k": (_positive, "a positive integer"),
     "chunk_tokens": (_positive, "a positive integer"),
     "reflect_ordered": (lambda v: isinstance(v, bool), "true or false"),
-    "negative_prob": (lambda v: (_int(v) or isinstance(v, float)) and 0 <= v <= 1,
+    "negative_prob": (lambda v: (is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
                       "in [0, 1]"),
     "endpoint_delay_ms": (_non_negative, "a non-negative integer"),
-    "seed": (_int, "an integer"),
+    "seed": (is_int, "an integer"),
     **{f"{stage}_ms": (_stage, "a non-negative integer, or a non-empty list of them")
        for stage in _STAGES},
 }
@@ -291,7 +289,7 @@ def simulate(traces_path, corpus_path, kg_path, out_dir, out_format, config_path
     for uid, message in errors:
         _echo(f"warning: trace {uid} failed: {message}", err=True)
     if not outcomes:
-        raise InputError("every trace failed; nothing to report")
+        raise InputError(f"{traces_path}: every trace failed; nothing to report")
 
     out = make_out_dir(out_dir)
     outputs = ["outcomes.jsonl", "events.jsonl"]
@@ -362,7 +360,12 @@ def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
     all_steps = []
     for trace in traces:
         overrides = pseudo_gt.get(trace.utterance_id)
-        steps = assign_streaming_labels(trace, block_ms, ctx, overrides)
+        try:
+            steps = assign_streaming_labels(trace, block_ms, ctx, overrides)
+        except EmptyTraceError as exc:
+            raise InputError(f"{traces_path}: {exc}") from exc
+        except InputError as exc:  # the references fall short
+            raise InputError(f"{pseudo_gt_path if overrides else traces_path}: {exc}") from exc
         all_steps.extend(steps)
         if show_labels:
             _echo(f"{trace.utterance_id}:")
@@ -397,7 +400,8 @@ def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
 
 def _read_pseudo_gt(path: str, traces) -> dict[str, dict]:
     records = read_jsonl(
-        path, lambda r: (str(r["utterance_id"]), int(r["block"]), ScriptedQueries.from_wire(r)),
+        path, lambda r: (str(r["utterance_id"]), json_int(r["block"], "block"),
+                         ScriptedQueries.from_wire(r)),
         "reference query", empty_ok=True,
         key=lambda r: f"reference query for utterance {r[0]!r} block {r[1]}")
     unknown = {uid for uid, _, _ in records} - {t.utterance_id for t in traces}
@@ -433,6 +437,8 @@ def report(baseline_path, strategy_path, judgments_path, out_dir, out_format,
                    (SavingsBasis.MEAN, SavingsBasis.P50)]
     except ValueError as exc:  # e.g. a closed_book baseline: no tool-use latency
         raise InputError(f"{baseline_path}: {exc}") from exc
+    except AlignmentError as exc:
+        raise AlignmentError(f"{baseline_path} and {strategy_path}: {exc}") from exc
     pair_rows = per_pair_savings_rows(baseline, strategy)
 
     out = make_out_dir(out_dir)

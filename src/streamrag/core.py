@@ -15,8 +15,9 @@ import json
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import Any, BinaryIO, Callable, Container, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import EmptyTraceError, InputError
 
@@ -203,19 +204,28 @@ class UtteranceTrace:
         return " ".join(w.text for w in self.words)
 
 
-def blocks_of(trace: UtteranceTrace, block_ms: int) -> list[tuple[BlockIndex, str]]:
+def blocks_of(trace: UtteranceTrace, block_ms: int, listed: Container[BlockIndex] | None = None,
+              what: str = "queries") -> list[tuple[BlockIndex, str]]:
     """Split a trace into block prefixes: block b holds words with end_ms <= b*block_ms.
 
     Returns one ``(block_index, prefix_transcript)`` pair per block, for
     blocks 1..B with ``B = ceil(last_end_ms / block_ms)``. The prefix of a
     block may be empty when no word has completed yet.
+
+    A block that ``listed`` lacks is an InputError naming ``what`` and the
+    first ten such blocks. It is raised before any prefix is built, after
+    looking at no more blocks than ``listed`` holds plus eleven, so a trace
+    far longer than its script costs no more than the script.
     """
     if block_ms <= 0:
         raise ValueError("block_ms must be positive")
-    if not trace.words:
-        raise EmptyTraceError(f"{trace.utterance_id}: trace has no words")
-    last_end = trace.end_ms
-    total_blocks = -(-last_end // block_ms)
+    total_blocks = -(-trace.end_ms // block_ms)
+    if listed is not None:
+        missing = list(islice((b for b in range(1, total_blocks + 1) if b not in listed), 11))
+        if missing:
+            more = f" and more of {total_blocks}" if len(missing) > 10 else ""
+            raise InputError(f"{trace.utterance_id}: no {what} for blocks {missing[:10]}{more} "
+                             f"at block_ms={block_ms}")
     out: list[tuple[BlockIndex, str]] = []
     texts: list[str] = []
     word_iter = iter(trace.words)
@@ -360,6 +370,17 @@ def read_json(path: str) -> Any:
         return _parse_json(fh.read(), path)
 
 
+def is_int(value: Any) -> bool:
+    """A JSON integer: not true or false (Python ints), a fraction or a string."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def json_int(value: Any, what: str) -> int:
+    if not is_int(value):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_records(numbered: Iterable[tuple[int, Any]], parse: Callable[[dict], T], what: str,
                   at: str, key: Callable[[T], Hashable] | None = None) -> list[T]:
     """Parse numbered JSON values into records; ``at`` plus a value's number
@@ -444,7 +465,8 @@ def trace_to_dict(trace: UtteranceTrace) -> dict[str, Any]:
 
 
 def trace_from_dict(raw: dict[str, Any]) -> UtteranceTrace:
-    words = [Word(str(w["text"]), int(w["start_ms"]), int(w["end_ms"])) for w in raw["words"]]
+    words = [Word(str(w["text"]), json_int(w["start_ms"], "start_ms"),
+                  json_int(w["end_ms"], "end_ms")) for w in raw["words"]]
     scripted: dict[int, ScriptedQueries] = {}
     for key, entry in raw.get("scripted_queries", {}).items():
         block = int(key)

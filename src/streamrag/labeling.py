@@ -23,6 +23,7 @@ from .core import (
     ToolQuery,
     UtteranceTrace,
     blocks_of,
+    json_int,
     read_jsonl,
     write_jsonl,
 )
@@ -75,10 +76,7 @@ def assign_streaming_labels(
     decisions. ``pseudo_gt`` defaults to the trace's scripted queries.
     """
     references = pseudo_gt if pseudo_gt is not None else trace.scripted_queries
-    blocks = blocks_of(trace, block_ms)
-    missing = [b for b, _ in blocks if b not in references]
-    if missing:
-        raise InputError(f"{trace.utterance_id}: missing reference queries for blocks {missing}")
+    blocks = blocks_of(trace, block_ms, references, "reference queries")
 
     steps: list[LabeledStep] = []
     prev: dict[Tool, ToolQuery] = {Tool.WEB: NO_QUERY, Tool.KG: NO_QUERY}
@@ -208,7 +206,7 @@ def step_from_dict(raw: dict) -> LabeledStep:
 
     return LabeledStep(
         utterance_id=str(raw["utterance_id"]),
-        block=int(raw["block"]),
+        block=json_int(raw["block"], "block"),
         tool=tool,
         prefix=str(raw["prefix_text"]),
         prev_query=query("original_prev" if is_negative else "prev_query"),

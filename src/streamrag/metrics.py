@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -92,14 +92,7 @@ class SavingsReport:
     n_pairs: int
 
     def to_dict(self) -> dict:
-        return {
-            "basis": self.basis.value,
-            "tool_use_latency_base_s": self.tool_use_latency_base_s,
-            "mean_savings_pct": self.mean_savings_pct,
-            "pct_queries_benefiting": self.pct_queries_benefiting,
-            "max_parallel_threads": self.max_parallel_threads,
-            "n_pairs": self.n_pairs,
-        }
+        return {**asdict(self), "basis": self.basis.value}
 
 
 def _by_utterance(outcomes: Sequence[SessionOutcome], side: str) -> dict[str, SessionOutcome]:

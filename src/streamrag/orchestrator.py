@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import Any, Callable, Sequence
 
@@ -33,6 +33,7 @@ from .core import (
     ToolQuery,
     UtteranceTrace,
     blocks_of,
+    is_int,
 )
 from .errors import InputError
 from .reflector import (
@@ -136,13 +137,7 @@ class LatencyBreakdown:
     last_token_ms: int
 
     def to_dict(self) -> dict:
-        return {
-            "query_gen_ms": self.query_gen_ms,
-            "tool_results_ms": self.tool_results_ms,
-            "response_gen_ms": self.response_gen_ms,
-            "first_token_ms": self.first_token_ms,
-            "last_token_ms": self.last_token_ms,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -468,7 +463,7 @@ def outcome_from_dict(raw: dict) -> SessionOutcome:
     fields to non-negative integers; JSON true is not one.
     """
     lat = raw["latency"]
-    if sorted(lat) != _LATENCY_FIELDS or any(type(v) is not int or v < 0 for v in lat.values()):
+    if sorted(lat) != _LATENCY_FIELDS or not all(is_int(v) and v >= 0 for v in lat.values()):
         raise InputError(f"latency must map {_LATENCY_FIELDS} to non-negative integers, "
                          f"got {lat!r}")
     refs = raw["references"]

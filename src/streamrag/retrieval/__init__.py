@@ -10,9 +10,9 @@ The index is built in one pass over the corpus's tokens (single-pass
 in-memory inversion, Heinz & Zobel 2003): the texts are lowercased and
 stripped in one call, and each document's tokens, split one document at a
 time, assign term ids and append the document to a term's postings at its
-first occurrence there. A second pass over each document's counts, in
-ascending term id, sums its norm and records the counts beside the postings.
-A posting's weight, count times idf, is computed where it is read.
+first occurrence there, or count a repeat. The norms are summed term by
+term, in ascending id, so each document's squares add in that order. A
+posting's weight, count times idf, is computed where it is read.
 
 A search for the top k is the threshold algorithm (Fagin, Lotem & Naor, 2001).
 It walks the posting lists of the query's terms side by side, each in
@@ -42,6 +42,7 @@ from array import array
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from ..core import KgQuery, Tool, ToolQuery, parse_records
@@ -112,9 +113,9 @@ class DocIndex:
     indices of the documents containing term ``t``, ascending, and
     ``post_counts[t]`` its count in each; a posting's weight is
     ``count * idf[t]``, computed where it is read. Both lists come from one
-    pass over the corpus's tokens, the document norms from a second pass over
-    each document's counts. Rebuilding from the same corpus yields the same
-    index; all lookups are pure, so rankings are memoised (see ``ranking``).
+    pass over the corpus's tokens, the norms from a pass over the postings.
+    Rebuilding from the same corpus yields the same index; all lookups are
+    pure, so rankings are memoised (see ``ranking``).
     """
 
     def __init__(self, docs: Sequence[tuple[str, str]]) -> None:
@@ -132,41 +133,33 @@ class DocIndex:
 
         vocab: dict[str, int] = {}
         postings: list[list[int]] = []
-        doc_counts: list[dict[int, int] | None] = []
+        post_counts: list[list[int]] = []
         for d, tokens in enumerate(tokenize_all([text for _, text in docs])):
-            counts: dict[int, int] = {}
             for token in tokens:
                 tid = vocab.get(token)
                 if tid is None:
-                    tid = vocab[token] = len(vocab)
+                    vocab[token] = len(postings)
                     postings.append([d])
-                    counts[tid] = 1
-                elif tid in counts:
-                    counts[tid] += 1
+                    post_counts.append([1])
+                elif postings[tid][-1] == d:  # a repeat within this document
+                    post_counts[tid][-1] += 1
                 else:
                     postings[tid].append(d)
-                    counts[tid] = 1
-            doc_counts.append(counts)
+                    post_counts[tid].append(1)
 
+        n = self.n_docs
         self.vocab = vocab
         self.postings = postings
-        self.idf = idf = array("d", (self._idf_value(len(term_docs)) for term_docs in postings))
-        self._default_idf = self._idf_value(0)
-
-        # norms sum each document's weights in ascending term id
-        post_counts: list[list[int]] = [[] for _ in postings]
-        norms = array("d")
-        for d, counts in enumerate(doc_counts):
-            doc_counts[d] = None
-            sq = 0.0
-            for tid in sorted(counts):
-                count = counts[tid]
-                post_counts[tid].append(count)
-                w = count * idf[tid]
-                sq += w * w
-            norms.append(math.sqrt(sq))
         self.post_counts = post_counts
-        self._norms = norms
+        self.idf = idf = array("d", [math.log((1.0 + n) / (1.0 + len(p))) + 1.0 for p in postings])
+        self._default_idf = math.log(1.0 + n) + 1.0  # df 0
+        # term by term in ascending id, so each document's squares add in that order
+        sq = [0.0] * n
+        for term_docs, counts, idf_t in zip(postings, post_counts, idf):
+            for d, count in zip(term_docs, counts):
+                w = count * idf_t
+                sq[d] += w * w
+        self._norms = array("d", map(math.sqrt, sq))
         # zero-score documents fill a short ranking in doc_id order
         self._by_doc_id = array("i", sorted(range(self.n_docs), key=self.doc_ids.__getitem__))
         # term id -> its postings in impact order (see _impact_order)
@@ -174,9 +167,6 @@ class DocIndex:
         # query text -> (largest k asked, doc ids, scores), oldest use first
         self._rankings: OrderedDict[str, tuple] = OrderedDict()
         self._rankings_lock = threading.Lock()
-
-    def _idf_value(self, df: int) -> float:
-        return math.log((1.0 + self.n_docs) / (1.0 + df)) + 1.0
 
     def doc_text(self, doc_id: str) -> str:
         return self._texts[doc_id]
@@ -374,10 +364,8 @@ def chunk_and_rerank(
 class KgStore:
     """Exact-match mock KG: canonicalized structured query -> answer string."""
 
-    def __init__(self, entries: Iterable[tuple[KgQuery, str]] = ()) -> None:
-        self._entries: dict[tuple, str] = {}
-        for query, answer in entries:
-            self._entries[query.canonical_key()] = answer
+    def __init__(self, entries: dict[tuple, str]) -> None:
+        self._entries = entries  # KgQuery.canonical_key -> answer
 
     def lookup(self, query: KgQuery) -> str | None:
         return self._entries.get(query.canonical_key())
@@ -387,10 +375,11 @@ class KgStore:
         """Build a store from {"query", "answer"} records. A fault in a record,
         or a canonical query (``KgQuery.canonical_key``) that an earlier record
         holds, is an InputError naming ``source`` and the record's index."""
-        return cls(parse_records(
+        return cls(dict(parse_records(
             enumerate(records),
-            lambda record: (KgQuery.from_flat_dict(record["query"]), str(record["answer"])),
-            "kg record", f"{source}: record ", key=lambda entry: entry[0].canonical_key()))
+            lambda record: (KgQuery.from_flat_dict(record["query"]).canonical_key(),
+                            str(record["answer"])),
+            "kg record", f"{source}: record ", key=itemgetter(0))))
 
 
 def kg_lookup(store: KgStore, query: ToolQuery) -> str | None:

@@ -75,12 +75,7 @@ def _prefix_map(trace: UtteranceTrace, block_ms: int) -> dict[str, ScriptedQueri
     Every block must be scripted, and blocks that share a prefix (no new word
     completed) must be scripted identically.
     """
-    blocks = blocks_of(trace, block_ms)
-    missing = [b for b, _ in blocks if b not in trace.scripted_queries]
-    if missing:
-        raise InputError(
-            f"{trace.utterance_id}: no scripted queries for blocks {missing} at block_ms={block_ms}"
-        )
+    blocks = blocks_of(trace, block_ms, trace.scripted_queries, "scripted queries")
     by_prefix: dict[str, ScriptedQueries] = {}
     for b, prefix in blocks:
         entry = trace.scripted_queries[b]

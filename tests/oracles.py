@@ -83,6 +83,7 @@ class OracleDenseIndex:
 
         self.offsets = [0]
         self.tids: list[int] = []
+        self.counts: list[int] = []
         self.weights: list[float] = []
         self.norms: list[float] = []
         for counts in doc_counts:
@@ -90,10 +91,22 @@ class OracleDenseIndex:
             for tid in sorted(counts):
                 w = counts[tid] * self.idf[tid]
                 self.tids.append(tid)
+                self.counts.append(counts[tid])
                 self.weights.append(w)
                 sq += w * w
             self.offsets.append(len(self.tids))
             self.norms.append(math.sqrt(sq))
+
+    def postings(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per term, the documents whose rows hold it, ascending, and its
+        count in each: the rows read column by column."""
+        docs: list[list[int]] = [[] for _ in self.vocab]
+        counts: list[list[int]] = [[] for _ in self.vocab]
+        for d in range(len(self.norms)):
+            for j in range(self.offsets[d], self.offsets[d + 1]):
+                docs[self.tids[j]].append(d)
+                counts[self.tids[j]].append(self.counts[j])
+        return docs, counts
 
     def query_vector(self, query: str) -> tuple[list[float], float]:
         counts: dict[str, int] = {}

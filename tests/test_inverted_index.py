@@ -1,4 +1,4 @@
-"""The inverted index scores and ranks exactly as the dense CSR oracle does.
+"""The inverted index holds, scores and ranks exactly as the dense CSR oracle does.
 
 Scores are compared as float hex strings, so any change in summation order or
 arithmetic shows up; rankings are compared with the oracle's full
@@ -58,6 +58,19 @@ def _hex(scores) -> list[str]:
     return [s.hex() for s in scores]
 
 
+def assert_index_matches_oracle(index, oracle: OracleDenseIndex) -> None:
+    """Vocabulary, postings and counts equal the oracle's rows read column by
+    column; idf and every document's norm, touched by a query or not, are the
+    same doubles."""
+    assert list(index.vocab.items()) == list(oracle.vocab.items())
+    docs, counts = oracle.postings()
+    assert [list(p) for p in index.postings] == docs
+    assert [list(c) for c in index.post_counts] == counts
+    assert _hex(index.idf) == _hex(oracle.idf)
+    assert index._default_idf.hex() == oracle.default_idf.hex()
+    assert _hex(index._norms) == _hex(oracle.norms)
+
+
 def assert_scores_match(index, oracle: OracleDenseIndex, query: str) -> None:
     expected = oracle.scores(query)
     scores = index.score_all(query)
@@ -80,6 +93,7 @@ def assert_top_k_match(index, oracle: OracleDenseIndex, query: str) -> None:
 def test_scores_and_top_k_match_oracle_on_generated_corpora(corpus, queries):
     index = index_documents(corpus)
     oracle = OracleDenseIndex(corpus)
+    assert_index_matches_oracle(index, oracle)
     for query in queries:
         assert_scores_match(index, oracle, query)
         assert_top_k_match(index, oracle, query)
@@ -109,9 +123,15 @@ def _fixture_queries(world) -> list[str]:
 
 def test_scores_and_top_k_match_oracle_on_fixture_corpus(world, index):
     oracle = OracleDenseIndex(world.corpus)
+    assert_index_matches_oracle(index, oracle)
     for query in _fixture_queries(world):
         assert_scores_match(index, oracle, query)
         assert_top_k_match(index, oracle, query)
+
+
+def test_the_build_matches_the_oracle_on_a_2000_doc_corpus():
+    world = FixtureWorld(2000)
+    assert_index_matches_oracle(index_documents(world.corpus), OracleDenseIndex(world.corpus))
 
 
 def test_score_texts_matches_oracle_on_fixture_chunks(world, index):
@@ -127,6 +147,7 @@ def test_a_corpus_holding_nul_matches_the_oracle():
               {"doc_id": "d2", "text": "\u03a3 alpha"}, {"doc_id": "d3", "text": "beta\x00"}]
     index = index_documents(corpus)
     oracle = OracleDenseIndex(corpus)
+    assert_index_matches_oracle(index, oracle)
     for query in ["alpha", "alpha\x00beta", "\u03bf\u03b4\u03bf\u03c2 \u03c3", "beta"]:
         assert_scores_match(index, oracle, query)
         assert_top_k_match(index, oracle, query)

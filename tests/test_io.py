@@ -12,6 +12,8 @@ import copy
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -20,6 +22,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from streamrag.cli import cli, main
+from streamrag.errors import InputError
+from streamrag.labeling import read_training_set
+
+from subproc import child_env
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TRACES, CORPUS, KG = (str(FIXTURES / name) for name in ("traces.jsonl", "corpus.jsonl", "kg.json"))
@@ -161,6 +167,116 @@ class TestFaultyInputsExitTwo:
                 f"(first at {bad}: record 1)") in err
 
 
+def _write_lines(path: Path, rows: list) -> str:
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    return str(path)
+
+
+def _pseudo_gt(traces: list[dict]) -> list[dict]:
+    """The traces' scripted queries as reference-query records."""
+    return [{"utterance_id": t["utterance_id"], "block": int(b), **entry}
+            for t in traces for b, entry in t["scripted_queries"].items()]
+
+
+# JSON values that int() once read as integers: true as 1, 450.9 and 1.7
+# truncated, "12" parsed
+NOT_INTEGERS = [True, 450.9, "12", 1.7]
+
+
+class TestIntegersExitTwo:
+    """Every integer field takes one rule: a JSON integer, nothing int() accepts."""
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    @pytest.mark.parametrize("field", ["start_ms", "end_ms"])
+    def test_trace_word_time(self, tmp_path, field, value):
+        rows = _lines(Path(TRACES))
+        rows[1]["words"][2][field] = value
+        bad = _write_lines(tmp_path / "traces.jsonl", rows)
+        code, err = run_main("simulate", "--traces", bad, "--corpus", CORPUS, "--kg", KG,
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2, err
+        assert f"input error: {bad}:2: {field} must be an integer, got {value!r}" in err
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    def test_pseudo_gt_block(self, tmp_path, value):
+        records = _pseudo_gt(_lines(Path(TRACES)))
+        records[2]["block"] = value
+        bad = _write_lines(tmp_path / "pseudo_gt.jsonl", records)
+        code, err = run_main("label", "--traces", TRACES, "--corpus", CORPUS, "--pseudo-gt", bad,
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2, err
+        assert f"input error: {bad}:3: block must be an integer, got {value!r}" in err
+
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    def test_training_record_block(self, tmp_path, value):
+        out = tmp_path / "out"
+        code, err = run_main("label", "--traces", TRACES, "--corpus", CORPUS, "--out-dir", str(out))
+        assert code == 0, err
+        rows = _lines(out / "training.jsonl")
+        rows[1]["block"] = value
+        bad = _write_lines(tmp_path / "training.jsonl", rows)
+        with pytest.raises(InputError) as info:
+            read_training_set(bad)
+        assert str(info.value) == f"{bad}:2: block must be an integer, got {value!r}"
+
+
+# The run's child is capped at 2 GiB of address space, so a trace whose blocks
+# were enumerated would fail with exit 3, not exhaust the machine; it prints
+# the seconds main() took.
+_TIMED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+from streamrag.cli import main
+start = time.perf_counter()
+try:
+    main(sys.argv[1:])
+finally:
+    print(f"seconds: {time.perf_counter() - start:.3f}", file=sys.stderr)
+"""
+
+
+class TestNamedFailures:
+    """Failures found after every record parsed still name the file at fault."""
+
+    @pytest.mark.parametrize("command", ["simulate", "label"])
+    def test_a_trace_far_longer_than_its_script_exits_two_at_once(self, tmp_path, command):
+        trace = _lines(Path(TRACES))[0]
+        trace["words"][-1]["end_ms"] = 10**12
+        traces = _write_lines(tmp_path / "traces.jsonl", [trace])
+        args = (["simulate", "--kg", KG, "--strategy", "fixed_interval"] if command == "simulate"
+                else ["label"])
+        run = subprocess.run([sys.executable, "-c", _TIMED_MAIN, *args, "--traces", traces,
+                              "--corpus", CORPUS, "--out-dir", str(tmp_path / "out")],
+                             capture_output=True, text=True, env=child_env(), timeout=120)
+        assert run.returncode == 2, run.stderr
+        first_ten = f"{trace['utterance_id']}: no %s for blocks {list(range(6, 16))} and more"
+        if command == "simulate":
+            assert first_ten % "scripted queries" + " of 1000000000 at block_ms=1000" in run.stderr
+            assert f"input error: {traces}: every trace failed" in run.stderr
+        else:
+            assert (f"input error: {traces}: " + first_ten % "reference queries"
+                    + " of 2000000000 at block_ms=500") in run.stderr
+        assert float(run.stderr.rsplit("seconds: ", 1)[1]) < 1.0
+
+    def test_missing_reference_queries_name_the_pseudo_gt_file(self, tmp_path):
+        traces = _lines(Path(TRACES))
+        records = [r for r in _pseudo_gt(traces)
+                   if (r["utterance_id"], r["block"]) != ("jump-shots", 3)]
+        pseudo_gt = _write_lines(tmp_path / "pseudo_gt.jsonl", records)
+        code, err = run_main("label", "--traces", TRACES, "--corpus", CORPUS,
+                             "--pseudo-gt", pseudo_gt, "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert (f"input error: {pseudo_gt}: jump-shots: no reference queries for blocks [3] "
+                "at block_ms=500") in err
+
+    def test_unpaired_outcomes_name_both_files(self, tmp_path, outcomes):
+        short = _write_lines(tmp_path / "short.jsonl", _lines(outcomes)[:-1])
+        code, err = run_main("report", "--baseline", str(outcomes), "--strategy", short,
+                             "--out-dir", str(tmp_path / "rep"))
+        assert code == 2
+        assert f"input error: {outcomes} and {short}: outcomes do not pair by utterance_id" in err
+
+
 class TestUnwritableOutputs:
     def _args(self, command: str, outcomes: Path) -> list[str]:
         if command == "report":
@@ -230,11 +346,9 @@ class TestManifestBlockSize:
 # One line (one record, for kg and config) of one input file is damaged:
 # truncated, a value swapped for one of another type, a key dropped, or bytes
 # that are not UTF-8 injected. Whatever the damage, the CLI exits 0 or 2.
-# Swapped integers stay below 10**4: a word timestamp near 10**18 makes a
-# trace of that many milliseconds, whose blocks no run could finish.
 
 scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 9_999), st.text(max_size=4),
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4),
     st.floats(-1e4, 1e4), st.sampled_from([math.nan, math.inf, -math.inf]),
 )
 json_values = st.one_of(scalars, st.lists(scalars, max_size=2),
@@ -262,8 +376,7 @@ def fuzz_inputs(tmp_path_factory, outcomes) -> tuple[Path, dict[str, list]]:
         "corpus": _lines(Path(CORPUS)),
         "kg": json.loads(Path(KG).read_text(encoding="utf-8")),
         "outcomes": [o for o in _lines(outcomes) if o["utterance_id"] in uids],
-        "pseudo_gt": [{"utterance_id": t["utterance_id"], "block": int(b), **entry}
-                      for t in traces for b, entry in t["scripted_queries"].items()],
+        "pseudo_gt": _pseudo_gt(traces),
         "judgments": [{"utterance_id": uid, "verdict": "accurate"} for uid in sorted(uids)],
         "config": [{"seed": 3, "top_docs": 20, "block_ms": 500, "negative_prob": 0.5}],
     }
