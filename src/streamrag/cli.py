@@ -26,7 +26,7 @@ from .core import (
     ScriptedQueries,
     SessionConfig,
     Strategy,
-    UtteranceTrace,
+    is_digits,
     is_int,
     json_int,
     make_out_dir,
@@ -56,11 +56,12 @@ from .metrics import (
 )
 from .orchestrator import (
     Backends,
+    GeneratorFactory,
     LatencyModel,
     outcome_from_dict,
     run_batch,
 )
-from .retrieval import KgStore, index_documents
+from .retrieval import DocIndex, KgStore, index_documents
 from .triggers import (
     FinalQueryGenerator,
     ScriptedQueryGenerator,
@@ -75,7 +76,7 @@ DEFAULTS: dict[str, Any] = {
     "top_docs": 50,
     "reflect_top_k": 5,
     "chunk_tokens": 128,
-    "reflect_ordered": True,
+    "reflect_ordered": None,  # per-strategy default
     "negative_prob": 0.1,
     "endpoint_delay_ms": 0,
     "seed": 0,
@@ -106,6 +107,15 @@ def _stage(value: Any) -> bool:
     return _non_negative(value)
 
 
+def _parse_ratio(raw: str) -> tuple[int, int] | None:
+    """web:kg, each in plain ASCII digits, as in '2:1'; None if malformed."""
+    web, _, kg = raw.partition(":")
+    try:
+        return (int(web), int(kg)) if is_digits(web) and is_digits(kg) else None
+    except ValueError:  # more digits than int() reads
+        return None
+
+
 _STAGES = ("query_gen", "web_fetch", "chunk_rerank", "kg_lookup", "response_gen", "response_tail")
 
 # What each DEFAULTS key accepts, from flags and config files alike.
@@ -113,11 +123,12 @@ _CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "strategy": (lambda v: v in _STRATEGIES, f"one of {_STRATEGIES}"),
     "block_ms": (lambda v: v is None or _non_negative(v), "a non-negative integer"),
     "ref_length_tokens": (_non_negative, "a non-negative integer"),
-    "web_kg_ratio": (lambda v: isinstance(v, str), "a string like '2:1'"),
+    "web_kg_ratio": (lambda v: isinstance(v, str) and _parse_ratio(v) is not None,
+                     "web:kg in ASCII digits, like '2:1'"),
     "top_docs": (_positive, "a positive integer"),
     "reflect_top_k": (_positive, "a positive integer"),
     "chunk_tokens": (_positive, "a positive integer"),
-    "reflect_ordered": (lambda v: isinstance(v, bool), "true or false"),
+    "reflect_ordered": (lambda v: v is None or isinstance(v, bool), "true or false"),
     "negative_prob": (lambda v: (is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
                       "in [0, 1]"),
     "endpoint_delay_ms": (_non_negative, "a non-negative integer"),
@@ -158,12 +169,10 @@ def _load_config_file(explicit_path: str | None) -> dict[str, Any]:
     return raw
 
 
-def _resolve(flags: dict[str, Any], config_path: str | None,
-             **command_defaults: Any) -> dict[str, Any]:
-    """Defaults (a command's own first), then the config file, then the flags
-    given. Flags are keyed by parameter name; an error names the flag or the
-    config key."""
-    resolved = {**DEFAULTS, **command_defaults}
+def _resolve(flags: dict[str, Any], config_path: str | None) -> dict[str, Any]:
+    """Defaults, then the config file, then the flags given. Flags are keyed
+    by parameter name; an error names the flag or the config key."""
+    resolved = dict(DEFAULTS)
     resolved.update(_load_config_file(config_path))
     options = {p.name: p.opts[0] for p in click.get_current_context().command.params}
     for key, value in flags.items():
@@ -171,14 +180,6 @@ def _resolve(flags: dict[str, Any], config_path: str | None,
             _check_value(key, value, options[key])
             resolved[key] = value
     return resolved
-
-
-def _parse_ratio(raw: str) -> tuple[int, int]:
-    try:
-        web, kg = raw.split(":")
-        return int(web), int(kg)
-    except ValueError as exc:
-        raise InputError(f"ratio must look like '2:1', got {raw!r}") from exc
 
 
 def _sha256(path: str) -> str:
@@ -284,7 +285,7 @@ def simulate(traces_path, corpus_path, kg_path, out_dir, out_format, config_path
     backends = Backends(index=index_documents(_read_corpus(corpus_path)), kg_store=_read_kg(kg_path))
     traces = read_traces(traces_path)
 
-    factory = _generator_factory(strategy_enum, session_config, backends)
+    factory = generator_factory(session_config, backends.index)
     outcomes, errors = run_batch(traces, session_config, factory, backends, latency)
     for uid, message in errors:
         _echo(f"warning: trace {uid} failed: {message}", err=True)
@@ -306,25 +307,35 @@ def simulate(traces_path, corpus_path, kg_path, out_dir, out_format, config_path
                    ["strategy", "stat", "query_gen", "tool_results", "response_gen", "total"])
         outputs.append("latency_table.csv")
 
-    cfg["block_ms"] = session_config.block_ms  # the size that ran, default or not
+    # the block size and web-match mode that ran, default or not
+    cfg["block_ms"], cfg["reflect_ordered"] = session_config.block_ms, session_config.reflect_ordered
     _write_manifest(out, "simulate", cfg,
                     {"traces": traces_path, "corpus": corpus_path, "kg": kg_path},
                     outputs, seed=cfg["seed"])
     _echo(f"simulated {len(outcomes)} sessions ({strategy_enum.value}) -> {out}")
 
 
-def _generator_factory(strategy: Strategy, config: SessionConfig, backends: Backends
-                       ) -> Callable[[UtteranceTrace], Any]:
-    if strategy is Strategy.CLOSED_BOOK:
+def generator_factory(config: SessionConfig, index: DocIndex) -> GeneratorFactory:
+    """The scripted query generator of ``config.strategy``, per trace.
+
+    The model-triggered generator replays the fire/NO_QUERY labels that
+    ``label`` builds under the same config.
+    """
+    if config.strategy is Strategy.CLOSED_BOOK:
         return lambda trace: None
-    if strategy is Strategy.OPEN_BOOK:
+    if config.strategy is Strategy.OPEN_BOOK:
         return lambda trace: FinalQueryGenerator(trace)
-    if strategy is Strategy.FIXED_INTERVAL:
+    if config.strategy is Strategy.FIXED_INTERVAL:
         return lambda trace: ScriptedQueryGenerator(trace, config.block_ms)
-    ctx = SimilarityContext(index=backends.index, compare_k=config.reflect_top_k,
-                            retrieve_k=config.top_docs, ordered=False)
+    ctx = _similarity_ctx(config, index)
     similar = lambda current, prev: similarity_f(current, prev, ctx)
     return lambda trace: StreamingScriptedGenerator(trace, config.block_ms, similar)
+
+
+def _similarity_ctx(config: SessionConfig, index: DocIndex) -> SimilarityContext:
+    """The trigger's and the labels' equivalence check."""
+    return SimilarityContext(index=index, compare_k=config.reflect_top_k,
+                             retrieve_k=config.top_docs, ordered=config.reflect_ordered)
 
 
 @cli.command()
@@ -340,20 +351,21 @@ def _generator_factory(strategy: Strategy, config: SessionConfig, backends: Back
 @click.option("--web-match", "reflect_ordered", type=click.Choice(["set", "ordered"]),
               callback=lambda ctx, param, mode: None if mode is None else mode == "ordered",
               help="Top-document comparison mode for web equivalence; defaults to the "
-                   "config's reflect_ordered, else set.")
+                   "config's reflect_ordered, else set, as model_triggered's.")
 @click.option("--show-labels", is_flag=True, help="Echo the per-block label table per utterance.")
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
 def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
           config_path, **flags) -> None:
     """Build a streaming-trigger training set (fire vs NO_QUERY) with negatives."""
-    cfg = _resolve(flags, config_path, reflect_ordered=False)
-    cfg["block_ms"] = block_ms = cfg["block_ms"] or 500
+    cfg = _resolve(flags, config_path)
+    config = SessionConfig(strategy=Strategy.MODEL_TRIGGERED, block_ms=cfg["block_ms"] or 0,
+                           top_docs=cfg["top_docs"], reflect_top_k=cfg["reflect_top_k"],
+                           reflect_ordered=cfg["reflect_ordered"])
+    cfg["block_ms"], cfg["reflect_ordered"] = config.block_ms, config.reflect_ordered
 
     traces = read_traces(traces_path)
-    index = index_documents(_read_corpus(corpus_path))
-    ctx = SimilarityContext(index=index, compare_k=cfg["reflect_top_k"],
-                            retrieve_k=cfg["top_docs"], ordered=cfg["reflect_ordered"])
+    ctx = _similarity_ctx(config, index_documents(_read_corpus(corpus_path)))
 
     pseudo_gt = _read_pseudo_gt(pseudo_gt_path, traces) if pseudo_gt_path else {}
 
@@ -361,7 +373,7 @@ def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
     for trace in traces:
         overrides = pseudo_gt.get(trace.utterance_id)
         try:
-            steps = assign_streaming_labels(trace, block_ms, ctx, overrides)
+            steps = assign_streaming_labels(trace, config.block_ms, ctx, overrides)
         except EmptyTraceError as exc:
             raise InputError(f"{traces_path}: {exc}") from exc
         except InputError as exc:  # the references fall short
@@ -385,7 +397,7 @@ def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
         "no_query": len(labeled) - fires,
         "negatives": sum(1 for s in labeled if s.is_negative_sample),
         "utterances": len(traces),
-        "block_ms": block_ms,
+        "block_ms": config.block_ms,
     }
     write_json(out / "summary.json", summary)
     inputs = {"traces": traces_path, "corpus": corpus_path}
@@ -431,6 +443,7 @@ def report(baseline_path, strategy_path, judgments_path, out_dir, out_format,
     cfg = _resolve(flags, config_path)
     baseline = _read_outcomes(baseline_path)
     strategy = _read_outcomes(strategy_path)
+    scores = score_responses(read_judgments(judgments_path)) if judgments_path else None
 
     try:
         reports = [savings_report(baseline, strategy, basis) for basis in
@@ -458,14 +471,16 @@ def report(baseline_path, strategy_path, judgments_path, out_dir, out_format,
     outputs.append("savings_per_utterance.csv")
 
     inputs = {"baseline": baseline_path, "strategy": strategy_path}
-    if judgments_path:
-        scores = score_responses(read_judgments(judgments_path))
+    if scores is not None:
         write_json(out / "scores.json", scores)
         outputs.append("scores.json")
         inputs["judgments"] = judgments_path
     else:
         _echo("no judgments file given; scores skipped", err=True)
 
+    # no session runs: record the mode that a session of the configured strategy runs
+    cfg["reflect_ordered"] = SessionConfig(cfg["strategy"],
+                                           reflect_ordered=cfg["reflect_ordered"]).reflect_ordered
     _write_manifest(out, "report", cfg, inputs, outputs, seed=cfg["seed"])
     _echo(f"report written -> {out}")
 

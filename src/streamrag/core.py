@@ -296,7 +296,10 @@ class SessionConfig:
     ``block_ms`` defaults by strategy: 1000 for fixed-interval triggering,
     500 for model-triggered. ``web_kg_ratio`` is web:kg within the reference
     budget. ``reflect_ordered`` picks ordered vs set comparison of top doc
-    lists when judging result equivalence.
+    lists when judging web results equivalent; the one mode governs whichever
+    of the reflector (fixed-interval) and the trigger runs, and it defaults by
+    strategy too: set for model-triggered, whose labels are built in set mode
+    by default, ordered otherwise.
     """
 
     strategy: Strategy = Strategy.OPEN_BOOK
@@ -306,7 +309,7 @@ class SessionConfig:
     top_docs: int = 50
     reflect_top_k: int = 5
     chunk_tokens: int = 128
-    reflect_ordered: bool = True
+    reflect_ordered: bool | None = None  # None = resolve from strategy
     endpoint_delay_ms: int = 0
     rng_seed: int = 0
 
@@ -314,6 +317,8 @@ class SessionConfig:
         self.strategy = Strategy(self.strategy)
         if self.block_ms == 0:
             self.block_ms = default_block_ms(self.strategy)
+        if self.reflect_ordered is None:
+            self.reflect_ordered = self.strategy is not Strategy.MODEL_TRIGGERED
         if self.block_ms <= 0:
             raise InputError("block_ms must be positive")
         if self.ref_length_tokens < 0:
@@ -375,10 +380,17 @@ def is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def json_int(value: Any, what: str) -> int:
+def json_int(value: Any, what: str, minimum: int | None = None) -> int:
     if not is_int(value):
         raise InputError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InputError(f"{what} must be at least {minimum}, got {value!r}")
     return value
+
+
+def is_digits(text: str) -> bool:
+    """Plain ASCII decimal digits: no sign, space, ``_`` or other script's digits."""
+    return text.isascii() and text.isdigit()
 
 
 def parse_records(numbered: Iterable[tuple[int, Any]], parse: Callable[[dict], T], what: str,
@@ -469,9 +481,9 @@ def trace_from_dict(raw: dict[str, Any]) -> UtteranceTrace:
                   json_int(w["end_ms"], "end_ms")) for w in raw["words"]]
     scripted: dict[int, ScriptedQueries] = {}
     for key, entry in raw.get("scripted_queries", {}).items():
+        if not is_digits(key) or int(key) < 1:
+            raise InputError(f"scripted_queries key {key!r}: blocks are 1-based, in ASCII digits")
         block = int(key)
-        if block < 1:
-            raise InputError(f"scripted_queries key {key!r}: blocks are 1-based")
         if block in scripted:
             raise InputError(f"scripted_queries key {key!r} repeats block {block}")
         scripted[block] = ScriptedQueries.from_wire(entry)

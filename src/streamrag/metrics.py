@@ -215,4 +215,4 @@ def score_responses(judgments: Sequence[Judgment]) -> dict[str, float]:
 
 def read_judgments(path: str) -> list[Judgment]:
     return read_jsonl(path, lambda raw: Judgment(str(raw["utterance_id"]), Verdict(raw["verdict"])),
-                      "judgment")
+                      "judgment", key=lambda j: f"judgment for utterance {j.utterance_id!r}")

@@ -34,6 +34,7 @@ from .core import (
     UtteranceTrace,
     blocks_of,
     is_int,
+    json_int,
 )
 from .errors import InputError
 from .reflector import (
@@ -459,30 +460,55 @@ _LATENCY_FIELDS = sorted(f.name for f in fields(LatencyBreakdown))
 def outcome_from_dict(raw: dict) -> SessionOutcome:
     """Rebuild an outcome from its exported form (events are not restored).
 
-    Reports do arithmetic on ``latency``, so it must map the five breakdown
-    fields to non-negative integers; JSON true is not one.
+    Every field is read as ``schemas/outcome.schema.json`` types it, and none
+    is converted: reports do arithmetic on ``latency``, which must map the
+    five breakdown fields to non-negative integers, and on the counts and
+    ``total_tokens``, which are non-negative integers too; JSON true is not
+    one, and neither is "7".
     """
+    if not (is_int(raw["schema_version"]) and raw["schema_version"] == SCHEMA_VERSION):
+        raise InputError(f"schema_version must be {SCHEMA_VERSION}, got {raw['schema_version']!r}")
     lat = raw["latency"]
     if sorted(lat) != _LATENCY_FIELDS or not all(is_int(v) and v >= 0 for v in lat.values()):
         raise InputError(f"latency must map {_LATENCY_FIELDS} to non-negative integers, "
                          f"got {lat!r}")
     refs = raw["references"]
+    if sorted(refs) != ["kg_answers", "total_tokens", "web_chunks"]:
+        raise InputError(f"references must hold web_chunks, kg_answers and total_tokens, "
+                         f"got {sorted(refs)}")
+    degraded = raw.get("degraded", False)
+    if not isinstance(degraded, bool):
+        raise InputError(f"degraded must be true or false, got {degraded!r}")
+    selected = raw.get("selected_block")
     return SessionOutcome(
-        utterance_id=str(raw["utterance_id"]),
+        utterance_id=_text(raw["utterance_id"], "utterance_id"),
         strategy=Strategy(raw["strategy"]),
-        selected_block=raw.get("selected_block"),
+        selected_block=None if selected is None else json_int(selected, "selected_block"),
         references=ReferenceBundle(
-            tuple(refs.get("web_chunks", ())),
-            tuple(refs.get("kg_answers", ())),
-            int(refs.get("total_tokens", 0)),
+            _texts(refs["web_chunks"], "references.web_chunks"),
+            _texts(refs["kg_answers"], "references.kg_answers"),
+            json_int(refs["total_tokens"], "references.total_tokens", 0),
         ),
         latency=LatencyBreakdown(**lat),
-        threads_spawned=int(raw.get("threads_spawned", 0)),
-        threads_cancelled=int(raw.get("threads_cancelled", 0)),
-        max_parallel_threads=int(raw.get("max_parallel_threads", 0)),
-        degraded=bool(raw.get("degraded", False)),
-        response_text=raw.get("response_text"),
+        threads_spawned=json_int(raw.get("threads_spawned", 0), "threads_spawned", 0),
+        threads_cancelled=json_int(raw.get("threads_cancelled", 0), "threads_cancelled", 0),
+        max_parallel_threads=json_int(raw.get("max_parallel_threads", 0),
+                                      "max_parallel_threads", 0),
+        degraded=degraded,
+        response_text=_text(raw.get("response_text"), "response_text", nullable=True),
     )
+
+
+def _text(value: Any, what: str, nullable: bool = False) -> str | None:
+    if not (isinstance(value, str) or (nullable and value is None)):
+        raise InputError(f"{what} must be a string{' or null' if nullable else ''}, got {value!r}")
+    return value
+
+
+def _texts(values: Any, what: str) -> tuple[str, ...]:
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise InputError(f"{what} must be a list of strings, got {values!r}")
+    return tuple(values)
 
 
 GeneratorFactory = Callable[[UtteranceTrace], QueryGenerator | None]

@@ -3,15 +3,10 @@ from __future__ import annotations
 import pytest
 
 from streamrag.core import SessionConfig, Strategy
-from streamrag.labeling import SimilarityContext, similarity_f
+from streamrag.labeling import SimilarityContext
 from streamrag.orchestrator import Backends, LatencyModel
 from streamrag.retrieval import KgStore, index_documents
 from streamrag.synth import FixtureWorld
-from streamrag.triggers import (
-    FinalQueryGenerator,
-    ScriptedQueryGenerator,
-    StreamingScriptedGenerator,
-)
 
 
 @pytest.fixture(scope="session")
@@ -59,17 +54,3 @@ def session_config(strategy: Strategy, **kwargs) -> SessionConfig:
     defaults.update(kwargs)
     return SessionConfig(strategy=strategy, **defaults)
 
-
-def generator_for(strategy: Strategy, trace, config: SessionConfig, index):
-    """Build the default scripted generator for a strategy, as the CLI does."""
-    if strategy is Strategy.CLOSED_BOOK:
-        return None
-    if strategy is Strategy.OPEN_BOOK:
-        return FinalQueryGenerator(trace)
-    if strategy is Strategy.FIXED_INTERVAL:
-        return ScriptedQueryGenerator(trace, config.block_ms)
-    ctx = SimilarityContext(index=index, compare_k=config.reflect_top_k,
-                            retrieve_k=config.top_docs, ordered=False)
-    return StreamingScriptedGenerator(
-        trace, config.block_ms, lambda cur, prev: similarity_f(cur, prev, ctx)
-    )

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from streamrag.cli import generator_factory
 from streamrag.core import Strategy, Tool, blocks_of
 from streamrag.labeling import (
     assign_streaming_labels,
@@ -37,7 +38,7 @@ from streamrag.reflector import REASON_TOP5_MATCH
 from streamrag.triggers import FinalQueryGenerator, ScriptedQueryGenerator
 
 from checkers import check_single_thread_per_tool
-from conftest import generator_for, session_config
+from conftest import session_config
 from paraphrase import paraphrase_batch
 from subproc import child_env
 
@@ -73,7 +74,7 @@ def test_criterion_1_latency_breakdown_arithmetic(world, index, backends, headli
         early = early_fire_trace(world)
         config = session_config(Strategy.MODEL_TRIGGERED)
         streaming = run_session(
-            early, config, generator_for(Strategy.MODEL_TRIGGERED, early, config, index),
+            early, config, generator_factory(config, index)(early),
             backends, headline_latency,
         )
         fires = [e.t_ms for e in streaming.event_log if e.type == "query_fired"]
@@ -199,7 +200,7 @@ def test_criterion_5_single_thread_invariant(world, index, backends, headline_la
         config = session_config(Strategy.MODEL_TRIGGERED)
         for trace in traces:
             outcome = run_session(
-                trace, config, generator_for(Strategy.MODEL_TRIGGERED, trace, config, index),
+                trace, config, generator_factory(config, index)(trace),
                 backends, headline_latency,
             )
             check_single_thread_per_tool(outcome.event_log)
@@ -214,7 +215,7 @@ def test_criterion_6_savings_monotonicity(world, index, backends, headline_laten
         # population A: the settling fire precedes utterance end -> strict gain
         for trace in random_batch(world, 120, seed=606, block_ms=500, allow_final_refire=False):
             mt = run_session(
-                trace, config_mt, generator_for(Strategy.MODEL_TRIGGERED, trace, config_mt, index),
+                trace, config_mt, generator_factory(config_mt, index)(trace),
                 backends, headline_latency,
             )
             ob = run_session(
@@ -227,7 +228,7 @@ def test_criterion_6_savings_monotonicity(world, index, backends, headline_laten
         # population B: re-fires at utterance end allowed -> never slower
         for trace in random_batch(world, 80, seed=607, block_ms=500, allow_final_refire=True):
             mt = run_session(
-                trace, config_mt, generator_for(Strategy.MODEL_TRIGGERED, trace, config_mt, index),
+                trace, config_mt, generator_factory(config_mt, index)(trace),
                 backends, headline_latency,
             )
             ob = run_session(

@@ -13,6 +13,10 @@ from click.testing import CliRunner
 
 from streamrag import cli as cli_module
 from streamrag.cli import DEFAULTS, _check_value, cli, main
+from streamrag.core import write_json, write_jsonl, write_traces
+from streamrag.synth import FixtureWorld
+
+from paraphrase import paraphrase_batch
 from subproc import child_env
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -211,6 +215,7 @@ class TestValueChecks:
         ("simulate", {"reflect_ordered": "no"}),
         ("simulate", {"top_docs": True}),  # JSON true is an int in Python
         ("simulate", {"seed": 1.5}),
+        ("simulate", {"web_kg_ratio": "1_0:1"}),
     ])
     def test_bad_config_value_is_input_error(self, tmp_path, monkeypatch, run_main, source,
                                              command, values):
@@ -357,6 +362,59 @@ class TestLabel:
         assert ("gt.jsonl:2: duplicate reference query for utterance 'brand-founder' block 1"
                 in result.stderr)
         assert not (tmp_path / "lab").exists()
+
+
+@pytest.fixture(scope="module")
+def paraphrase_inputs(tmp_path_factory) -> list[str]:
+    """Traces whose early web queries share the final one's top 5, with the
+    world's corpus and KG: the trace, corpus and kg flags."""
+    world = FixtureWorld()
+    out = tmp_path_factory.mktemp("paraphrase")
+    write_traces(paraphrase_batch(world, 60, seed=5, block_ms=500), str(out / "traces.jsonl"))
+    write_jsonl(out / "corpus.jsonl", world.corpus)
+    write_json(out / "kg.json", world.kg_records)
+    return ["--traces", str(out / "traces.jsonl"), "--corpus", str(out / "corpus.jsonl"),
+            "--kg", str(out / "kg.json")]
+
+
+class TestTriggerReplaysLabels:
+    """model_triggered fires exactly where ``label`` writes a fire label, and
+    with its query, whichever web-match mode the config or --web-match sets."""
+
+    @pytest.mark.parametrize("flag", [None, "set", "ordered"], ids=lambda f: f"flag-{f}")
+    @pytest.mark.parametrize("config_ordered", [None, True, False], ids=lambda c: f"config-{c}")
+    def test_labels_equal_model_triggered_events(self, tmp_path, monkeypatch, paraphrase_inputs,
+                                                 config_ordered, flag):
+        monkeypatch.delenv("STREAMRAG_CONFIG", raising=False)
+        ordered = {"set": False, "ordered": True}.get(flag, config_ordered)
+
+        def config(ordered: bool | None) -> str:
+            path = tmp_path / f"config-{ordered}.json"
+            path.write_text(json.dumps({} if ordered is None else {"reflect_ordered": ordered}))
+            return str(path)
+
+        label_args = ["label", *paraphrase_inputs[:4], "--negative-prob", "0",
+                      "--config", config(config_ordered), "--out-dir", str(tmp_path / "lab")]
+        cli.main(args=label_args + (["--web-match", flag] if flag else []),
+                 standalone_mode=False)
+        cli.main(args=["simulate", *paraphrase_inputs, "--strategy", "model_triggered",
+                       "--config", config(ordered), "--out-dir", str(tmp_path / "sim")],
+                 standalone_mode=False)
+
+        def rows(path: Path) -> list[dict]:
+            return [json.loads(line) for line in path.read_text().splitlines()]
+
+        labels = {(r["utterance_id"], r["block"], r["tool"]): r["label"]
+                  for r in rows(tmp_path / "lab" / "training.jsonl")}
+        decisions = {(e["utterance_id"], e["block"], e["tool"]):
+                     e["detail"]["query"] if e["type"] == "query_fired" else "NO_QUERY"
+                     for e in rows(tmp_path / "sim" / "events.jsonl")
+                     if e["type"] in ("query_fired", "no_query")}
+        assert len(labels) == len(rows(tmp_path / "lab" / "training.jsonl"))
+        assert decisions == labels
+        manifests = [json.loads((tmp_path / d / "manifest.json").read_text())["config"]
+                     for d in ("lab", "sim")]
+        assert [m["reflect_ordered"] for m in manifests] == [bool(ordered)] * 2
 
 
 class TestReport:

@@ -233,6 +233,10 @@ class TestTraceIO:
             (["1", "01"], r"key '01' repeats block 1"),
             (["0", "1"], r"key '0': blocks are 1-based"),
             (["-2"], r"key '-2': blocks are 1-based"),
+            (["1_0"], r"key '1_0': blocks are 1-based, in ASCII digits"),
+            ([" 10"], r"key ' 10': blocks are 1-based, in ASCII digits"),
+            (["+5"], r"key '\+5': blocks are 1-based, in ASCII digits"),
+            (["\u0661"], r"key '\u0661': blocks are 1-based, in ASCII digits"),
         ],
     )
     def test_ambiguous_or_zero_based_block_keys_rejected(self, tmp_path, keys, message):

@@ -83,6 +83,17 @@ BAD_OUTCOMES = [
     ("latency-is-null", _bad_outcome(_set("latency", None))),
     ("latency-field-is-true",
      _bad_outcome(lambda row: {**row, "latency": {**row["latency"], "first_token_ms": True}})),
+    ("degraded-is-text", _bad_outcome(_set("degraded", "false"))),
+    ("chunks-are-text",
+     _bad_outcome(lambda row: {**row, "references": {**row["references"], "web_chunks": "abc"}})),
+    ("answer-is-a-number",
+     _bad_outcome(lambda row: {**row, "references": {**row["references"], "kg_answers": [1]}})),
+    ("references-lack-a-key",
+     _bad_outcome(_set("references", {"web_chunks": [], "kg_answers": []}))),
+    ("utterance-id-is-a-number", _bad_outcome(_set("utterance_id", 5))),
+    ("response-text-is-a-list", _bad_outcome(_set("response_text", ["a"]))),
+    ("selected-block-is-text", _bad_outcome(_set("selected_block", "2"))),
+    ("schema-version-is-true", _bad_outcome(_set("schema_version", True))),
 ]
 
 
@@ -120,6 +131,18 @@ class TestFaultyInputsExitTwo:
                              "--judgments", str(empty), "--out-dir", str(tmp_path / "rep"))
         assert code == 2
         assert f"input error: {empty}: no records" in err
+
+    def test_repeated_judgment_is_found_before_any_output(self, tmp_path, outcomes):
+        uids = [row["utterance_id"] for row in _lines(outcomes)]
+        judgments = _write_lines(tmp_path / "judgments.jsonl", [
+            {"utterance_id": uid, "verdict": "accurate"} for uid in [*uids, uids[0]]])
+        out = tmp_path / "rep"
+        code, err = run_main("report", "--baseline", str(outcomes), "--strategy", str(outcomes),
+                             "--judgments", judgments, "--out-dir", str(out))
+        assert code == 2
+        assert (f"input error: {judgments}:{len(uids) + 1}: duplicate judgment for utterance "
+                f"{uids[0]!r} (first at {judgments}:1)") in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["traces", "corpus", "kg", "config"])
     def test_non_utf8_bytes(self, tmp_path, kind):
@@ -218,6 +241,34 @@ class TestIntegersExitTwo:
         with pytest.raises(InputError) as info:
             read_training_set(bad)
         assert str(info.value) == f"{bad}:2: block must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("value", [*NOT_INTEGERS, -1], ids=repr)
+    @pytest.mark.parametrize("field", ["threads_spawned", "threads_cancelled",
+                                       "max_parallel_threads", "references.total_tokens"])
+    def test_outcome_count(self, tmp_path, outcomes, field, value):
+        rows = _lines(outcomes)
+        *parents, key = field.split(".")
+        record = rows[1]
+        for name in parents:
+            record = record[name]
+        record[key] = value
+        bad = _write_lines(tmp_path / "outcomes.jsonl", rows)
+        code, err = run_main("report", "--baseline", str(outcomes), "--strategy", bad,
+                             "--out-dir", str(tmp_path / "rep"))
+        assert code == 2, err
+        rule = "be at least 0" if value == -1 else "be an integer"
+        assert f"input error: {bad}:2: {field} must {rule}, got {value!r}" in err
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("ratio", ["1_0:1", " 2:1", "+2:1", "2:-1", "2:1:1", "\u00b2:1",
+                                       "9" * 5000 + ":1"], ids=lambda r: ascii(r[:8]))
+    def test_ratio(self, tmp_path, ratio):
+        code, err = run_main("simulate", "--traces", TRACES, "--corpus", CORPUS, "--kg", KG,
+                             "--ratio", ratio, "--out-dir", str(tmp_path / "out"))
+        assert code == 2, err
+        assert (f"input error: --ratio must be web:kg in ASCII digits, like '2:1', "
+                f"got {ratio!r}") in err
+        assert not (tmp_path / "out").exists()
 
 
 # The run's child is capped at 2 GiB of address space, so a trace whose blocks

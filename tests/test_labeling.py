@@ -4,7 +4,17 @@ from dataclasses import replace
 
 import pytest
 
-from streamrag.core import NO_QUERY, KgQuery, Tool, ToolQuery, UtteranceTrace, Word, blocks_of
+from streamrag.cli import generator_factory
+from streamrag.core import (
+    NO_QUERY,
+    KgQuery,
+    Strategy,
+    Tool,
+    ToolQuery,
+    UtteranceTrace,
+    Word,
+    blocks_of,
+)
 from streamrag.errors import InputError, WrongToolError
 from streamrag.labeling import (
     LabeledStep,
@@ -16,12 +26,14 @@ from streamrag.labeling import (
     similarity_f,
 )
 from streamrag.orchestrator import substream_rng
+from streamrag.reflector import REASON_TOP5_MATCH, SimilarityContext, reflect_with_reason
 from streamrag.synth import brand_founder_trace, jump_shots_trace, random_batch
 from streamrag.triggers import TriggerAction, model_trigger_step
 from streamrag.retrieval import web_search
 
-from conftest import generator_for, session_config
+from conftest import session_config
 from oracles import oracle_top_ids
+from paraphrase import paraphrase_batch
 
 
 def _kg(entity: str) -> ToolQuery:
@@ -128,16 +140,21 @@ class TestAssignStreamingLabels:
                 else:
                     assert not similarity_f(step.pseudo_gt, step.prev_query, similarity_ctx)
 
-    def test_trigger_label_agreement(self, world, index, similarity_ctx):
-        """Replaying a labeled trace through the trigger policy reproduces the labels."""
-        from streamrag.core import Strategy
-
+    @pytest.mark.parametrize("ordered", [False, True], ids=["set", "ordered"])
+    def test_trigger_label_agreement(self, world, index, ordered):
+        """Replaying a labeled trace through the trigger policy reproduces the
+        labels in either web-match mode, on the paraphrase traces whose early
+        web queries share the final one's top 5 as well."""
+        config = session_config(Strategy.MODEL_TRIGGERED, reflect_ordered=ordered)
+        ctx = SimilarityContext(index=index, compare_k=config.reflect_top_k,
+                                retrieve_k=config.top_docs, ordered=ordered)
+        make = generator_factory(config, index)
+        top5_no_query = 0
         for trace in [brand_founder_trace(), jump_shots_trace()] + random_batch(
             world, 8, seed=17, block_ms=500
-        ):
-            steps = assign_streaming_labels(trace, 500, similarity_ctx)
-            config = session_config(Strategy.MODEL_TRIGGERED)
-            gen = generator_for(Strategy.MODEL_TRIGGERED, trace, config, index)
+        ) + paraphrase_batch(world, 60, seed=5, block_ms=500):
+            steps = assign_streaming_labels(trace, 500, ctx)
+            gen = make(trace)
             prev = {Tool.WEB: NO_QUERY, Tool.KG: NO_QUERY}
             decisions = []
             for b, prefix in blocks_of(trace, 500):
@@ -155,7 +172,12 @@ class TestAssignStreamingLabels:
                  s.label if not s.label.is_no_query else NO_QUERY)
                 for s in steps
             ]
-            assert decisions == expected
+            assert decisions == expected, trace.utterance_id
+            top5_no_query += sum(
+                reflect_with_reason(s.pseudo_gt, s.prev_query, ctx)[1] == REASON_TOP5_MATCH
+                for s in steps if s.label.is_no_query
+            )
+        assert top5_no_query > 0
 
 
 class TestInjectNegativeSamples:

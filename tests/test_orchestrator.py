@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from streamrag import orchestrator, retrieval
+from streamrag.cli import generator_factory
 from streamrag.core import (
     ScriptedQueries,
     SessionConfig,
@@ -32,7 +33,7 @@ from checkers import (
     check_time_ordered,
     max_pending_per_tool,
 )
-from conftest import generator_for, session_config
+from conftest import session_config
 from test_pinned_outputs import FlakyGenerator
 
 
@@ -108,7 +109,7 @@ class TestModelTriggered:
     def test_early_fire_overlap_credit(self, world, index, backends, headline_latency):
         trace = early_fire_trace(world)
         config = session_config(Strategy.MODEL_TRIGGERED)
-        gen = generator_for(Strategy.MODEL_TRIGGERED, trace, config, index)
+        gen = generator_factory(config, index)(trace)
         outcome = run_session(trace, config, gen, backends, headline_latency)
         # last fire at 1500 ms, utterance ends at 2080 ms: 580 ms of overlap
         assert outcome.latency == LatencyBreakdown(
@@ -120,7 +121,7 @@ class TestModelTriggered:
     def test_event_log_invariants(self, world, index, backends, headline_latency):
         trace = early_fire_trace(world)
         config = session_config(Strategy.MODEL_TRIGGERED)
-        gen = generator_for(Strategy.MODEL_TRIGGERED, trace, config, index)
+        gen = generator_factory(config, index)(trace)
         outcome = run_session(trace, config, gen, backends, headline_latency)
         check_time_ordered(outcome.event_log)
         check_single_thread_per_tool(outcome.event_log)
@@ -130,7 +131,7 @@ class TestModelTriggered:
         for trace in random_batch(world, 12, seed=5, block_ms=500, allow_final_refire=False):
             mt_config = session_config(Strategy.MODEL_TRIGGERED)
             mt = run_session(
-                trace, mt_config, generator_for(Strategy.MODEL_TRIGGERED, trace, mt_config, index),
+                trace, mt_config, generator_factory(mt_config, index)(trace),
                 backends, headline_latency,
             )
             ob = run_session(
@@ -151,7 +152,7 @@ class TestModelTriggered:
         )
         mt_config = session_config(Strategy.MODEL_TRIGGERED)
         mt = run_session(
-            trace, mt_config, generator_for(Strategy.MODEL_TRIGGERED, trace, mt_config, index),
+            trace, mt_config, generator_factory(mt_config, index)(trace),
             backends, headline_latency,
         )
         ob = run_session(
@@ -275,7 +276,7 @@ class TestRunBatch:
     def test_permuted_input_gives_permuted_identical_outcomes(self, world, index, backends, headline_latency):
         traces = random_batch(world, 6, seed=21, block_ms=500)
         config = session_config(Strategy.MODEL_TRIGGERED)
-        factory = lambda t: generator_for(Strategy.MODEL_TRIGGERED, t, config, index)
+        factory = generator_factory(config, index)
         forward, _ = run_batch(traces, config, factory, backends, headline_latency)
         backward, _ = run_batch(traces[::-1], config, factory, backends, headline_latency)
         by_id = {o.utterance_id: o.to_dict(include_events=True) for o in backward}
@@ -330,7 +331,7 @@ class TestRunBatch:
         traces = random_batch(world, 40, seed=7, block_ms=500)
         for strategy in (Strategy.OPEN_BOOK, Strategy.FIXED_INTERVAL, Strategy.MODEL_TRIGGERED):
             config = session_config(strategy)
-            factory = lambda t, config=config: generator_for(config.strategy, t, config, index)
+            factory = generator_factory(config, index)
             _, errors = run_batch(traces, config, factory, backends, headline_latency)
             assert errors == []
         ctx = SimilarityContext(index=index, compare_k=5, retrieve_k=50, ordered=False)
@@ -373,8 +374,10 @@ class TestEventLogOracle:
         latency = LatencyModel(query_gen=(450, 590, 730), web_fetch=(1900, 2500, 3100),
                                chunk_rerank=(200, 280), kg_lookup=(150, 250), seed=5)
 
+        make = generator_factory(config, index)
+
         def factory(trace):
-            gen = generator_for(strategy, trace, config, index)
+            gen = make(trace)
             return FlakyGenerator(gen, trace.utterance_id) if flaky and gen else gen
 
         traces = random_batch(world, 100, seed=13, block_ms=500)
@@ -415,7 +418,7 @@ class TestDeterminism:
             query_gen=[400, 590, 700], web_fetch=[2000, 2780], chunk_rerank=[0, 50],
             kg_lookup=[100, 2780], response_gen=[2000, 2520], seed=3,
         )
-        gen = generator_for(Strategy.MODEL_TRIGGERED, trace, config, index)
+        gen = generator_factory(config, index)(trace)
         a = run_session(trace, config, gen, backends, latency)
         b = run_session(trace, config, gen, backends, latency)
         assert a.to_dict(include_events=True) == b.to_dict(include_events=True)

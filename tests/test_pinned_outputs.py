@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import generator_for, session_config
-from streamrag.cli import cli
+from conftest import session_config
+from streamrag.cli import cli, generator_factory
 from streamrag.core import Strategy
 from streamrag.orchestrator import Backends, LatencyModel, run_batch
 from streamrag.retrieval import KgStore, index_documents
@@ -29,7 +29,9 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 # The five manifest.json digests were re-recorded when manifests began to
 # record the block size that ran (1000 or 500 ms) instead of null when it came
-# from a default; no other byte of any manifest changed.
+# from a default; no other byte of any manifest changed. model_triggered's was
+# re-recorded again when its web-match mode became a per-strategy default:
+# "reflect_ordered" went from true to false, the set mode its trigger runs.
 PINNED: dict[str, dict[str, str]] = {
     "closed_book": {
         "events.jsonl": "07cb87a15a905b3a0d90aebe29258cf79c501a73c4b0c07626b155409b726c3e",
@@ -56,7 +58,7 @@ PINNED: dict[str, dict[str, str]] = {
         "events.jsonl": "8e0ac809bf0195f35f112bf5cf7279c57d855da767ad9e8edbdae4df039cbc74",
         "latency_table.csv": "eb3edcb231b96b85234539f2a4d1a0ab734a4c54937c8bfff32fa1e7cd4c8d1e",
         "latency_table.json": "99867ee873d7edcf43126e3b949598e61a1aa08539a27f4310169f7569b8f07b",
-        "manifest.json": "c531a989d7a7c64dcbe1cff061eb05c39c874208f16a7c5b3ebaccca830a7292",
+        "manifest.json": "7b3d9fcd03f816f662dc108c432b316e599c222774da6bbfad103b9b4001bf88",
         "outcomes.jsonl": "a1ae203c5647481ad785847d1244388a1e62f812faa7d700fb9916bf685d4f76",
     },
     "label": {
@@ -137,8 +139,10 @@ def session_digest(strategy: Strategy, flaky: bool, backends, traces) -> str:
                            chunk_rerank=(200, 280), kg_lookup=(150, 250),
                            response_gen=(2300, 2520), response_tail=(0, 400), seed=5)
 
+    make = generator_factory(config, backends.index)
+
     def factory(trace):
-        gen = generator_for(strategy, trace, config, backends.index)
+        gen = make(trace)
         return FlakyGenerator(gen, trace.utterance_id) if flaky else gen
 
     outcomes, errors = run_batch(traces, config, factory, backends, latency)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from streamrag import orchestrator
+from streamrag.cli import generator_factory
 from streamrag.core import NO_QUERY, KgQuery, Strategy, Tool, ToolQuery
 from streamrag.errors import WrongToolError
 from streamrag.labeling import similarity_f
@@ -24,7 +25,7 @@ from streamrag.reflector import (
 from streamrag.retrieval import web_search
 from streamrag.synth import brand_founder_trace, random_batch
 
-from conftest import generator_for, session_config
+from conftest import session_config
 from oracles import oracle_top_ids
 
 
@@ -279,7 +280,7 @@ class TestCancelAfter:
         config = session_config(strategy)
         outcomes, errors = orchestrator.run_batch(
             random_batch(world, 30, seed=11, block_ms=500), config,
-            lambda t: generator_for(strategy, t, config, index), backends, headline_latency,
+            generator_factory(config, index), backends, headline_latency,
         )
         assert errors == [] and len(caches) == len(outcomes)
         total_cancelled = 0
