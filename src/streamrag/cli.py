@@ -1,11 +1,11 @@
 """Command-line entry point: simulate sessions, build labels, emit reports.
 
 Config precedence is flags > config file > built-in defaults; point
-STREAMRAG_CONFIG at a JSON file (or pass --config) to change defaults. All
-outputs are deterministic for a given seed and inputs, and every command
-writes a manifest recording config, input digests, and outputs so a run can
-be reproduced byte for byte. Exit codes: 0 success, 2 input error,
-3 internal error.
+STREAMRAG_CONFIG at a JSON file (or pass --config) to change the defaults of
+simulate and label. All outputs are deterministic for a given seed and
+inputs, and every command writes a manifest recording the settings it reads,
+input digests, and outputs so a run can be reproduced byte for byte. Exit
+codes: 0 success, 2 input error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ _STAGES = ("query_gen", "web_fetch", "chunk_rerank", "kg_lookup", "response_gen"
 # What each DEFAULTS key accepts, from flags and config files alike.
 _CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "strategy": (lambda v: v in _STRATEGIES, f"one of {_STRATEGIES}"),
-    "block_ms": (lambda v: v is None or _non_negative(v), "a non-negative integer"),
+    "block_ms": (lambda v: v is None or _positive(v), "a positive integer"),
     "ref_length_tokens": (_non_negative, "a non-negative integer"),
     "web_kg_ratio": (lambda v: isinstance(v, str) and _parse_ratio(v) is not None,
                      "web:kg in ASCII digits, like '2:1'"),
@@ -169,17 +169,26 @@ def _load_config_file(explicit_path: str | None) -> dict[str, Any]:
     return raw
 
 
-def _resolve(flags: dict[str, Any], config_path: str | None) -> dict[str, Any]:
-    """Defaults, then the config file, then the flags given. Flags are keyed
-    by parameter name; an error names the flag or the config key."""
-    resolved = dict(DEFAULTS)
-    resolved.update(_load_config_file(config_path))
+def _resolve(flags: dict[str, Any], config_path: str | None,
+             keys: tuple[str, ...]) -> dict[str, Any]:
+    """The settings ``keys`` that a command reads: defaults, then the config
+    file, then the flags given. Flags are keyed by parameter name; an error
+    names the flag or the config key. The config file is checked whole,
+    since commands share it."""
+    config = _load_config_file(config_path)
+    resolved = {key: config.get(key, DEFAULTS[key]) for key in keys}
     options = {p.name: p.opts[0] for p in click.get_current_context().command.params}
     for key, value in flags.items():
         if value is not None:
             _check_value(key, value, options[key])
             resolved[key] = value
     return resolved
+
+
+# The settings each command reads, and so records in its manifest.
+_SIMULATE_KEYS = tuple(key for key in DEFAULTS if key != "negative_prob")
+_LABEL_KEYS = ("block_ms", "negative_prob", "seed", "top_docs", "reflect_top_k",
+               "reflect_ordered")
 
 
 def _sha256(path: str) -> str:
@@ -258,11 +267,11 @@ def cli() -> None:
 def simulate(traces_path, corpus_path, kg_path, out_dir, out_format, config_path,
              **flags) -> None:
     """Run sessions for every trace and write outcomes, event logs, and a latency table."""
-    cfg = _resolve(flags, config_path)
+    cfg = _resolve(flags, config_path, _SIMULATE_KEYS)
     strategy_enum = Strategy(cfg["strategy"])
     session_config = SessionConfig(
         strategy=strategy_enum,
-        block_ms=cfg["block_ms"] or 0,
+        block_ms=cfg["block_ms"],
         ref_length_tokens=cfg["ref_length_tokens"],
         web_kg_ratio=_parse_ratio(cfg["web_kg_ratio"]),
         top_docs=cfg["top_docs"],
@@ -358,8 +367,8 @@ def _similarity_ctx(config: SessionConfig, index: DocIndex) -> SimilarityContext
 def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
           config_path, **flags) -> None:
     """Build a streaming-trigger training set (fire vs NO_QUERY) with negatives."""
-    cfg = _resolve(flags, config_path)
-    config = SessionConfig(strategy=Strategy.MODEL_TRIGGERED, block_ms=cfg["block_ms"] or 0,
+    cfg = _resolve(flags, config_path, _LABEL_KEYS)
+    config = SessionConfig(strategy=Strategy.MODEL_TRIGGERED, block_ms=cfg["block_ms"],
                            top_docs=cfg["top_docs"], reflect_top_k=cfg["reflect_top_k"],
                            reflect_ordered=cfg["reflect_ordered"])
     cfg["block_ms"], cfg["reflect_ordered"] = config.block_ms, config.reflect_ordered
@@ -435,12 +444,13 @@ def _read_pseudo_gt(path: str, traces) -> dict[str, dict]:
 @click.option("--out-dir", required=True, type=click.Path(file_okay=False))
 @click.option("--format", "out_format", type=click.Choice(["json", "csv", "both"]),
               default="both", show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--seed", type=int, default=None)
-def report(baseline_path, strategy_path, judgments_path, out_dir, out_format,
-           config_path, **flags) -> None:
-    """Compare paired outcome sets: latency savings, plus scores when judged."""
-    cfg = _resolve(flags, config_path)
+@click.option("--seed", type=int, default=DEFAULTS["seed"], show_default=True,
+              help="Recorded in the manifest; no output depends on it.")
+def report(baseline_path, strategy_path, judgments_path, out_dir, out_format, seed) -> None:
+    """Compare paired outcome sets: latency savings, plus scores when judged.
+
+    No setting reaches report, so it reads no config file.
+    """
     baseline = _read_outcomes(baseline_path)
     strategy = _read_outcomes(strategy_path)
     scores = score_responses(read_judgments(judgments_path)) if judgments_path else None
@@ -478,10 +488,7 @@ def report(baseline_path, strategy_path, judgments_path, out_dir, out_format,
     else:
         _echo("no judgments file given; scores skipped", err=True)
 
-    # no session runs: record the mode that a session of the configured strategy runs
-    cfg["reflect_ordered"] = SessionConfig(cfg["strategy"],
-                                           reflect_ordered=cfg["reflect_ordered"]).reflect_ordered
-    _write_manifest(out, "report", cfg, inputs, outputs, seed=cfg["seed"])
+    _write_manifest(out, "report", {}, inputs, outputs, seed=seed)
     _echo(f"report written -> {out}")
 
 

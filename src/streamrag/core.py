@@ -173,8 +173,9 @@ class UtteranceTrace:
     """Word-timestamped transcript plus per-prefix scripted tool queries.
 
     The scripted queries stand in for live query-generation model output:
-    entry ``b`` is the query the generator would produce after hearing the
-    prefix of block ``b``.
+    entry ``b`` is the query pair the generator would produce after hearing
+    the prefix of block ``b``. Every entry carries both tool queries: a
+    script never says NO_QUERY, which only a generator decides.
     """
 
     utterance_id: str
@@ -193,6 +194,10 @@ class UtteranceTrace:
             if w.start_ms < prev_end:
                 raise InputError(f"{self.utterance_id}: overlapping word intervals at {w.text!r}")
             prev_start, prev_end = w.start_ms, w.end_ms
+        for b, entry in self.scripted_queries.items():
+            if entry.web.is_no_query or entry.kg.is_no_query:
+                raise InputError(f"{self.utterance_id}: scripted entry for block {b} "
+                                 "must carry both tool queries")
 
     @property
     def end_ms(self) -> int:
@@ -303,7 +308,7 @@ class SessionConfig:
     """
 
     strategy: Strategy = Strategy.OPEN_BOOK
-    block_ms: int = 0  # 0 = resolve from strategy
+    block_ms: int | None = None  # None = resolve from strategy
     ref_length_tokens: int = 300
     web_kg_ratio: tuple[int, int] = (2, 1)
     top_docs: int = 50
@@ -315,7 +320,7 @@ class SessionConfig:
 
     def __post_init__(self) -> None:
         self.strategy = Strategy(self.strategy)
-        if self.block_ms == 0:
+        if self.block_ms is None:
             self.block_ms = default_block_ms(self.strategy)
         if self.reflect_ordered is None:
             self.reflect_ordered = self.strategy is not Strategy.MODEL_TRIGGERED

@@ -26,6 +26,7 @@ from typing import Any, Callable, Sequence
 from .core import (
     NO_QUERY,
     BlockIndex,
+    ScriptedQueries,
     SessionConfig,
     SimClock,
     Strategy,
@@ -55,13 +56,7 @@ from .retrieval import (
     kg_lookup,
     web_search,
 )
-from .triggers import (
-    QueryGenerator,
-    TriggerAction,
-    TriggerDecision,
-    fixed_interval_step,
-    model_trigger_step,
-)
+from .triggers import QueryGenerator, fixed_interval_step, model_trigger_step
 
 SCHEMA_VERSION = 1
 
@@ -305,28 +300,33 @@ class _Session:
     def on_block(self, block: BlockIndex, prefix: str) -> None:
         self.log("block_ingested", block=block, detail={"prefix": prefix})
         if self.config.strategy is Strategy.FIXED_INTERVAL:
-            self.apply_decision(fixed_interval_step(self.gen, prefix, block), preempt=False)
+            queries = fixed_interval_step(self.gen, prefix, block)
         else:
-            decision = model_trigger_step(
+            queries = model_trigger_step(
                 self.gen, prefix, self.prev_query(Tool.WEB), self.prev_query(Tool.KG), block
             )
-            self.apply_decision(decision, preempt=True)
+        self.apply_queries(queries, block)
 
-    def apply_decision(self, decision: TriggerDecision, preempt: bool) -> None:
+    def apply_queries(self, queries: ScriptedQueries, block: BlockIndex) -> None:
+        """Fire each tool's real query. Under model_triggered a fire first
+        cancels the tool's latest call, and a NO_QUERY keeps it running; under
+        the other strategies a NO_QUERY means the query never materialized,
+        and is recorded as a failed call."""
+        triggered = self.config.strategy is Strategy.MODEL_TRIGGERED
         for tool in (Tool.WEB, Tool.KG):
-            tool_decision = decision.for_tool(tool)
-            if tool_decision.action is TriggerAction.FIRE:
-                # under preemption each fire cancels the call before it, so only
-                # the tool's latest call can still be pending
-                if preempt and (running := self.latest_thread(tool)) is not None:
+            query = queries.for_tool(tool)
+            if not query.is_no_query:
+                # each fire cancels the call before it, so only the tool's
+                # latest call can still be pending
+                if triggered and (running := self.latest_thread(tool)) is not None:
                     self.cancel_thread(running)
-                self.spawn_thread(tool, decision.block, tool_decision.query)
-            elif tool_decision.action is TriggerAction.NO_QUERY:
-                self.log("no_query", tool=tool, block=decision.block)
-            else:  # FAILED: the query never materialized; record a failed call
-                self.cache.add(ToolCall(tool, decision.block, NO_QUERY,
+                self.spawn_thread(tool, block, query)
+            elif triggered:
+                self.log("no_query", tool=tool, block=block)
+            else:
+                self.cache.add(ToolCall(tool, block, NO_QUERY,
                                         started_ms=self.clock.now_ms, status=CallStatus.FAILED))
-                self.log("thread_done", tool=tool, block=decision.block,
+                self.log("thread_done", tool=tool, block=block,
                          detail={"status": "failed", "error": "query generation failed"})
 
 
@@ -355,8 +355,7 @@ def run_session(
     session.pump_until(utterance_end)
 
     if strategy is Strategy.OPEN_BOOK:
-        decision = fixed_interval_step(session.gen, trace.transcript(), 1)
-        session.apply_decision(decision, preempt=False)
+        session.apply_queries(fixed_interval_step(session.gen, trace.transcript(), 1), 1)
     calls = session.cache.web + session.cache.kg  # complete: nothing fires after this
 
     rerank_text: str | None = None  # None: rerank with the web result's own query

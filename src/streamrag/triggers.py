@@ -1,9 +1,13 @@
 """Streaming query-generation policies.
 
-Two trigger policies turn per-block transcript prefixes into tool-query
-decisions: the fixed-interval policy fires a fresh query pair on every
-block, while the model-triggered policy may emit NO_QUERY to keep the
-current tool call running and only fires when the query actually changes.
+Two trigger policies ask a query generator for a tool-query pair per
+transcript block: the fixed-interval policy asks for a fresh pair on every
+block, while the model-triggered policy passes the tools' previous queries,
+so the generator may answer NO_QUERY to keep the current tool call running
+and fire only when the query actually changes. Each step returns the
+generator's ``ScriptedQueries`` as they are, and a generator error as
+NO_QUERY for both tools; the session alone decides what a NO_QUERY means
+under its strategy (see ``orchestrator``).
 
 ``QueryGenerator`` is the extension point for a live model adapter: it
 returns a ``ScriptedQueries`` pair per prefix, as the scripted generators
@@ -17,15 +21,12 @@ list) for every fired call.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Protocol
 
 from .core import (
     NO_QUERY,
     BlockIndex,
     ScriptedQueries,
-    Tool,
     ToolQuery,
     UtteranceTrace,
     blocks_of,
@@ -39,34 +40,13 @@ class QueryGenerator(Protocol):
     """Deterministic mapping (prefix, previous queries) -> queries.
 
     Implementations must be pure: the same prefix and previous queries always
-    yield the same result. Returning NO_QUERY is only meaningful under the
-    model-triggered policy; the fixed-interval policy treats it as a failure.
+    yield the same result. A NO_QUERY keeps the tool's running call under the
+    model-triggered policy; under the other strategies the session records it
+    as a failed call.
     """
 
     def generate(self, prefix: str, prev_web: ToolQuery, prev_kg: ToolQuery) -> ScriptedQueries:
         ...
-
-
-class TriggerAction(str, Enum):
-    FIRE = "fire"
-    NO_QUERY = "no_query"
-    FAILED = "failed"
-
-
-@dataclass(frozen=True)
-class ToolDecision:
-    action: TriggerAction
-    query: ToolQuery = NO_QUERY
-
-
-@dataclass(frozen=True)
-class TriggerDecision:
-    block: BlockIndex
-    web: ToolDecision
-    kg: ToolDecision
-
-    def for_tool(self, tool: Tool) -> ToolDecision:
-        return self.web if tool is Tool.WEB else self.kg
 
 
 def _prefix_map(trace: UtteranceTrace, block_ms: int) -> dict[str, ScriptedQueries]:
@@ -79,10 +59,6 @@ def _prefix_map(trace: UtteranceTrace, block_ms: int) -> dict[str, ScriptedQueri
     by_prefix: dict[str, ScriptedQueries] = {}
     for b, prefix in blocks:
         entry = trace.scripted_queries[b]
-        if entry.web.is_no_query or entry.kg.is_no_query:
-            raise InputError(
-                f"{trace.utterance_id}: scripted entry for block {b} must carry both tool queries"
-            )
         known = by_prefix.get(prefix)
         if known is not None and known != entry:
             raise InputError(
@@ -149,50 +125,25 @@ class StreamingScriptedGenerator:
         return ScriptedQueries(web=web, kg=kg)
 
 
-def _step(
-    gen: QueryGenerator,
-    prefix: str,
-    prev_web: ToolQuery,
-    prev_kg: ToolQuery,
-    block: BlockIndex,
-    instead: TriggerAction,
-) -> TriggerDecision:
-    """Fire each tool's generated query; a NO_QUERY, or a generator error for
-    both tools, becomes the ``instead`` action."""
-    try:
-        raw = gen.generate(prefix, prev_web, prev_kg)
-    except Exception:
-        log.warning("query generator failed at block %d; both tools record %s",
-                    block, instead.value)
-        skip = ToolDecision(instead)
-        return TriggerDecision(block=block, web=skip, kg=skip)
-
-    def decide(query: ToolQuery) -> ToolDecision:
-        if query.is_no_query:
-            return ToolDecision(instead)
-        return ToolDecision(TriggerAction.FIRE, query)
-
-    return TriggerDecision(block=block, web=decide(raw.web), kg=decide(raw.kg))
-
-
-def fixed_interval_step(gen: QueryGenerator, prefix: str, block: BlockIndex) -> TriggerDecision:
-    """Fire a fresh query pair for this block, ignoring any previous query.
-
-    A generator error (or an illegal NO_QUERY under this policy) is recorded
-    as a failed decision for the affected tool; the session carries on.
-    """
-    return _step(gen, prefix, NO_QUERY, NO_QUERY, block, TriggerAction.FAILED)
-
-
 def model_trigger_step(
     gen: QueryGenerator,
     prefix: str,
     prev_web: ToolQuery,
     prev_kg: ToolQuery,
     block: BlockIndex,
-) -> TriggerDecision:
+) -> ScriptedQueries:
     """Ask the generator whether each tool needs a new query given its last one.
 
-    Generator errors degrade to NO_QUERY so the running tool call survives.
+    A generator error becomes NO_QUERY for both tools, logged once; the
+    session decides what a NO_QUERY means under its strategy.
     """
-    return _step(gen, prefix, prev_web, prev_kg, block, TriggerAction.NO_QUERY)
+    try:
+        return gen.generate(prefix, prev_web, prev_kg)
+    except Exception:
+        log.warning("query generator failed at block %d; both tools get NO_QUERY", block)
+        return ScriptedQueries(web=NO_QUERY, kg=NO_QUERY)
+
+
+def fixed_interval_step(gen: QueryGenerator, prefix: str, block: BlockIndex) -> ScriptedQueries:
+    """A fresh query pair for this block, ignoring any previous query."""
+    return model_trigger_step(gen, prefix, NO_QUERY, NO_QUERY, block)

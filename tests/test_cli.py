@@ -209,6 +209,7 @@ class TestValueChecks:
     @pytest.mark.parametrize("source", ["--config", "STREAMRAG_CONFIG"])
     @pytest.mark.parametrize("command,values", [
         ("simulate", {"block_ms": "fast"}),
+        ("label", {"block_ms": 0}),  # 0 is not "unset": only null is
         ("label", {"negative_prob": "high"}),
         ("simulate", {"strategy": "bogus"}),
         ("simulate", {"web_kg_ratio": 5}),
@@ -240,6 +241,8 @@ class TestValueChecks:
         ("simulate", "--response-gen-ms", "-1"),
         ("simulate", "--response-tail-ms", "-1"),
         ("label", "--block-ms", "-5"),
+        ("simulate", "--block-ms", "0"),
+        ("label", "--block-ms", "0"),
         ("label", "--top-docs", "0"),
         ("label", "--reflect-top-k", "0"),
     ])

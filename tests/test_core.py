@@ -265,6 +265,7 @@ class TestSessionConfig:
         "kwargs",
         [
             {"block_ms": -5},
+            {"block_ms": 0},
             {"ref_length_tokens": -1},
             {"web_kg_ratio": (-1, 1)},
             {"top_docs": 0},

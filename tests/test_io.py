@@ -2,7 +2,8 @@
 
 A fault in any input file exits 2 with a message naming the file and, where
 it can, the line or record; an output that cannot be written exits 2 naming
-its path. Every manifest records the block size that ran.
+its path. Every manifest records the block size that ran. Any flag value
+exits 0 or 2.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
+from click.types import IntParamType
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -109,6 +111,26 @@ class TestFaultyInputsExitTwo:
                              "--out-dir", str(tmp_path / "out"))
         assert code == 2
         assert f"input error: {bad}:2: malformed trace: " in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("side, value", [("kg", None), ("web", "NO_QUERY")])
+    @pytest.mark.parametrize("run", [*STRATEGIES, "label"])
+    def test_scripted_no_query_is_rejected_when_read(self, tmp_path, run, side, value):
+        """A script says what a generator would ask; only a generator says NO_QUERY."""
+        rows = _lines(Path(TRACES))
+        last = rows[-1]
+        block = max(last["scripted_queries"], key=int)
+        last["scripted_queries"][block][side] = value
+        bad = _write_lines(tmp_path / "traces.jsonl", rows)
+        if run == "label":
+            args = ["label", "--traces", bad, "--corpus", CORPUS]
+        else:
+            args = ["simulate", "--traces", bad, "--corpus", CORPUS, "--kg", KG,
+                    "--strategy", run]
+        code, err = run_main(*args, "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert (f"input error: {bad}:{len(rows)}: {last['utterance_id']}: scripted entry for "
+                f"block {block} must carry both tool queries") in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("side", ["--baseline", "--strategy"])
@@ -412,7 +434,7 @@ KINDS = {  # file kind -> the commands that read it
     "outcomes": ["report"],
     "pseudo_gt": ["label"],
     "judgments": ["report"],
-    "config": ["simulate", "label", "report"],
+    "config": ["simulate", "label"],  # no setting reaches report
 }
 JSON_KINDS = {"kg": "kg.json", "config": "config.json"}
 
@@ -474,7 +496,7 @@ def _command(command: str, paths: dict[str, str], strategy: str, out: str) -> li
         return ["label", "--traces", paths["traces"], "--corpus", paths["corpus"],
                 "--pseudo-gt", paths["pseudo_gt"], *config]
     return ["report", "--baseline", paths["outcomes"], "--strategy", paths["outcomes"],
-            "--judgments", paths["judgments"], *config]
+            "--judgments", paths["judgments"], "--out-dir", out]
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -510,3 +532,41 @@ def test_damaged_input_exits_zero_or_two(fuzz_inputs, data):
     assert code in (0, 2), err
     if damage == "bytes":
         assert f"{paths[kind]}:{line + 1}: not UTF-8" in err
+
+
+# --- flag values -----------------------------------------------------------
+#
+# Every integer flag of simulate and label takes any integer, --negative-prob
+# any float, and --ratio and --strategy any text, each passed as --flag=value.
+# Whatever the values, the CLI exits 0 or 2, and an exit 2 names a flag or a
+# file.
+
+def _int_flags(command: str) -> list[str]:
+    return [p.opts[0] for p in cli.commands[command].params if isinstance(p.type, IntParamType)]
+
+
+FLAG_VALUES = {
+    "simulate": {**{flag: st.integers() for flag in _int_flags("simulate")},
+                 "--ratio": st.one_of(st.text(), st.from_regex(r"\A[0-9]{1,3}:[0-9]{1,3}\Z")),
+                 "--strategy": st.one_of(st.text(), st.sampled_from(STRATEGIES))},
+    "label": {**{flag: st.integers() for flag in _int_flags("label")},
+              "--negative-prob": st.floats()},
+}
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_flag_values_exit_zero_or_two(data):
+    command = data.draw(st.sampled_from(sorted(FLAG_VALUES)), label="command")
+    values = FLAG_VALUES[command]
+    flags = data.draw(st.lists(st.sampled_from(sorted(values)), unique=True, max_size=4),
+                      label="flags")
+    args = [f"{flag}={data.draw(values[flag], label=flag)}" for flag in flags]
+    inputs = ["--traces", TRACES, "--corpus", CORPUS]
+    if command == "simulate":
+        inputs += ["--kg", KG]
+    with tempfile.TemporaryDirectory() as work:
+        code, err = run_main(command, *inputs, *args, "--out-dir", str(Path(work) / "out"))
+    assert code in (0, 2), err
+    if code == 2:
+        assert any(flag in err for flag in flags) or any(p in err for p in (TRACES, CORPUS, KG)), err

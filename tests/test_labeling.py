@@ -28,7 +28,7 @@ from streamrag.labeling import (
 from streamrag.orchestrator import substream_rng
 from streamrag.reflector import REASON_TOP5_MATCH, SimilarityContext, reflect_with_reason
 from streamrag.synth import brand_founder_trace, jump_shots_trace, random_batch
-from streamrag.triggers import TriggerAction, model_trigger_step
+from streamrag.triggers import model_trigger_step
 from streamrag.retrieval import web_search
 
 from conftest import session_config
@@ -158,15 +158,12 @@ class TestAssignStreamingLabels:
             prev = {Tool.WEB: NO_QUERY, Tool.KG: NO_QUERY}
             decisions = []
             for b, prefix in blocks_of(trace, 500):
-                decision = model_trigger_step(gen, prefix, prev[Tool.WEB], prev[Tool.KG], b)
+                queries = model_trigger_step(gen, prefix, prev[Tool.WEB], prev[Tool.KG], b)
                 for tool in (Tool.WEB, Tool.KG):
-                    td = decision.for_tool(tool)
-                    decisions.append(
-                        (b, tool, "NO_QUERY" if td.action is TriggerAction.NO_QUERY else "fire",
-                         td.query)
-                    )
-                    if td.action is TriggerAction.FIRE:
-                        prev[tool] = td.query
+                    query = queries.for_tool(tool)
+                    decisions.append((b, tool, "NO_QUERY" if query.is_no_query else "fire", query))
+                    if not query.is_no_query:
+                        prev[tool] = query
             expected = [
                 (s.block, s.tool, "NO_QUERY" if s.label.is_no_query else "fire",
                  s.label if not s.label.is_no_query else NO_QUERY)

@@ -7,6 +7,7 @@ import pytest
 from streamrag import orchestrator, retrieval
 from streamrag.cli import generator_factory
 from streamrag.core import (
+    NO_QUERY,
     ScriptedQueries,
     SessionConfig,
     Strategy,
@@ -40,6 +41,26 @@ from test_pinned_outputs import FlakyGenerator
 class FailingGenerator:
     def generate(self, prefix, prev_web, prev_kg):
         raise RuntimeError("model unavailable")
+
+
+class NoQueryAfter:
+    """Answers the trace's final scripted pair on its first ``real`` calls and
+    returns NO_QUERY for both tools after them."""
+
+    def __init__(self, trace: UtteranceTrace, real: int) -> None:
+        self._final = FinalQueryGenerator(trace)
+        self._real = real
+
+    def generate(self, prefix, prev_web, prev_kg):
+        self._real -= 1
+        if self._real >= 0:
+            return self._final.generate(prefix, prev_web, prev_kg)
+        return ScriptedQueries(NO_QUERY, NO_QUERY)
+
+
+def _tool_blocks(outcome, type_: str, detail=None) -> list[tuple[str, int]]:
+    return [(e.tool, e.block) for e in outcome.event_log
+            if e.type == type_ and (detail is None or e.detail == detail)]
 
 
 def _uniform_trace(world: FixtureWorld, blocks: int = 3, last_end: int = 1400) -> UtteranceTrace:
@@ -258,6 +279,35 @@ class TestFailureHandling:
         assert outcome.degraded
         assert outcome.threads_spawned == 0
         assert all(e.type != "query_fired" for e in outcome.event_log)
+
+    @pytest.mark.parametrize("strategy, blocks", [(Strategy.FIXED_INTERVAL, range(1, 6)),
+                                                  (Strategy.OPEN_BOOK, [1])],
+                             ids=["fixed_interval", "open_book"])
+    def test_returned_no_query_is_a_failed_call(self, backends, headline_latency, strategy,
+                                                blocks):
+        trace = brand_founder_trace()
+        outcome = run_session(trace, session_config(strategy), NoQueryAfter(trace, 0),
+                              backends, headline_latency)
+        failed = {"status": "failed", "error": "query generation failed"}
+        assert _tool_blocks(outcome, "thread_done", failed) == [
+            (tool, b) for b in blocks for tool in ("web", "kg")
+        ]
+        assert _tool_blocks(outcome, "query_fired") == _tool_blocks(outcome, "no_query") == []
+        assert outcome.degraded and outcome.threads_spawned == 0
+
+    def test_returned_no_query_keeps_the_running_call_under_model_triggered(
+        self, backends, headline_latency
+    ):
+        trace = brand_founder_trace()
+        outcome = run_session(trace, session_config(Strategy.MODEL_TRIGGERED),
+                              NoQueryAfter(trace, 1), backends, headline_latency)
+        assert _tool_blocks(outcome, "query_fired") == [("web", 1), ("kg", 1)]
+        assert _tool_blocks(outcome, "no_query") == [
+            (tool, b) for b in range(2, 6) for tool in ("web", "kg")
+        ]
+        assert _tool_blocks(outcome, "thread_cancelled") == []
+        assert _tool_blocks(outcome, "thread_done", {"status": "done"}) == [("web", 1), ("kg", 1)]
+        assert not outcome.degraded and outcome.threads_cancelled == 0
 
 
 class TestRunBatch:

@@ -32,39 +32,43 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # from a default; no other byte of any manifest changed. model_triggered's was
 # re-recorded again when its web-match mode became a per-strategy default:
 # "reflect_ordered" went from true to false, the set mode its trigger runs.
+# All five were re-recorded when each manifest began to record only the
+# settings its command reads: simulate's lost "negative_prob", and label's
+# kept block_ms, negative_prob, reflect_ordered, reflect_top_k, seed and
+# top_docs; no value changed and no key was added.
 PINNED: dict[str, dict[str, str]] = {
     "closed_book": {
         "events.jsonl": "07cb87a15a905b3a0d90aebe29258cf79c501a73c4b0c07626b155409b726c3e",
         "latency_table.csv": "ecf8be4a4de5e1690501ee012e4ac1581215eac7f4b5f46cf3d4fd3528052232",
         "latency_table.json": "4585d56e9323db1031618ca31fccde6db2208a69cbda4e3ee0317e72a91b2ffd",
-        "manifest.json": "7213b6b485c93e57e273b3b1ac903bc727095dd2cecd34eab5eafd0d0f176462",
+        "manifest.json": "5b4c1d454d19552c2ccb13a7e0f6574def0a23e88625e625a7a0e1b478c61b0c",
         "outcomes.jsonl": "08365b42a1a421cbb2dad965289bef18bc77207fef3093236af7570733db8a8a",
     },
     "open_book": {
         "events.jsonl": "eccfd53ca628bb55b66f5f1f0a16fa9e22c98257e6cbdec25a52894f84adbd0e",
         "latency_table.csv": "bde0106587541179c6920258e3710a8f47e33d2141068555dd826666374b9ec0",
         "latency_table.json": "24272154185332a7e687d30703eefd47f83d9263d011090f2cd7ab553ef79acb",
-        "manifest.json": "003eb8193cf788cde9d7f3b17921707abe78821477f13bdd110a1836bb714fa2",
+        "manifest.json": "5896b56337d0fec9e47c639e8bdc7a61a2372e6aba0671a0afd65a3ddf41ed79",
         "outcomes.jsonl": "2e37673a4c107473561b37224c571228af8bf1a82376a566905ec835b750f944",
     },
     "fixed_interval": {
         "events.jsonl": "911d1054cddf9881cd42d22aaae098e5ad79fa855be23ee4e8f1df9148642565",
         "latency_table.csv": "d0453f158e9f07860bfabe8c7eae2c7133d92e48bf2b8d971f0c80287062894c",
         "latency_table.json": "6cf3d4f68d90d6dcfb460964687cd0a206daa584962da0b0787e5d7497681091",
-        "manifest.json": "e5d09901c0fa1233d4eb5a416355c6857311a0dfb1dc7be246988fa238e49d0e",
+        "manifest.json": "65ee45b196a5e8e8d9baa78c605d6a3abb809f120fab057633034cd14f7b4b5f",
         "outcomes.jsonl": "53e0e3d60f090a42bfcd50640cb9ad9e781029596bf10fa20f8dcb90b0d8ed8f",
     },
     "model_triggered": {
         "events.jsonl": "8e0ac809bf0195f35f112bf5cf7279c57d855da767ad9e8edbdae4df039cbc74",
         "latency_table.csv": "eb3edcb231b96b85234539f2a4d1a0ab734a4c54937c8bfff32fa1e7cd4c8d1e",
         "latency_table.json": "99867ee873d7edcf43126e3b949598e61a1aa08539a27f4310169f7569b8f07b",
-        "manifest.json": "7b3d9fcd03f816f662dc108c432b316e599c222774da6bbfad103b9b4001bf88",
+        "manifest.json": "e61f1eab9b3eea7e79e4d9664edd24b1a6b02ca5e0eac9429111a045530b16b0",
         "outcomes.jsonl": "a1ae203c5647481ad785847d1244388a1e62f812faa7d700fb9916bf685d4f76",
     },
     "label": {
         # re-recorded when the manifest began to record --web-match (default
         # set) as reflect_ordered, and again for block_ms (see above)
-        "manifest.json": "63dc6a468a9eeb6a01186e0f6801db89b0ce82f2aeeb68caa5c9db3cb89dbe2b",
+        "manifest.json": "31f38afcc9599958d68e1d98e77dcf2597b53e0e127d010b80c50c6b2bd11e60",
         "summary.json": "8c96d3a4142ce379a467c6762357ad5f993dfdd5a78e8c2a7275ae6ce53e37c2",
         "training.jsonl": "8b686afb8ff601a867fa17c8dffe77f006e87196d7c3f9030baed648797aa5bd",
     },

@@ -10,7 +10,6 @@ from streamrag.triggers import (
     FinalQueryGenerator,
     ScriptedQueryGenerator,
     StreamingScriptedGenerator,
-    TriggerAction,
     fixed_interval_step,
     model_trigger_step,
 )
@@ -19,11 +18,6 @@ from streamrag.triggers import (
 class FailingGenerator:
     def generate(self, prefix, prev_web, prev_kg):
         raise RuntimeError("model unavailable")
-
-
-class NoQueryUnderFixed:
-    def generate(self, prefix, prev_web, prev_kg):
-        return ScriptedQueries(web=NO_QUERY, kg=NO_QUERY)
 
 
 def _streaming_gen(trace, similarity_ctx, block_ms=500):
@@ -65,28 +59,23 @@ class TestFixedIntervalStep:
     def test_five_block_trace_fires_every_block(self):
         trace = brand_founder_trace()
         gen = ScriptedQueryGenerator(trace, 500)
-        decisions = [
-            fixed_interval_step(gen, prefix, b) for b, prefix in blocks_of(trace, 500)
-        ]
-        assert len(decisions) == 5
-        assert all(d.web.action is TriggerAction.FIRE for d in decisions)
-        assert all(d.kg.action is TriggerAction.FIRE for d in decisions)
+        steps = [fixed_interval_step(gen, prefix, b) for b, prefix in blocks_of(trace, 500)]
+        assert len(steps) == 5
+        assert not any(q.web.is_no_query or q.kg.is_no_query for q in steps)
 
     def test_block3_fires_the_settled_query(self):
         trace = brand_founder_trace()
         gen = ScriptedQueryGenerator(trace, 500)
         blocks = dict(blocks_of(trace, 500))
-        decision = fixed_interval_step(gen, blocks[3], 3)
-        assert decision.web.query == ToolQuery.web("Who founded Rare Beauty")
+        assert fixed_interval_step(gen, blocks[3], 3).web == ToolQuery.web("Who founded Rare Beauty")
 
-    def test_generator_failure_becomes_failed_decision(self):
-        decision = fixed_interval_step(FailingGenerator(), "prefix", 2)
-        assert decision.web.action is TriggerAction.FAILED
-        assert decision.kg.action is TriggerAction.FAILED
-
-    def test_no_query_is_illegal_under_fixed_interval(self):
-        decision = fixed_interval_step(NoQueryUnderFixed(), "prefix", 1)
-        assert decision.web.action is TriggerAction.FAILED
+    def test_generator_failure_becomes_no_query_with_one_warning(self, caplog):
+        with caplog.at_level("WARNING", logger="streamrag.triggers"):
+            queries = fixed_interval_step(FailingGenerator(), "prefix", 2)
+        assert queries == ScriptedQueries(NO_QUERY, NO_QUERY)
+        assert [r.getMessage() for r in caplog.records] == [
+            "query generator failed at block 2; both tools get NO_QUERY"
+        ]
 
 
 class TestModelTriggerStep:
@@ -96,35 +85,31 @@ class TestModelTriggerStep:
         blocks = dict(blocks_of(trace, 500))
         prev_web = ToolQuery.web("Who founded Rare Beauty")
         prev_kg = ToolQuery.kg(KgQuery.make("other", {"main_entity": "Rare Beauty"}))
-        decision = model_trigger_step(gen, blocks[4], prev_web, prev_kg, 4)
-        assert decision.web.action is TriggerAction.NO_QUERY
-        assert decision.kg.action is TriggerAction.NO_QUERY
+        queries = model_trigger_step(gen, blocks[4], prev_web, prev_kg, 4)
+        assert queries.web.is_no_query and queries.kg.is_no_query
 
     def test_misfire_recovery_fires_new_query(self, similarity_ctx):
         trace = brand_founder_trace()
         gen = _streaming_gen(trace, similarity_ctx)
         blocks = dict(blocks_of(trace, 500))
-        decision = model_trigger_step(
+        queries = model_trigger_step(
             gen, blocks[2], ToolQuery.web("Who founded what"),
             ToolQuery.kg(KgQuery.make("other", {"main_entity": "Who"})), 2,
         )
-        assert decision.web.action is TriggerAction.FIRE
-        assert decision.web.query == ToolQuery.web("Red Bull founder")
+        assert queries.web == ToolQuery.web("Red Bull founder")
 
     def test_first_block_with_no_prev_always_fires(self, similarity_ctx):
         trace = brand_founder_trace()
         gen = _streaming_gen(trace, similarity_ctx)
         blocks = dict(blocks_of(trace, 500))
-        decision = model_trigger_step(gen, blocks[1], NO_QUERY, NO_QUERY, 1)
-        assert decision.web.action is TriggerAction.FIRE
-        assert decision.kg.action is TriggerAction.FIRE
+        queries = model_trigger_step(gen, blocks[1], NO_QUERY, NO_QUERY, 1)
+        assert not queries.web.is_no_query and not queries.kg.is_no_query
 
     def test_generator_failure_keeps_running_call(self):
-        decision = model_trigger_step(
+        queries = model_trigger_step(
             FailingGenerator(), "prefix", ToolQuery.web("prev"), NO_QUERY, 3
         )
-        assert decision.web.action is TriggerAction.NO_QUERY
-        assert decision.kg.action is TriggerAction.NO_QUERY
+        assert queries == ScriptedQueries(NO_QUERY, NO_QUERY)
 
 
 class TestPolicyInvariants:
@@ -133,20 +118,20 @@ class TestPolicyInvariants:
         gen = _streaming_gen(trace, similarity_ctx)
         prev = {Tool.WEB: NO_QUERY, Tool.KG: NO_QUERY}
         fires: dict[Tool, list[int]] = {Tool.WEB: [], Tool.KG: []}
-        decisions = []
+        steps = []
         for b, prefix in blocks_of(trace, 500):
-            decision = model_trigger_step(gen, prefix, prev[Tool.WEB], prev[Tool.KG], b)
-            decisions.append(decision)
+            queries = model_trigger_step(gen, prefix, prev[Tool.WEB], prev[Tool.KG], b)
+            steps.append(queries)
             for tool in (Tool.WEB, Tool.KG):
-                td = decision.for_tool(tool)
-                if td.action is TriggerAction.FIRE:
-                    prev[tool] = td.query
+                query = queries.for_tool(tool)
+                if not query.is_no_query:
+                    prev[tool] = query
                     fires[tool].append(b)
-        # between consecutive fires every decision is no_query
+        # between consecutive fires every step is no_query
         for tool in (Tool.WEB, Tool.KG):
             for earlier, later in zip(fires[tool], fires[tool][1:]):
-                between = [d.for_tool(tool).action for d in decisions[earlier:later - 1]]
-                assert all(a is TriggerAction.NO_QUERY for a in between)
+                between = [q.for_tool(tool) for q in steps[earlier:later - 1]]
+                assert all(q.is_no_query for q in between)
 
     def test_replay_is_deterministic(self, similarity_ctx):
         trace = jump_shots_trace()
@@ -156,12 +141,12 @@ class TestPolicyInvariants:
             prev = {Tool.WEB: NO_QUERY, Tool.KG: NO_QUERY}
             log = []
             for b, prefix in blocks_of(trace, 500):
-                decision = model_trigger_step(gen, prefix, prev[Tool.WEB], prev[Tool.KG], b)
+                queries = model_trigger_step(gen, prefix, prev[Tool.WEB], prev[Tool.KG], b)
                 for tool in (Tool.WEB, Tool.KG):
-                    td = decision.for_tool(tool)
-                    log.append((b, tool.value, td.action.value, td.query.to_wire()))
-                    if td.action is TriggerAction.FIRE:
-                        prev[tool] = td.query
+                    query = queries.for_tool(tool)
+                    log.append((b, tool.value, query.to_wire()))
+                    if not query.is_no_query:
+                        prev[tool] = query
             return log
 
         assert run() == run()
