@@ -209,7 +209,6 @@ class TestValueChecks:
     @pytest.mark.parametrize("source", ["--config", "STREAMRAG_CONFIG"])
     @pytest.mark.parametrize("command,values", [
         ("simulate", {"block_ms": "fast"}),
-        ("label", {"block_ms": 0}),  # 0 is not "unset": only null is
         ("label", {"negative_prob": "high"}),
         ("simulate", {"strategy": "bogus"}),
         ("simulate", {"web_kg_ratio": 5}),
@@ -217,6 +216,7 @@ class TestValueChecks:
         ("simulate", {"top_docs": True}),  # JSON true is an int in Python
         ("simulate", {"seed": 1.5}),
         ("simulate", {"web_kg_ratio": "1_0:1"}),
+        ("label", {"block_ms": 0}),  # 0 is not "unset": only null is
     ])
     def test_bad_config_value_is_input_error(self, tmp_path, monkeypatch, run_main, source,
                                              command, values):
