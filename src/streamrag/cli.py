@@ -42,6 +42,7 @@ from .labeling import (
     SimilarityContext,
     assign_streaming_labels,
     build_negative_pool,
+    check_reference,
     export_training_set,
     inject_negative_samples,
     similarity_f,
@@ -420,10 +421,14 @@ def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
 
 
 def _read_pseudo_gt(path: str, traces) -> dict[str, dict]:
+    def parse(r: dict) -> tuple[str, int, ScriptedQueries]:
+        uid, block, entry = (str(r["utterance_id"]), json_int(r["block"], "block"),
+                             ScriptedQueries.from_wire(r))
+        check_reference(uid, block, entry)
+        return uid, block, entry
+
     records = read_jsonl(
-        path, lambda r: (str(r["utterance_id"]), json_int(r["block"], "block"),
-                         ScriptedQueries.from_wire(r)),
-        "reference query", empty_ok=True,
+        path, parse, "reference query", empty_ok=True,
         key=lambda r: f"reference query for utterance {r[0]!r} block {r[1]}")
     unknown = {uid for uid, _, _ in records} - {t.utterance_id for t in traces}
     if unknown:

@@ -39,6 +39,15 @@ def similarity_f(current: ToolQuery, prev: ToolQuery, ctx: SimilarityContext) ->
     return reflect_with_reason(current, prev, ctx)[0]
 
 
+def check_reference(utterance_id: str, block: BlockIndex, entry: ScriptedQueries) -> None:
+    """A reference pair is what each tool should ask, so neither side may be
+    NO_QUERY; an InputError names the first that is."""
+    if entry.web.is_no_query or entry.kg.is_no_query:
+        tool = Tool.WEB if entry.web.is_no_query else Tool.KG
+        raise InputError(f"{utterance_id}: reference query for block {block}/{tool.value} "
+                         "must be a real query")
+
+
 @dataclass(frozen=True)
 class LabeledStep:
     """One (block, tool) training example.
@@ -82,13 +91,9 @@ def assign_streaming_labels(
     prev: dict[Tool, ToolQuery] = {Tool.WEB: NO_QUERY, Tool.KG: NO_QUERY}
     for block, prefix in blocks:
         entry = references[block]
+        check_reference(trace.utterance_id, block, entry)
         for tool in (Tool.WEB, Tool.KG):
             gt = entry.for_tool(tool)
-            if gt.is_no_query:
-                raise InputError(
-                    f"{trace.utterance_id}: reference query for block {block}/{tool.value} "
-                    "must be a real query"
-                )
             label = NO_QUERY if similarity_f(gt, prev[tool], ctx) else gt
             steps.append(
                 LabeledStep(

@@ -30,6 +30,14 @@ since the index is immutable.
 Streaming strategies search the same query text many times, so each index
 memoises its rankings by query text. The index is immutable and the ranking
 order is total, so a memoised ranking is exactly what a fresh search returns.
+
+They also rerank the same documents many times. A chunk rerank scores the
+chunks of a result's documents with the same cosine as any other text
+(``score_texts``): each chunk's term counts and norm are built the first time
+its document is chunked at that size, the missing documents' chunks tokenized
+in one call, and kept on the index. A rerank then adds the query weight times
+each chunk weight over the query's terms, in ascending term id, which are the
+products a walk over the chunk's own terms would add, in the same order.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import threading
 from array import array
 from bisect import bisect_left
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -115,7 +123,8 @@ class DocIndex:
     ``count * idf[t]``, computed where it is read. Both lists come from one
     pass over the corpus's tokens, the norms from a pass over the postings.
     Rebuilding from the same corpus yields the same index; all lookups are
-    pure, so rankings are memoised (see ``ranking``).
+    pure, so rankings are memoised (see ``ranking``) and chunk vectors kept
+    (see ``_chunks``).
     """
 
     def __init__(self, docs: Sequence[tuple[str, str]]) -> None:
@@ -164,12 +173,11 @@ class DocIndex:
         self._by_doc_id = array("i", sorted(range(self.n_docs), key=self.doc_ids.__getitem__))
         # term id -> its postings in impact order (see _impact_order)
         self._impact_orders: dict[int, tuple[list[int], list[float]]] = {}
+        # (doc_id, chunk_tokens) -> the document's chunks as vectors (see _chunks)
+        self._chunk_vectors: dict[tuple[str, int], tuple] = {}
         # query text -> (largest k asked, doc ids, scores), oldest use first
         self._rankings: OrderedDict[str, tuple] = OrderedDict()
         self._rankings_lock = threading.Lock()
-
-    def doc_text(self, doc_id: str) -> str:
-        return self._texts[doc_id]
 
     def _query_terms(self, query_text: str) -> tuple[list[tuple[int, float]], float]:
         """In-vocabulary (term id, weight) pairs in ascending id, and the L2
@@ -286,29 +294,89 @@ class DocIndex:
                         break
         return tuple(doc_ids[d] for d, _ in ranked), tuple(score for _, score in ranked)
 
+    def _term_vector(self, tokens: Sequence[str]) -> tuple[dict[int, int], float]:
+        """In-vocabulary tokens counted by term id, and the L2 norm of all the
+        tokens: each out-of-vocabulary token adds the unseen-term idf squared
+        first, then each term its squared weight in ascending id."""
+        vocab_get, idf = self.vocab.get, self.idf
+        unseen_sq = self._default_idf * self._default_idf
+        counts: dict[int, int] = {}
+        sq = 0.0
+        for token in tokens:
+            tid = vocab_get(token)
+            if tid is None:
+                sq += unseen_sq
+            else:
+                counts[tid] = counts.get(tid, 0) + 1
+        for tid in sorted(counts):
+            w = counts[tid] * idf[tid]
+            sq += w * w
+        return counts, math.sqrt(sq)
+
+    def _cosine(self, terms: list[tuple[int, float]], qnorm: float,
+                counts: dict[int, int], norm: float) -> float:
+        """Cosine of a term vector (see ``_term_vector``) with the query's
+        terms, their products added in ascending term id."""
+        idf = self.idf
+        dot = 0.0
+        for tid, qw in terms:
+            count = counts.get(tid)
+            if count is not None:
+                dot += qw * (count * idf[tid])
+        return dot / (norm * qnorm) if dot != 0.0 else 0.0
+
     def score_texts(self, query_text: str, texts: Sequence[str]) -> list[float]:
         """Score arbitrary texts (e.g. chunks) against the query with index idf."""
         terms, qnorm = self._query_terms(query_text)
-        query = dict(terms)
-        scores = []
-        for tokens in tokenize_all(texts):
-            counts: dict[int, int] = {}
-            sq = 0.0  # out-of-vocabulary tokens first, then terms in id order
-            for token in tokens:
-                tid = self.vocab.get(token)
-                if tid is None:
-                    sq += self._default_idf * self._default_idf
-                else:
-                    counts[tid] = counts.get(tid, 0) + 1
-            dot = 0.0
-            for tid in sorted(counts):
-                w = counts[tid] * self.idf[tid]
-                sq += w * w
-                qw = query.get(tid)
-                if qw is not None:
-                    dot += qw * w
-            scores.append(dot / (math.sqrt(sq) * qnorm) if dot != 0.0 else 0.0)
-        return scores
+        return [self._cosine(terms, qnorm, *self._term_vector(tokens))
+                for tokens in tokenize_all(texts)]
+
+    def _chunks(self, doc_ids: Sequence[str], chunk_tokens: int
+                ) -> list[tuple[tuple[int, str, dict[int, int], float], ...]]:
+        """Each document's chunks as (token offset, text, term counts, norm).
+
+        A chunk is a run of at most ``chunk_tokens`` whitespace tokens of the
+        document, joined on single spaces; its counts and norm are those
+        ``score_texts`` computes for its text. A document's chunks are built
+        on first use and kept, since the index is immutable: the documents
+        not yet kept are chunked together and tokenized in one call. A
+        concurrent first use builds the same entries.
+        """
+        table = self._chunk_vectors
+        keys = [(doc_id, chunk_tokens) for doc_id in doc_ids]
+        found = list(map(table.get, keys))
+        if None in found:
+            missing = dict.fromkeys(doc_id for doc_id, vectors in zip(doc_ids, found)
+                                    if vectors is None)
+            offsets: list[int] = []
+            texts: list[str] = []
+            ends = []  # each missing document's chunks end here in offsets and texts
+            for doc_id in missing:
+                words = self._texts[doc_id].split()
+                for offset in range(0, len(words), chunk_tokens):
+                    offsets.append(offset)
+                    texts.append(" ".join(words[offset:offset + chunk_tokens]))
+                ends.append(len(texts))
+            vectors = [(offset, text, counts, norm) for offset, text, (counts, norm)
+                       in zip(offsets, texts, map(self._term_vector, tokenize_all(texts)))]
+            start = 0
+            for doc_id, end in zip(missing, ends):
+                table[doc_id, chunk_tokens] = tuple(vectors[start:end])
+                start = end
+            found = list(map(table.__getitem__, keys))
+        return found
+
+    def rank_chunks(self, query_text: str, doc_ids: Sequence[str], chunk_tokens: int
+                    ) -> list[Chunk]:
+        """The chunks of the documents (see ``_chunks``), each scored as
+        ``score_texts`` scores its text, in ``(-score, doc_id, offset)`` order."""
+        terms, qnorm = self._query_terms(query_text)
+        cosine = self._cosine
+        ranked = [(-cosine(terms, qnorm, counts, norm), doc_id, offset, text)
+                  for doc_id, chunks in zip(doc_ids, self._chunks(doc_ids, chunk_tokens))
+                  for offset, text, counts, norm in chunks]
+        ranked.sort()  # a tie on (-score, doc_id, offset) is a repeated document's same chunk
+        return [Chunk(doc_id, offset, text, -neg) for neg, doc_id, offset, text in ranked]
 
 
 def index_documents(corpus: Iterable[dict]) -> DocIndex:
@@ -323,11 +391,12 @@ def index_documents(corpus: Iterable[dict]) -> DocIndex:
 
 
 def web_search(index: DocIndex, query: ToolQuery, k: int) -> WebResult:
-    """Rank the whole corpus for a web query and keep the top k documents.
+    """The top k documents for a web query, in ``(-score, doc_id)`` order.
 
     The ranking comes from the index's memo when it holds this query text at
-    depth k or more. Zero-overlap queries still return k documents (all scored
-    0, ordered by doc_id). Kg or NO_QUERY inputs are a caller bug.
+    depth k or more, and from the top-k walk (``DocIndex.ranking``) otherwise.
+    Zero-overlap queries still return k documents (all scored 0, ordered by
+    doc_id). Kg or NO_QUERY inputs are a caller bug.
     """
     if query.tool is not Tool.WEB:
         raise WrongToolError(f"web_search needs a web query, got {query.tool}")
@@ -343,22 +412,14 @@ def chunk_and_rerank(
     """Split ranked documents into fixed-size token chunks and rank the chunks.
 
     Chunks are contiguous runs of at most chunk_tokens whitespace tokens,
-    scored against query_text by the index scorer; ties break by doc_id then
-    chunk offset, so the ranking does not depend on document rank order.
+    scored against query_text by the index scorer from the chunk vectors the
+    index keeps (``DocIndex.rank_chunks``); ties break by doc_id then chunk
+    offset, so the ranking does not depend on document rank order.
     """
     if chunk_tokens < 1:
         raise ValueError("chunk_tokens must be >= 1")
-    pieces: list[tuple[str, int, str]] = []
-    for doc_id in result.ranked_doc_ids:
-        tokens = index.doc_text(doc_id).split()
-        for offset in range(0, len(tokens), chunk_tokens):
-            pieces.append((doc_id, offset, " ".join(tokens[offset : offset + chunk_tokens])))
-    scores = index.score_texts(query_text, [text for _, _, text in pieces])
-    ranked = sorted(
-        (Chunk(doc_id, offset, text, scores[i]) for i, (doc_id, offset, text) in enumerate(pieces)),
-        key=lambda c: (-c.score, c.doc_id, c.offset),
-    )
-    return replace(result, ranked_chunks=tuple(ranked))
+    ranked = index.rank_chunks(query_text, result.ranked_doc_ids, chunk_tokens)
+    return WebResult(result.query_text, result.ranked_doc_ids, result.doc_scores, tuple(ranked))
 
 
 class KgStore:

@@ -366,6 +366,21 @@ class TestLabel:
                 in result.stderr)
         assert not (tmp_path / "lab").exists()
 
+    @pytest.mark.parametrize("side, value", [("kg", None), ("web", "NO_QUERY")])
+    def test_no_query_pseudo_gt_side_is_rejected_at_its_line(self, tmp_path, side, value):
+        """A reference names what a tool should ask, never NO_QUERY; the fault
+        is reported where the record is, as a scripted one is in a trace."""
+        trace = json.loads((FIXTURES / "traces.jsonl").read_text().splitlines()[0])
+        records = [{"utterance_id": trace["utterance_id"], "block": int(block), **entry}
+                   for block, entry in trace["scripted_queries"].items()]
+        records[3][side] = value
+        gt = tmp_path / "pgt.jsonl"
+        gt.write_text("".join(json.dumps(r) + "\n" for r in records))
+        result = label(tmp_path / "lab", "--pseudo-gt", str(gt), expect=2)
+        assert (f"{gt}:4: brand-founder: reference query for block {records[3]['block']}/{side} "
+                "must be a real query") in result.stderr
+        assert not (tmp_path / "lab").exists()
+
 
 @pytest.fixture(scope="module")
 def paraphrase_inputs(tmp_path_factory) -> list[str]:

@@ -4,13 +4,16 @@ Scores are compared as float hex strings, so any change in summation order or
 arithmetic shows up; rankings are compared with the oracle's full
 ``(-score, doc_id)`` sort of the whole corpus. Memoised rankings must equal a
 fresh index's, whatever order the depths are asked in, across evictions and
-under concurrent searches.
+under concurrent searches. Chunk reranks, served from the chunk vectors an
+index keeps, must equal a fresh index's and the oracle's scoring of the chunk
+texts, whatever documents were reranked before and from however many threads.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 from streamrag import retrieval
 from streamrag.core import KgQuery, ToolQuery
 from streamrag.errors import WrongToolError
-from streamrag.retrieval import DocIndex, index_documents, web_search
+from streamrag.retrieval import DocIndex, WebResult, chunk_and_rerank, index_documents, web_search
 from streamrag.synth import FixtureWorld
 
 from oracles import OracleDenseIndex
@@ -334,3 +337,102 @@ def test_concurrent_searches_with_a_tiny_memo_match_a_sequential_run(world, monk
         for ask, result in run:
             assert result == expected[ask], ask
     assert len(shared._rankings) <= 2
+
+
+CHUNK_SIZES = [1, 3, 128]
+
+
+def _chunks(result: WebResult) -> list[tuple[str, int, str, str]]:
+    return [(c.doc_id, c.offset, c.text, c.score.hex()) for c in result.ranked_chunks]
+
+
+def _oracle_chunks(corpus, oracle: OracleDenseIndex, query: str, doc_ids, chunk_tokens: int):
+    """Chunks by their definition: runs of at most chunk_tokens whitespace
+    tokens joined on single spaces, scored by the oracle as texts and sorted by
+    (-score, doc_id, offset)."""
+    texts = {record["doc_id"]: record["text"] for record in corpus}
+    pieces = []
+    for doc_id in doc_ids:
+        words = texts[doc_id].split()
+        pieces += [(doc_id, offset, " ".join(words[offset:offset + chunk_tokens]))
+                   for offset in range(0, len(words), chunk_tokens)]
+    scores = oracle.score_texts(query, [text for _, _, text in pieces])
+    ranked = sorted(zip(pieces, scores), key=lambda p: (-p[1], p[0][0], p[0][1]))
+    return [(doc_id, offset, text, score.hex()) for (doc_id, offset, text), score in ranked]
+
+
+def _rerank(index, query: str, doc_ids, chunk_tokens: int) -> WebResult:
+    result = WebResult(query, tuple(doc_ids), (0.0,) * len(doc_ids))
+    return chunk_and_rerank(index, result, query, chunk_tokens)
+
+
+@st.composite
+def rerank_calls(draw):
+    """A corpus and a sequence of reranks on it: a query, documents drawn
+    with repeats, and a chunk size each."""
+    corpus = draw(corpora())
+    ids = [record["doc_id"] for record in corpus]
+    calls = draw(st.lists(st.tuples(query_text, st.lists(st.sampled_from(ids), max_size=6),
+                                    st.sampled_from(CHUNK_SIZES)), min_size=1, max_size=8))
+    return corpus, calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(rerank_calls())
+def test_kept_chunk_vectors_rerank_as_a_fresh_index_and_the_oracle(drawn):
+    corpus, calls = drawn
+    index = index_documents(corpus)
+    oracle = OracleDenseIndex(corpus)
+    for query, doc_ids, chunk_tokens in calls:
+        ranked = _chunks(_rerank(index, query, doc_ids, chunk_tokens))
+        assert ranked == _chunks(_rerank(index_documents(corpus), query, doc_ids, chunk_tokens))
+        assert ranked == _oracle_chunks(corpus, oracle, query, doc_ids, chunk_tokens)
+
+
+@pytest.mark.parametrize("chunk_tokens", CHUNK_SIZES)
+def test_chunks_holding_nul_rerank_as_the_oracle(chunk_tokens):
+    """A chunk text holding NUL sends its rerank's texts through per-text
+    tokenizing; cold and warm reranks still match the oracle."""
+    corpus = [{"doc_id": "d1", "text": "alpha\x00beta \u039f\u0394\u039f\u03a3 gamma"},
+              {"doc_id": "d2", "text": "\u03a3 alpha beta"}, {"doc_id": "d3", "text": "beta\x00"}]
+    index = index_documents(corpus)
+    oracle = OracleDenseIndex(corpus)
+    doc_ids = ["d2", "d1", "d3", "d1"]
+    for query in ["alpha", "alpha\x00beta", "\u03bf\u03b4\u03bf\u03c2 \u03c3", "beta"]:
+        result = _rerank(index, query, doc_ids, chunk_tokens)
+        assert any("\x00" in chunk.text for chunk in result.ranked_chunks)
+        assert _chunks(result) == _oracle_chunks(corpus, oracle, query, doc_ids, chunk_tokens)
+
+
+def test_concurrent_first_reranks_match_a_sequential_run(world):
+    """Four threads rerank on one index whose chunk table starts empty, five
+    times over; every result and the table they leave equal a sequential run's."""
+    sequential = index_documents(world.corpus)
+    asks = [(query, k, chunk_tokens) for query in _fixture_queries(world)[:6]
+            for k in (5, 20) for chunk_tokens in (3, 128)]
+    searched = {ask: web_search(sequential, ToolQuery.web(ask[0]), ask[1]) for ask in asks}
+    expected = {ask: _chunks(chunk_and_rerank(sequential, searched[ask], ask[0], ask[2]))
+                for ask in asks}
+
+    def reranks(shared, start, seed):
+        order = asks * 3
+        random.Random(seed).shuffle(order)
+        start.wait()  # every thread meets the table empty
+        return [(ask, chunk_and_rerank(shared, searched[ask], ask[0], ask[2])) for ask in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        for round_ in range(5):
+            shared = index_documents(world.corpus)
+            start = threading.Barrier(4, timeout=60)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                # re-raises a thread's exception
+                runs = list(pool.map(reranks, [shared] * 4, [start] * 4,
+                                     range(4 * round_, 4 * round_ + 4), timeout=120))
+            for run in runs:
+                for ask, result in run:
+                    assert _chunks(result) == expected[ask], (round_, ask)
+            assert shared._chunk_vectors == sequential._chunk_vectors
+    finally:
+        sys.setswitchinterval(interval)

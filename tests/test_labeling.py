@@ -131,6 +131,16 @@ class TestAssignStreamingLabels:
         with pytest.raises(InputError, match=r"\[2, 3\]"):
             assign_streaming_labels(trace, 500, similarity_ctx)
 
+    @pytest.mark.parametrize("tool", [Tool.WEB, Tool.KG])
+    def test_no_query_reference_rejected_for_api_callers(self, similarity_ctx, tool):
+        trace = brand_founder_trace()
+        references = dict(trace.scripted_queries)
+        side = "web" if tool is Tool.WEB else "kg"
+        references[4] = replace(references[4], **{side: NO_QUERY})
+        with pytest.raises(InputError, match=f"brand-founder: reference query for block 4/{side} "
+                                             "must be a real query"):
+            assign_streaming_labels(trace, 500, similarity_ctx, references)
+
     def test_label_similarity_consistency(self, world, similarity_ctx):
         for trace in random_batch(world, 10, seed=13, block_ms=500):
             steps = assign_streaming_labels(trace, 500, similarity_ctx)
