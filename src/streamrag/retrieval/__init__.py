@@ -17,15 +17,16 @@ posting's weight, count times idf, is computed where it is read.
 A search for the top k is the threshold algorithm (Fagin, Lotem & Naor, 2001).
 It walks the posting lists of the query's terms side by side, each in
 descending order of impact (weight / document norm), and scores each newly
-seen document exactly: it looks the document up in every query term's
-postings and adds the products in ascending term id, as a walk over the
-document's own terms would, so its score is the same double bit for bit. The
-walk stops once the k-th best score is strictly above what any unseen
-document could reach, the sum of query weight times the next impact of each
-list, with a relative slack far above the rounding error, so a tie that a
-smaller doc_id would win is never left unseen. A heap then keeps the top k of
-the documents seen. Each term's impact order is built on first use and kept,
-since the index is immutable.
+seen document exactly: it looks the document's count up in each query term's
+count map, one dict lookup per term, and adds the products in ascending term
+id, as a walk over the document's own terms would, so its score is the same
+double bit for bit. The walk stops once the k-th best score is strictly above
+what any unseen document could reach, the sum of query weight times the next
+impact of each list, with a relative slack far above the rounding error, so a
+tie that a smaller doc_id would win is never left unseen. One sort of the
+documents seen by ``(-score, doc_id)`` then gives the top k. Each term's
+impact order and count map are built on first use and kept, since the index
+is immutable.
 
 Streaming strategies search the same query text many times, so each index
 memoises its rankings by query text. The index is immutable and the ranking
@@ -47,7 +48,6 @@ import math
 import string
 import threading
 from array import array
-from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
@@ -171,8 +171,8 @@ class DocIndex:
         self._norms = array("d", map(math.sqrt, sq))
         # zero-score documents fill a short ranking in doc_id order
         self._by_doc_id = array("i", sorted(range(self.n_docs), key=self.doc_ids.__getitem__))
-        # term id -> its postings in impact order (see _impact_order)
-        self._impact_orders: dict[int, tuple[list[int], list[float]]] = {}
+        # term id -> its postings in impact order, and its counts (see _impact_order)
+        self._impact_orders: dict[int, tuple[list[int], list[float], dict[int, int]]] = {}
         # (doc_id, chunk_tokens) -> the document's chunks as vectors (see _chunks)
         self._chunk_vectors: dict[tuple[str, int], tuple] = {}
         # query text -> (largest k asked, doc ids, scores), oldest use first
@@ -202,13 +202,17 @@ class DocIndex:
 
         Without ``k`` every such document is scored. With it, the walk stops
         once no unseen document can enter the top k, and only the documents
-        seen are returned; they hold the top k, with the same scores.
+        seen are returned; they hold the top k, with the same scores. A
+        document is scored by one lookup in each query term's count map (see
+        ``_impact_order``), its products added in ascending term id.
         """
         terms, qnorm = self._query_terms(query_text)
-        postings, post_counts, idf, norms = self.postings, self.post_counts, self.idf, self._norms
-        lists = [(postings[tid], post_counts[tid], idf[tid], qw) for tid, qw in terms]
+        idf, norms = self.idf, self._norms
+        orders = [self._impact_order(tid) for tid, _ in terms]
+        # in ascending term id, the order a walk over a document's terms adds in
+        lookups = [(counts.get, idf[tid], qw) for (tid, qw), (_, _, counts) in zip(terms, orders)]
         # longest list first, so lists drop off the end as the walk exhausts them
-        walks = sorted(((qw, *self._impact_order(tid)) for tid, qw in terms),
+        walks = sorted(((qw, docs, impacts) for (_, qw), (docs, impacts, _) in zip(terms, orders)),
                        key=lambda walk: len(walk[1]), reverse=True)
         scores: dict[int, float] = {}
         best: list[float] = []  # the k best scores seen, smallest first
@@ -226,10 +230,10 @@ class DocIndex:
                 if d in scores:
                     continue
                 dot = 0.0
-                for term_docs, counts, idf_t, qw in lists:
-                    i = bisect_left(term_docs, d)
-                    if i < len(term_docs) and term_docs[i] == d:
-                        dot += qw * (counts[i] * idf_t)
+                for get, idf_t, qw in lookups:
+                    count = get(d)
+                    if count is not None:
+                        dot += qw * (count * idf_t)
                 score = scores[d] = dot / (norms[d] * qnorm)
                 if k is None:
                     continue
@@ -242,16 +246,18 @@ class DocIndex:
                 walks.pop()
         return scores
 
-    def _impact_order(self, tid: int) -> tuple[list[int], list[float]]:
+    def _impact_order(self, tid: int) -> tuple[list[int], list[float], dict[int, int]]:
         """The postings of term ``tid`` as (document indices, impacts) in
-        descending impact, ties in ascending document index; built on first
-        use and kept. A concurrent first use builds the same lists."""
+        descending impact, ties in ascending document index, and its counts
+        by document index; built on first use and kept. A concurrent first use
+        builds the same items."""
         order = self._impact_orders.get(tid)
         if order is None:
-            docs, idf_t, norms = self.postings[tid], self.idf[tid], self._norms
-            impacts = [count * idf_t / norms[d] for d, count in zip(docs, self.post_counts[tid])]
+            docs, counts = self.postings[tid], self.post_counts[tid]
+            idf_t, norms = self.idf[tid], self._norms
+            impacts = [count * idf_t / norms[d] for d, count in zip(docs, counts)]
             ranked = sorted(range(len(docs)), key=impacts.__getitem__, reverse=True)
-            order = [docs[i] for i in ranked], [impacts[i] for i in ranked]
+            order = [docs[i] for i in ranked], [impacts[i] for i in ranked], dict(zip(docs, counts))
             self._impact_orders[tid] = order
         return order
 
@@ -279,13 +285,14 @@ class DocIndex:
         return doc_ids, scores
 
     def _rank(self, query_text: str, k: int) -> tuple[tuple[str, ...], tuple[float, ...]]:
-        """Rank afresh: a heap keeps the top k scored documents, and zero-scored
-        documents fill a short ranking in doc_id order. A short ranking means
-        the walk ran to the end, so ``scores`` holds every touched document."""
+        """Rank afresh: one sort of the scored documents by ``(-score, doc_id)``
+        gives the top k, and zero-scored documents fill a short ranking in
+        doc_id order. A short ranking means the walk ran to the end, so
+        ``scores`` holds every touched document."""
         scores = self.score_all(query_text, k)
         doc_ids = self.doc_ids
-        top = heapq.nsmallest(k, ((-score, doc_ids[d], d) for d, score in scores.items()))
-        ranked = [(d, -neg) for neg, _, d in top]
+        top = sorted(scores, key=lambda d: (-scores[d], doc_ids[d]))[:k]
+        ranked = [(d, scores[d]) for d in top]
         if len(ranked) < k:
             for d in self._by_doc_id:
                 if d not in scores:

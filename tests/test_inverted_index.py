@@ -137,6 +137,20 @@ def test_the_build_matches_the_oracle_on_a_2000_doc_corpus():
     assert_index_matches_oracle(index_documents(world.corpus), OracleDenseIndex(world.corpus))
 
 
+def test_entity_queries_rank_as_the_oracle_on_a_2000_doc_corpus():
+    """stream-2k's search shape: an entity's web query ranks its 5 documents
+    first, then documents matching only its two common terms, many of them
+    tied or nearly so, so the tie-break and the order of the products both
+    decide the ranking."""
+    world = FixtureWorld(2000)
+    index = index_documents(world.corpus)
+    oracle = OracleDenseIndex(world.corpus)
+    queries = [world.web_query(entity).web_text for entity in world.entities[::6]]
+    assert len(queries) >= 50
+    for query in queries:
+        assert_top_k_match(index, oracle, query)
+
+
 def test_score_texts_matches_oracle_on_fixture_chunks(world, index):
     oracle = OracleDenseIndex(world.corpus)
     texts = [record["text"][i:i + 60] for record in world.corpus[:40] for i in (0, 30)]
