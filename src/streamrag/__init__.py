@@ -5,7 +5,6 @@ from .core import (
     KgDomain,
     KgQuery,
     SessionConfig,
-    SimClock,
     Strategy,
     Tool,
     ToolQuery,
@@ -45,7 +44,6 @@ __all__ = [
     "ReferenceBundle",
     "SessionConfig",
     "SessionOutcome",
-    "SimClock",
     "Strategy",
     "Tool",
     "ToolQuery",

@@ -1,16 +1,16 @@
-"""Core domain types: utterance traces, tool queries, config, simulated clock.
+"""Core domain types: utterance traces, tool queries, config, and file I/O.
 
-Time is integer milliseconds on a virtual clock throughout. An utterance is
-consumed block by block: block ``b`` (1-based) covers the audio window
-``(0, b * block_ms]`` and its prefix transcript contains exactly the words
-whose end timestamp falls inside that window. A word still in flight at a
+Time is integer milliseconds from the start of an utterance throughout; each
+session lays its events out on one such timeline (see ``orchestrator``). An
+utterance is consumed block by block: block ``b`` (1-based) covers the audio
+window ``(0, b * block_ms]`` and its prefix transcript contains exactly the
+words whose end timestamp falls inside that window. A word still in flight at a
 block boundary is excluded until the block in which it completes.
 """
 
 from __future__ import annotations
 
 import contextlib
-import heapq
 import json
 import os
 from dataclasses import dataclass, field
@@ -50,6 +50,12 @@ class KgQuery:
     domain: KgDomain
     attributes: tuple[tuple[str, str], ...]
 
+    def __post_init__(self) -> None:
+        # built once: the equivalence check compares keys again and again;
+        # not a field, so equality, hashing and repr are the fields' alone
+        object.__setattr__(self, "_key", (self.domain.value,
+                                          tuple((k, v.lower()) for k, v in self.attributes)))
+
     @classmethod
     def make(cls, domain: KgDomain | str, attributes: dict[str, str] | None = None) -> "KgQuery":
         dom = KgDomain(domain)
@@ -58,7 +64,7 @@ class KgQuery:
 
     def canonical_key(self) -> tuple:
         """Order-insensitive, case-insensitive identity used for lookup and equality."""
-        return (self.domain.value, tuple((k, v.lower()) for k, v in self.attributes))
+        return self._key
 
     def as_flat_dict(self) -> dict[str, str]:
         out = {"domain": self.domain.value}
@@ -242,56 +248,6 @@ def blocks_of(trace: UtteranceTrace, block_ms: int, listed: Container[BlockIndex
             pending = next(word_iter, None)
         out.append((b, " ".join(texts)))
     return out
-
-
-@dataclass(order=True)
-class _Scheduled:
-    fire_at_ms: int
-    seq: int
-    event: Any = field(compare=False)
-
-
-class SimClock:
-    """Deterministic discrete-event clock.
-
-    Events fire in nondecreasing time; ties break by insertion order. The
-    current time never decreases.
-    """
-
-    def __init__(self) -> None:
-        self._now_ms = 0
-        self._queue: list[_Scheduled] = []
-        self._next_seq = 0
-
-    @property
-    def now_ms(self) -> int:
-        return self._now_ms
-
-    def schedule(self, fire_at_ms: int, event: Any) -> None:
-        if fire_at_ms < self._now_ms:
-            raise ValueError("cannot schedule in the past")
-        heapq.heappush(self._queue, _Scheduled(fire_at_ms, self._next_seq, event))
-        self._next_seq += 1
-
-    def pop_due(self, until_ms: int) -> Any | None:
-        """Pop the next event with fire_at_ms <= until_ms, advancing to it.
-
-        Returns None (without advancing past pending events) when nothing is
-        due; callers then advance to until_ms themselves or keep scheduling.
-        """
-        if self._queue and self._queue[0].fire_at_ms <= until_ms:
-            item = heapq.heappop(self._queue)
-            self._now_ms = max(self._now_ms, item.fire_at_ms)
-            return item.event
-        return None
-
-    def advance(self, until_ms: int) -> None:
-        """Move now_ms forward to until_ms; events due by then must be popped first."""
-        if until_ms < self._now_ms:
-            raise ValueError("clock cannot move backwards")
-        if self._queue and self._queue[0].fire_at_ms <= until_ms:
-            raise ValueError(f"an event due at {self._queue[0].fire_at_ms} ms is still pending")
-        self._now_ms = until_ms
 
 
 @dataclass

@@ -1,18 +1,29 @@
 """The streaming session engine.
 
-Runs one utterance through a strategy on a deterministic virtual clock:
-ingests transcript blocks, spawns (and preempts) simulated tool-call
-threads, selects which results feed the response, and records the full
+Runs one utterance through a strategy as one timeline in integer
+milliseconds: ingests transcript blocks, spawns (and preempts) simulated
+tool calls, selects which results feed the response, and records the full
 event log plus a first-token latency decomposition.
 
-Timing model per tool-call thread: query generation runs first, then the
-tool itself (web fetch + chunk rerank, or KG lookup). Threads for different
-tools run in parallel, so the session waits on the slowest one. Response
-generation starts once the utterance is over and the awaited results are in;
-first-token latency is measured from utterance end. In the reported
-decomposition, query generation is charged at its full per-fire cost (even
-when it overlapped speech) and the tool-results figure absorbs the overlap
-credit, so streaming components do not generally sum to the total.
+Every time a session needs is known when its call is spawned. A block fires
+at its boundary, the last block when the last word ends. A tool call
+finishes at its start plus query-generation time plus tool time (web fetch
+and chunk rerank, or KG lookup). Under model_triggered, the tool's next fire
+cancels a call that finishes at or after it: a block wins a tie. Under
+fixed_interval, the reflector cancels calls at utterance end. So each log
+record is appended with a ``(t_ms, seq)`` key and the log is sorted once.
+``seq`` orders the records of one millisecond by their cause: the blocks
+come first, in block order; every other cause (a spawned call's completion,
+utterance end, references_ready, first_token, last_token) takes the next
+number as it arises.
+
+Calls for different tools run in parallel, so the session waits on the
+slowest one. Response generation starts once the utterance is over and the
+awaited results are in; first-token latency is measured from utterance end.
+In the reported decomposition, query generation is charged at its full
+per-fire cost (even when it overlapped speech) and the tool-results figure
+absorbs the overlap credit, so streaming components do not generally sum to
+the total.
 """
 
 from __future__ import annotations
@@ -20,15 +31,15 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
-from typing import Any, Callable, Sequence
+from itertools import count
+from operator import itemgetter
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .core import (
     NO_QUERY,
     BlockIndex,
     ScriptedQueries,
     SessionConfig,
-    SimClock,
     Strategy,
     Tool,
     ToolQuery,
@@ -71,6 +82,10 @@ def _validate_stage(name: str, spec: StageSpec) -> None:
         raise ValueError(f"latency stage {name} has negative delays")
 
 
+def _draw(spec: StageSpec, rng: random.Random) -> int:
+    return spec if isinstance(spec, int) else rng.choice(spec)
+
+
 @dataclass(frozen=True)
 class LatencyModel:
     """Per-stage delays in ms: a constant, or an empirical list sampled uniformly.
@@ -92,10 +107,7 @@ class LatencyModel:
             _validate_stage(name, getattr(self, name))
 
     def sample(self, stage: str, rng: random.Random) -> int:
-        spec = getattr(self, stage)
-        if isinstance(spec, int):
-            return spec
-        return spec[rng.randrange(len(spec))]
+        return _draw(getattr(self, stage), rng)
 
 
 def substream_rng(*parts: Any) -> random.Random:
@@ -105,8 +117,7 @@ def substream_rng(*parts: Any) -> random.Random:
     return random.Random(seed)
 
 
-@dataclass(frozen=True)
-class LogEvent:
+class LogEvent(NamedTuple):
     t_ms: int
     type: str
     tool: str | None = None
@@ -179,12 +190,18 @@ class Backends:
     kg_store: KgStore
 
 
-class _Session:
-    """Mutable state for one run; mutated only by the event loop.
+_KEY = itemgetter(0, 1)
 
-    The tool calls in ``cache`` are the session's only record of what ran:
-    previous queries, pending calls and the reported counts are read from
-    them.
+
+class _Session:
+    """One run's timeline: the tool calls it spawned and its keyed log.
+
+    ``now`` and ``seq`` are the time and order key of the records being
+    logged (see ``at``). The tool calls in ``cache`` are the session's only
+    record of what ran: previous queries, pending calls and the reported
+    counts are read from them. A call stays PENDING until the session
+    settles it, so whether it is still running at ``now`` is read from its
+    finish time.
     """
 
     def __init__(
@@ -195,88 +212,75 @@ class _Session:
         backends: Backends,
         latency: LatencyModel,
     ) -> None:
-        self.trace = trace
         self.config = config
         self.gen = gen
         self.backends = backends
         self.latency = latency
         self.rng = substream_rng(config.rng_seed, latency.seed, trace.utterance_id)
-        self.clock = SimClock()  # events are zero-argument callables
-        self.events: list[LogEvent] = []
+        self.records: list[tuple[int, int, LogEvent]] = []
         self.cache = QueryCache()  # every tool call, per tool in block order
+        self.spawned: list[tuple[int, ToolCall]] = []  # (seq of its completion, call)
         self.max_parallel = 0
-        self.selected_block: BlockIndex | None = None
-        self.utterance_end_ms = trace.end_ms + config.endpoint_delay_ms
+        self.seqs = count()
+        self.now = self.seq = 0
 
-    # -- event log ---------------------------------------------------------
+    def at(self, t_ms: int, seq: int | None = None) -> None:
+        """Log what follows at ``t_ms``, ordered by ``seq``: by default the
+        next free number, which also goes to each call spawned."""
+        self.now, self.seq = t_ms, next(self.seqs) if seq is None else seq
 
     def log(self, type_: str, tool: Tool | None = None, block: BlockIndex | None = None,
             detail: dict | None = None) -> None:
-        self.events.append(
-            LogEvent(
-                t_ms=self.clock.now_ms,
-                type=type_,
-                tool=tool.value if tool else None,
-                block=block,
-                detail=detail,
-            )
-        )
+        now = self.now
+        self.records.append((now, self.seq, LogEvent(now, type_, tool.value if tool else None,
+                                                     block, detail)))
 
-    # -- thread lifecycle ----------------------------------------------------
+    # -- call lifecycle ------------------------------------------------------
 
-    def spawn_thread(self, tool: Tool, block: BlockIndex, query: ToolQuery) -> None:
-        query_gen_ms = self.latency.sample("query_gen", self.rng)
+    def spawn(self, tool: Tool, block: BlockIndex, query: ToolQuery) -> None:
+        latency, rng, now = self.latency, self.rng, self.now
+        query_gen_ms = _draw(latency.query_gen, rng)
         if tool is Tool.WEB:
-            tool_ms = self.latency.sample("web_fetch", self.rng) + self.latency.sample(
-                "chunk_rerank", self.rng
-            )
+            tool_ms = _draw(latency.web_fetch, rng) + _draw(latency.chunk_rerank, rng)
         else:
-            tool_ms = self.latency.sample("kg_lookup", self.rng)
+            tool_ms = _draw(latency.kg_lookup, rng)
 
-        call = ToolCall(
-            tool=tool, block=block, query=query, started_ms=self.clock.now_ms,
-            query_gen_ms=query_gen_ms, tool_ms=tool_ms,
-        )
-        # Content is computed eagerly and deterministically; the simulated
-        # clock only controls when it becomes visible.
+        call = ToolCall(tool, block, query, now, query_gen_ms, tool_ms)
+        # Content is computed eagerly and deterministically; the timeline only
+        # controls when it counts.
         try:
             if tool is Tool.WEB:
                 call.result = web_search(self.backends.index, query, self.config.top_docs)
             else:
                 call.result = kg_lookup(self.backends.kg_store, query)
-        except Exception as exc:  # noqa: BLE001 - backend failure becomes a failed thread
+        except Exception as exc:  # noqa: BLE001 - backend failure becomes a failed call
             call.error = str(exc)
 
         self.cache.add(call)
-        pending = sum(c.status is CallStatus.PENDING for c in self.cache.calls(tool))
+        self.spawned.append((next(self.seqs), call))
+        pending = sum(c.status is CallStatus.PENDING and c.finishes_ms >= now
+                      for c in self.cache.calls(tool))
         self.max_parallel = max(self.max_parallel, pending)
-        self.clock.schedule(call.finishes_ms, partial(self.finish_thread, call))
-        self.log("query_fired", tool=tool, block=block, detail={"query": query.to_wire()})
+        self.log("query_fired", tool, block, {"query": query.to_wire()})
 
-    def cancel_thread(self, call: ToolCall) -> None:
-        if call.status is not CallStatus.PENDING:
-            return
+    def cancel(self, call: ToolCall) -> None:
         call.status = CallStatus.CANCELLED
         call.result = None
-        self.log("thread_cancelled", tool=call.tool, block=call.block)
+        self.log("thread_cancelled", call.tool, call.block)
 
-    def finish_thread(self, call: ToolCall) -> None:
-        if call.status is not CallStatus.PENDING:
-            return  # cancelled before completion
-        if call.error is not None:
-            call.status = CallStatus.FAILED
-            self.log("thread_done", tool=call.tool, block=call.block,
-                     detail={"status": "failed", "error": call.error})
-        else:
-            call.status = CallStatus.DONE
-            self.log("thread_done", tool=call.tool, block=call.block,
-                     detail={"status": "done"})
+    def settle(self, until_ms: int | None = None) -> None:
+        """Mark every uncancelled call that finishes by ``until_ms`` (all of
+        them when None) done, or failed when its backend raised."""
+        for _, call in self.spawned:
+            if call.status is CallStatus.PENDING and (until_ms is None
+                                                       or call.finishes_ms <= until_ms):
+                call.status = CallStatus.DONE if call.error is None else CallStatus.FAILED
 
-    def latest_thread(self, tool: Tool) -> ToolCall | None:
+    def latest(self, tool: Tool) -> ToolCall | None:
         calls = self.cache.calls(tool)
         return calls[-1] if calls else None
 
-    def thread_at(self, tool: Tool, block: BlockIndex) -> ToolCall | None:
+    def call_at(self, tool: Tool, block: BlockIndex) -> ToolCall | None:
         for call in self.cache.calls(tool):
             if call.block == block:
                 return call
@@ -289,13 +293,21 @@ class _Session:
                 return call.query
         return NO_QUERY
 
-    # -- main loop -----------------------------------------------------------
+    def event_log(self) -> list[LogEvent]:
+        """The log in time order: each completion that was not cancelled
+        joins the records, which are then sorted once by their keys."""
+        records = self.records
+        for seq, call in self.spawned:
+            if call.status is not CallStatus.CANCELLED:
+                detail = ({"status": "done"} if call.error is None
+                          else {"status": "failed", "error": call.error})
+                t_ms = call.finishes_ms
+                records.append((t_ms, seq, LogEvent(t_ms, "thread_done", call.tool.value,
+                                                    call.block, detail)))
+        records.sort(key=_KEY)
+        return [record[2] for record in records]
 
-    def pump_until(self, until_ms: int) -> None:
-        """Run every due event in time order, then land on until_ms."""
-        while (event := self.clock.pop_due(until_ms)) is not None:
-            event()
-        self.clock.advance(until_ms)
+    # -- blocks ----------------------------------------------------------------
 
     def on_block(self, block: BlockIndex, prefix: str) -> None:
         self.log("block_ingested", block=block, detail={"prefix": prefix})
@@ -309,25 +321,27 @@ class _Session:
 
     def apply_queries(self, queries: ScriptedQueries, block: BlockIndex) -> None:
         """Fire each tool's real query. Under model_triggered a fire first
-        cancels the tool's latest call, and a NO_QUERY keeps it running; under
-        the other strategies a NO_QUERY means the query never materialized,
-        and is recorded as a failed call."""
+        cancels the tool's latest call if it has not finished before now, and
+        a NO_QUERY keeps it running; under the other strategies a NO_QUERY
+        means the query never materialized, and is recorded as a failed call."""
         triggered = self.config.strategy is Strategy.MODEL_TRIGGERED
         for tool in (Tool.WEB, Tool.KG):
             query = queries.for_tool(tool)
             if not query.is_no_query:
                 # each fire cancels the call before it, so only the tool's
                 # latest call can still be pending
-                if triggered and (running := self.latest_thread(tool)) is not None:
-                    self.cancel_thread(running)
-                self.spawn_thread(tool, block, query)
+                if (triggered and (running := self.latest(tool)) is not None
+                        and running.status is CallStatus.PENDING
+                        and running.finishes_ms >= self.now):
+                    self.cancel(running)
+                self.spawn(tool, block, query)
             elif triggered:
-                self.log("no_query", tool=tool, block=block)
+                self.log("no_query", tool, block)
             else:
-                self.cache.add(ToolCall(tool, block, NO_QUERY,
-                                        started_ms=self.clock.now_ms, status=CallStatus.FAILED))
-                self.log("thread_done", tool=tool, block=block,
-                         detail={"status": "failed", "error": "query generation failed"})
+                self.cache.add(ToolCall(tool, block, NO_QUERY, started_ms=self.now,
+                                        status=CallStatus.FAILED))
+                self.log("thread_done", tool, block,
+                         {"status": "failed", "error": "query generation failed"})
 
 
 def run_session(
@@ -340,26 +354,29 @@ def run_session(
     """Simulate one utterance under the configured strategy."""
     strategy = config.strategy
     session = _Session(trace, config, gen, backends, latency)
+    utterance_end = trace.end_ms + config.endpoint_delay_ms
     if gen is None and strategy is not Strategy.CLOSED_BOOK:
         raise ValueError(f"strategy {strategy.value} needs a query generator")
-
-    utterance_end = session.utterance_end_ms
 
     if strategy in (Strategy.FIXED_INTERVAL, Strategy.MODEL_TRIGGERED):
         # interior blocks fire at their boundary, the final block when the
         # last word completes
         blocks = blocks_of(trace, config.block_ms)
+        session.seqs = count(len(blocks))
         for block, prefix in blocks:
-            fire_at = block * config.block_ms if block < len(blocks) else trace.end_ms
-            session.clock.schedule(fire_at, partial(session.on_block, block, prefix))
-    session.pump_until(utterance_end)
+            session.at(block * config.block_ms if block < len(blocks) else trace.end_ms,
+                       block - 1)
+            session.on_block(block, prefix)
 
+    # utterance end: calls that finish by now are done before anything here
+    session.at(utterance_end)
     if strategy is Strategy.OPEN_BOOK:
         session.apply_queries(fixed_interval_step(session.gen, trace.transcript(), 1), 1)
     calls = session.cache.web + session.cache.kg  # complete: nothing fires after this
 
     rerank_text: str | None = None  # None: rerank with the web result's own query
     if strategy is Strategy.FIXED_INTERVAL:
+        session.settle(utterance_end)
         final_web = session.prev_query(Tool.WEB)
         final_kg = session.prev_query(Tool.KG)
         ctx = SimilarityContext(
@@ -377,19 +394,20 @@ def run_session(
         last_block = max((call.block for call in calls), default=0)
         effective = selected if selected is not None else last_block
         for call in cancel_after(session.cache, effective):
-            session.cancel_thread(call)
-        session.selected_block = selected
-        web_call = session.thread_at(Tool.WEB, effective)
-        kg_call = session.thread_at(Tool.KG, effective)
+            session.cancel(call)
+        web_call = session.call_at(Tool.WEB, effective)
+        kg_call = session.call_at(Tool.KG, effective)
         rerank_text = final_web.web_text
     else:
-        web_call = session.latest_thread(Tool.WEB)
-        kg_call = session.latest_thread(Tool.KG)
+        selected = None
+        web_call = session.latest(Tool.WEB)
+        kg_call = session.latest(Tool.KG)
 
     awaited = [call for call in (web_call, kg_call)
                if call is not None and call.status is not CallStatus.CANCELLED]
     ready_ms = max([utterance_end] + [call.finishes_ms for call in awaited])
-    session.pump_until(ready_ms)
+    # the awaited calls finish by ready_ms; stragglers after it change nothing
+    session.settle()
 
     web_result: WebResult | None = None
     kg_answer: str | None = None
@@ -416,17 +434,17 @@ def run_session(
     tools_expected = strategy is not Strategy.CLOSED_BOOK
     degraded = tools_expected and web_result is None and kg_answer is None
 
+    session.at(ready_ms)
     session.log("references_ready", detail={"total_tokens": references.total_tokens})
 
-    response_gen_ms = session.latency.sample("response_gen", session.rng)
-    response_tail_ms = session.latency.sample("response_tail", session.rng)
+    response_gen_ms = _draw(latency.response_gen, session.rng)
+    response_tail_ms = _draw(latency.response_tail, session.rng)
     first_token_abs = ready_ms + response_gen_ms
     last_token_abs = first_token_abs + response_tail_ms
-    session.clock.schedule(first_token_abs, partial(session.log, "first_token"))
-    session.clock.schedule(last_token_abs, partial(session.log, "last_token"))
-
-    # let stragglers (threads before the selected block) run to completion
-    session.pump_until(max([last_token_abs] + [call.finishes_ms for call in calls]))
+    session.at(first_token_abs)
+    session.log("first_token")
+    session.at(last_token_abs)
+    session.log("last_token")
 
     query_gen_charge = max((call.query_gen_ms for call in awaited), default=0)
     first_token_ms = first_token_abs - utterance_end
@@ -441,11 +459,11 @@ def run_session(
     return SessionOutcome(
         utterance_id=trace.utterance_id,
         strategy=strategy,
-        event_log=session.events,
-        selected_block=session.selected_block,
+        event_log=session.event_log(),
+        selected_block=selected,
         references=references,
         latency=latency_breakdown,
-        threads_spawned=sum(not call.query.is_no_query for call in calls),
+        threads_spawned=len(session.spawned),
         threads_cancelled=sum(call.status is CallStatus.CANCELLED for call in calls),
         max_parallel_threads=session.max_parallel,
         degraded=degraded,

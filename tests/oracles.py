@@ -6,8 +6,32 @@ with the library paths they check.
 
 from __future__ import annotations
 
+import heapq
 import math
+import random
 import string
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Any
+
+from streamrag.core import NO_QUERY, Strategy, Tool, blocks_of
+from streamrag.orchestrator import LatencyBreakdown, SessionOutcome, substream_rng
+from streamrag.reflector import (
+    CallStatus,
+    QueryCache,
+    SimilarityContext,
+    ToolCall,
+    cancel_after,
+    select_earliest_joint,
+)
+from streamrag.retrieval import (
+    ReferenceBundle,
+    assemble_references,
+    chunk_and_rerank,
+    kg_lookup,
+    web_search,
+)
+from streamrag.triggers import fixed_interval_step, model_trigger_step
 
 _PUNCT = str.maketrans({c: " " for c in string.punctuation})
 
@@ -224,3 +248,270 @@ def oracle_binomial_999_interval(n: int, p: float) -> tuple[int, int]:
         acc += pmf(hi)
         hi -= 1
     return lo, hi
+
+
+# --- reference session engine ----------------------------------------------
+#
+# The session engine as it ran on a general discrete-event clock: every block
+# and every call's completion is a callable on a heap ordered by (time,
+# insertion order), and the log is written as the heap is pumped. A session
+# computed as one timeline must reproduce its outcome and event log exactly,
+# errors included.
+
+@dataclass(order=True)
+class _Scheduled:
+    fire_at_ms: int
+    seq: int
+    event: Any = field(compare=False)
+
+
+class OracleClock:
+    """Events fire in nondecreasing time; ties break by insertion order."""
+
+    def __init__(self) -> None:
+        self.now_ms = 0
+        self._queue: list[_Scheduled] = []
+        self._next_seq = 0
+
+    def schedule(self, fire_at_ms: int, event: Any) -> None:
+        if fire_at_ms < self.now_ms:
+            raise ValueError("cannot schedule in the past")
+        heapq.heappush(self._queue, _Scheduled(fire_at_ms, self._next_seq, event))
+        self._next_seq += 1
+
+    def pump_until(self, until_ms: int) -> None:
+        """Run every due event in time order, then land on until_ms."""
+        while self._queue and self._queue[0].fire_at_ms <= until_ms:
+            item = heapq.heappop(self._queue)
+            self.now_ms = max(self.now_ms, item.fire_at_ms)
+            item.event()
+        self.now_ms = until_ms
+
+
+@dataclass(frozen=True)
+class _OracleEvent:
+    t_ms: int
+    type: str
+    tool: str | None = None
+    block: int | None = None
+    detail: dict | None = None
+
+    def to_dict(self) -> dict:
+        out: dict[str, Any] = {"t_ms": self.t_ms, "type": self.type}
+        if self.tool is not None:
+            out["tool"] = self.tool
+        if self.block is not None:
+            out["block"] = self.block
+        if self.detail is not None:
+            out["detail"] = self.detail
+        return out
+
+
+def _sample(latency, stage: str, rng: random.Random) -> int:
+    spec = getattr(latency, stage)
+    if isinstance(spec, int):
+        return spec
+    return spec[rng.randrange(len(spec))]
+
+
+class _OracleSession:
+    def __init__(self, trace, config, gen, backends, latency) -> None:
+        self.trace = trace
+        self.config = config
+        self.gen = gen
+        self.backends = backends
+        self.latency = latency
+        self.rng = substream_rng(config.rng_seed, latency.seed, trace.utterance_id)
+        self.clock = OracleClock()
+        self.events: list[_OracleEvent] = []
+        self.cache = QueryCache()
+        self.max_parallel = 0
+        self.selected_block: int | None = None
+        self.utterance_end_ms = trace.end_ms + config.endpoint_delay_ms
+
+    def log(self, type_, tool=None, block=None, detail=None) -> None:
+        self.events.append(_OracleEvent(self.clock.now_ms, type_,
+                                        tool.value if tool else None, block, detail))
+
+    def spawn_thread(self, tool, block, query) -> None:
+        query_gen_ms = _sample(self.latency, "query_gen", self.rng)
+        if tool is Tool.WEB:
+            tool_ms = (_sample(self.latency, "web_fetch", self.rng)
+                       + _sample(self.latency, "chunk_rerank", self.rng))
+        else:
+            tool_ms = _sample(self.latency, "kg_lookup", self.rng)
+        call = ToolCall(tool=tool, block=block, query=query, started_ms=self.clock.now_ms,
+                        query_gen_ms=query_gen_ms, tool_ms=tool_ms)
+        try:
+            if tool is Tool.WEB:
+                call.result = web_search(self.backends.index, query, self.config.top_docs)
+            else:
+                call.result = kg_lookup(self.backends.kg_store, query)
+        except Exception as exc:  # noqa: BLE001
+            call.error = str(exc)
+        self.cache.add(call)
+        pending = sum(c.status is CallStatus.PENDING for c in self.cache.calls(tool))
+        self.max_parallel = max(self.max_parallel, pending)
+        self.clock.schedule(call.finishes_ms, partial(self.finish_thread, call))
+        self.log("query_fired", tool, block, {"query": query.to_wire()})
+
+    def cancel_thread(self, call) -> None:
+        if call.status is not CallStatus.PENDING:
+            return
+        call.status = CallStatus.CANCELLED
+        call.result = None
+        self.log("thread_cancelled", call.tool, call.block)
+
+    def finish_thread(self, call) -> None:
+        if call.status is not CallStatus.PENDING:
+            return
+        if call.error is not None:
+            call.status = CallStatus.FAILED
+            self.log("thread_done", call.tool, call.block,
+                     {"status": "failed", "error": call.error})
+        else:
+            call.status = CallStatus.DONE
+            self.log("thread_done", call.tool, call.block, {"status": "done"})
+
+    def latest_thread(self, tool):
+        calls = self.cache.calls(tool)
+        return calls[-1] if calls else None
+
+    def thread_at(self, tool, block):
+        for call in self.cache.calls(tool):
+            if call.block == block:
+                return call
+        return None
+
+    def prev_query(self, tool):
+        for call in reversed(self.cache.calls(tool)):
+            if not call.query.is_no_query:
+                return call.query
+        return NO_QUERY
+
+    def on_block(self, block, prefix) -> None:
+        self.log("block_ingested", block=block, detail={"prefix": prefix})
+        if self.config.strategy is Strategy.FIXED_INTERVAL:
+            queries = fixed_interval_step(self.gen, prefix, block)
+        else:
+            queries = model_trigger_step(self.gen, prefix, self.prev_query(Tool.WEB),
+                                         self.prev_query(Tool.KG), block)
+        self.apply_queries(queries, block)
+
+    def apply_queries(self, queries, block) -> None:
+        triggered = self.config.strategy is Strategy.MODEL_TRIGGERED
+        for tool in (Tool.WEB, Tool.KG):
+            query = queries.for_tool(tool)
+            if not query.is_no_query:
+                if triggered and (running := self.latest_thread(tool)) is not None:
+                    self.cancel_thread(running)
+                self.spawn_thread(tool, block, query)
+            elif triggered:
+                self.log("no_query", tool, block)
+            else:
+                self.cache.add(ToolCall(tool, block, NO_QUERY, started_ms=self.clock.now_ms,
+                                        status=CallStatus.FAILED))
+                self.log("thread_done", tool, block,
+                         {"status": "failed", "error": "query generation failed"})
+
+
+def oracle_run_session(trace, config, gen, backends, latency) -> SessionOutcome:
+    """Simulate one utterance by pumping a heap of timed callables."""
+    strategy = config.strategy
+    session = _OracleSession(trace, config, gen, backends, latency)
+    if gen is None and strategy is not Strategy.CLOSED_BOOK:
+        raise ValueError(f"strategy {strategy.value} needs a query generator")
+    utterance_end = session.utterance_end_ms
+    clock = session.clock
+
+    if strategy in (Strategy.FIXED_INTERVAL, Strategy.MODEL_TRIGGERED):
+        blocks = blocks_of(trace, config.block_ms)
+        for block, prefix in blocks:
+            fire_at = block * config.block_ms if block < len(blocks) else trace.end_ms
+            clock.schedule(fire_at, partial(session.on_block, block, prefix))
+    clock.pump_until(utterance_end)
+
+    if strategy is Strategy.OPEN_BOOK:
+        session.apply_queries(fixed_interval_step(session.gen, trace.transcript(), 1), 1)
+    calls = session.cache.web + session.cache.kg
+
+    rerank_text = None
+    if strategy is Strategy.FIXED_INTERVAL:
+        final_web = session.prev_query(Tool.WEB)
+        final_kg = session.prev_query(Tool.KG)
+        ctx = SimilarityContext(index=backends.index, compare_k=config.reflect_top_k,
+                                retrieve_k=config.top_docs, ordered=config.reflect_ordered,
+                                kg_store=backends.kg_store)
+        selected, scan_log = select_earliest_joint(session.cache, final_web, final_kg, ctx)
+        for record in scan_log:
+            session.log("reflected", block=record["block"], detail=record)
+        session.log("reflected", detail={"selected_block": selected})
+        last_block = max((call.block for call in calls), default=0)
+        effective = selected if selected is not None else last_block
+        for call in cancel_after(session.cache, effective):
+            session.cancel_thread(call)
+        session.selected_block = selected
+        web_call = session.thread_at(Tool.WEB, effective)
+        kg_call = session.thread_at(Tool.KG, effective)
+        rerank_text = final_web.web_text
+    else:
+        web_call = session.latest_thread(Tool.WEB)
+        kg_call = session.latest_thread(Tool.KG)
+
+    awaited = [call for call in (web_call, kg_call)
+               if call is not None and call.status is not CallStatus.CANCELLED]
+    ready_ms = max([utterance_end] + [call.finishes_ms for call in awaited])
+    clock.pump_until(ready_ms)
+
+    web_result = None
+    kg_answer = None
+    if web_call is not None and web_call.status is CallStatus.DONE:
+        web_result = web_call.result
+    if kg_call is not None and kg_call.status is CallStatus.DONE:
+        kg_answer = kg_call.result
+
+    references = ReferenceBundle((), (), 0)
+    if web_result is not None or kg_answer is not None:
+        chunked = None
+        if web_result is not None:
+            trimmed = replace(web_result,
+                              ranked_doc_ids=web_result.ranked_doc_ids[: config.reflect_top_k],
+                              doc_scores=web_result.doc_scores[: config.reflect_top_k])
+            chunked = chunk_and_rerank(backends.index, trimmed,
+                                       rerank_text or web_result.query_text, config.chunk_tokens)
+        references = assemble_references(chunked, kg_answer, config.ref_length_tokens,
+                                         config.web_kg_ratio)
+
+    degraded = (strategy is not Strategy.CLOSED_BOOK
+                and web_result is None and kg_answer is None)
+    session.log("references_ready", detail={"total_tokens": references.total_tokens})
+
+    response_gen_ms = _sample(latency, "response_gen", session.rng)
+    response_tail_ms = _sample(latency, "response_tail", session.rng)
+    first_token_abs = ready_ms + response_gen_ms
+    last_token_abs = first_token_abs + response_tail_ms
+    clock.schedule(first_token_abs, partial(session.log, "first_token"))
+    clock.schedule(last_token_abs, partial(session.log, "last_token"))
+    clock.pump_until(max([last_token_abs] + [call.finishes_ms for call in calls]))
+
+    query_gen_charge = max((call.query_gen_ms for call in awaited), default=0)
+    first_token_ms = first_token_abs - utterance_end
+    return SessionOutcome(
+        utterance_id=trace.utterance_id,
+        strategy=strategy,
+        event_log=session.events,
+        selected_block=session.selected_block,
+        references=references,
+        latency=LatencyBreakdown(
+            query_gen_ms=query_gen_charge,
+            tool_results_ms=max(0, first_token_ms - response_gen_ms - query_gen_charge),
+            response_gen_ms=response_gen_ms,
+            first_token_ms=first_token_ms,
+            last_token_ms=last_token_abs - utterance_end,
+        ),
+        threads_spawned=sum(not call.query.is_no_query for call in calls),
+        threads_cancelled=sum(call.status is CallStatus.CANCELLED for call in calls),
+        max_parallel_threads=session.max_parallel,
+        degraded=degraded,
+        response_text=trace.final_answer_ref,
+    )

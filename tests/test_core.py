@@ -12,7 +12,6 @@ from streamrag.core import (
     KgQuery,
     ScriptedQueries,
     SessionConfig,
-    SimClock,
     Strategy,
     Tool,
     ToolQuery,
@@ -27,66 +26,6 @@ from streamrag.core import (
 )
 from streamrag.errors import EmptyTraceError, InputError
 from streamrag.synth import brand_founder_trace, jump_shots_trace
-
-
-def _pump(clock: SimClock, until_ms: int) -> list:
-    """Pop every event due by until_ms, then land on until_ms, as a session does."""
-    fired = []
-    while (event := clock.pop_due(until_ms)) is not None:
-        fired.append(event)
-    clock.advance(until_ms)
-    return fired
-
-
-class TestSimClock:
-    def test_advance_empty_queue(self):
-        clock = SimClock()
-        assert clock.advance(500) is None
-        assert clock.now_ms == 500
-
-    def test_ties_fire_in_insertion_order(self):
-        clock = SimClock()
-        clock.schedule(300, "a")
-        clock.schedule(300, "b")
-        clock.schedule(700, "late")
-        assert _pump(clock, 500) == ["a", "b"]
-        assert clock.now_ms == 500
-        assert _pump(clock, 700) == ["late"]
-
-    def test_event_fires_exactly_at_scheduled_ms(self):
-        clock = SimClock()
-        clock.schedule(590, "query-ready")
-        assert _pump(clock, 589) == []
-        assert _pump(clock, 590) == ["query-ready"]
-        assert clock.now_ms == 590
-
-    def test_cannot_move_backwards(self):
-        clock = SimClock()
-        clock.advance(100)
-        with pytest.raises(ValueError):
-            clock.advance(99)
-        with pytest.raises(ValueError):
-            clock.schedule(50, "past")
-
-    def test_pop_due_interleaves_with_new_schedules(self):
-        clock = SimClock()
-        clock.schedule(100, "first")
-        fired = []
-        while (event := clock.pop_due(1000)) is not None:
-            fired.append(event)
-            if event == "first":
-                clock.schedule(200, "second")
-        assert fired == ["first", "second"]
-
-    def test_advance_past_a_due_event_raises(self):
-        clock = SimClock()
-        for t in (10, 5, 20):
-            clock.schedule(t, t)
-        with pytest.raises(ValueError):
-            clock.advance(5)
-        assert clock.now_ms == 0
-        assert _pump(clock, 20) == [5, 10, 20]
-        assert clock.now_ms == 20
 
 
 def _trace(words: list[tuple[str, int, int]], uid: str = "t") -> UtteranceTrace:
@@ -163,6 +102,16 @@ class TestKgQuery:
         a = KgQuery.make("music", {"artist_name": "Red Hot Chili Peppers", "artist_aspect": "member"})
         b = KgQuery.make("music", {"artist_aspect": "Member", "artist_name": "red hot chili peppers"})
         assert a.canonical_key() == b.canonical_key()
+
+    def test_canonical_key_is_built_once_and_is_not_a_field(self):
+        a = KgQuery.make("music", {"artist_name": "Red Hot Chili Peppers"})
+        b = KgQuery.make("music", {"artist_name": "red hot chili peppers"})
+        assert a.canonical_key() is a.canonical_key()
+        assert a.canonical_key() == b.canonical_key() and a != b
+        assert a == KgQuery.make("music", {"artist_name": "Red Hot Chili Peppers"})
+        assert hash(a) == hash((a.domain, a.attributes))
+        assert repr(a) == ("KgQuery(domain=<KgDomain.MUSIC: 'music'>, "
+                           "attributes=(('artist_name', 'Red Hot Chili Peppers'),))")
 
     def test_flat_dict_round_trip(self):
         q = KgQuery.make(KgDomain.FINANCE, {"market_identifier": "ACME", "metric": "price"})

@@ -43,6 +43,28 @@ class FailingGenerator:
         raise RuntimeError("model unavailable")
 
 
+class EveryNth:
+    """Wraps a backend; its ``method`` raises on every ``n``-th call."""
+
+    def __init__(self, inner, method: str, n: int) -> None:
+        self._inner = inner
+        self._method = method
+        self._n = n
+        self._calls = 0
+
+    def __getattr__(self, name):
+        found = getattr(self._inner, name)
+        if name != self._method:
+            return found
+
+        def flaky(*args):
+            self._calls += 1
+            if self._calls % self._n == 0:
+                raise RuntimeError(f"{self._method} call {self._calls} failed")
+            return found(*args)
+        return flaky
+
+
 class NoQueryAfter:
     """Answers the trace's final scripted pair on its first ``real`` calls and
     returns NO_QUERY for both tools after them."""
@@ -475,3 +497,110 @@ class TestDeterminism:
 
     def test_substreams_differ_across_utterances(self):
         assert substream_rng(0, 0, "a").random() != substream_rng(0, 0, "b").random()
+
+
+def _events_at(outcome, t_ms: int) -> list[tuple[str, str | None, int | None]]:
+    return [(e.type, e.tool, e.block) for e in outcome.event_log if e.t_ms == t_ms]
+
+
+class TestTimelineTies:
+    """How a session orders things that happen at the same millisecond: a
+    block fires before any call that finishes at its time, and calls that
+    finish at utterance end do so before fixed_interval's reflector runs."""
+
+    def test_model_triggered_call_finishing_at_the_next_fire_is_cancelled(
+        self, world, index, backends
+    ):
+        a, b = world.scripted(world.entities[3]), world.scripted(world.entities[4])
+        trace = UtteranceTrace(
+            "tie", [Word("a", 0, 400), Word("b", 600, 900), Word("c", 1100, 1400),
+                    Word("d", 1600, 1900)], {1: a, 2: a, 3: b, 4: b})
+        config = session_config(Strategy.MODEL_TRIGGERED)
+        for kg_ms, finished in ((480, False), (479, True)):
+            # the kg call fired at block 1 (500 ms) finishes at 500 + 520 + kg_ms;
+            # block 3 fires the next kg query at 1500 ms
+            latency = LatencyModel(query_gen=520, web_fetch=2200, chunk_rerank=280,
+                                   kg_lookup=kg_ms, response_gen=2520)
+            outcome = run_session(trace, config, generator_factory(config, index)(trace),
+                                  backends, latency)
+            assert _tool_blocks(outcome, "query_fired") == [("web", 1), ("kg", 1),
+                                                            ("web", 3), ("kg", 3)]
+            kg_1_done = ("kg", 1) in _tool_blocks(outcome, "thread_done")
+            kg_1_cancelled = [e.t_ms for e in outcome.event_log
+                              if e.type == "thread_cancelled" and e.tool == "kg"]
+            assert kg_1_done is finished
+            assert kg_1_cancelled == ([] if finished else [1500])
+
+    def test_fixed_interval_call_finishing_at_a_later_block_is_pending_there(
+        self, world, backends
+    ):
+        entry = world.scripted(world.entities[5])
+        trace = UtteranceTrace(
+            "tie", [Word("a", 0, 400), Word("b", 600, 900), Word("c", 1100, 1500)],
+            {1: entry, 2: entry, 3: entry})
+        config = session_config(Strategy.FIXED_INTERVAL)
+        for tool_ms, peak in ((480, 3), (479, 2)):
+            # calls fire at 500, 1000 and 1500 ms and take 520 + tool_ms
+            latency = LatencyModel(query_gen=520, web_fetch=tool_ms, chunk_rerank=0,
+                                   kg_lookup=tool_ms, response_gen=2520)
+            outcome = run_session(trace, config, ScriptedQueryGenerator(trace, 500),
+                                  backends, latency)
+            assert outcome.max_parallel_threads == peak
+            if tool_ms == 480:
+                assert _events_at(outcome, 1500)[:5] == [
+                    ("block_ingested", None, 3), ("query_fired", "web", 3),
+                    ("query_fired", "kg", 3), ("thread_done", "web", 1),
+                    ("thread_done", "kg", 1),
+                ]
+
+    @pytest.mark.parametrize("strategy", [Strategy.OPEN_BOOK, Strategy.FIXED_INTERVAL,
+                                          Strategy.MODEL_TRIGGERED], ids=lambda s: s.value)
+    def test_zero_latency_thread_done_follows_its_fire(self, strategy, world, index, backends):
+        config = session_config(strategy)
+        zero = LatencyModel(query_gen=0, web_fetch=0, chunk_rerank=0, kg_lookup=0,
+                            response_gen=0, response_tail=0)
+        outcomes, errors = run_batch(random_batch(world, 20, seed=3, block_ms=500), config,
+                                     generator_factory(config, index), backends, zero)
+        assert errors == []
+        for outcome in outcomes:
+            fired = {(e.tool, e.block): (i, e.t_ms) for i, e in enumerate(outcome.event_log)
+                     if e.type == "query_fired"}
+            done = {(e.tool, e.block): (i, e.t_ms) for i, e in enumerate(outcome.event_log)
+                    if e.type == "thread_done"}
+            assert fired and fired.keys() == done.keys()
+            for key, (i, t_ms) in fired.items():
+                assert done[key][0] > i and done[key][1] == t_ms
+
+    def test_failing_web_call_pending_at_utterance_end_is_judged_then_yields_nothing(
+        self, world, index, kg_store
+    ):
+        trace = _uniform_trace(world)  # one query pair at every block; ends at 1400 ms
+        backends = Backends(index=EveryNth(index, "ranking", 1), kg_store=kg_store)
+        config = session_config(Strategy.FIXED_INTERVAL)
+        # block 1's web call fires at 500 ms and fails at 500 + 590 + 2780 = 3870
+        slow = LatencyModel(query_gen=590, web_fetch=2780, chunk_rerank=0, kg_lookup=100,
+                            response_gen=2520)
+        outcome = run_session(trace, config, ScriptedQueryGenerator(trace, 500), backends, slow)
+        reflected = [e.detail for e in outcome.event_log if e.type == "reflected"]
+        assert reflected == [
+            {"block": 1, "web": "identical_query", "kg": "identical_query", "sufficient": True},
+            {"selected_block": 1},
+        ]
+        assert outcome.selected_block == 1
+        assert _tool_blocks(outcome, "thread_done", {"status": "failed",
+                                                     "error": "ranking call 1 failed"}) == [
+            ("web", 1)]
+        assert [e.t_ms for e in outcome.event_log
+                if e.type == "thread_done" and e.tool == "web"] == [3870]
+        assert outcome.references.web_chunks == () and outcome.references.kg_answers
+        assert not outcome.degraded
+        # block 1's web call fails at 1290 ms, before utterance end, so it is
+        # insufficient; block 2's fails at 1790 ms and is still pending
+        fast = LatencyModel(query_gen=590, web_fetch=200, chunk_rerank=0, kg_lookup=100,
+                            response_gen=2520)
+        outcome = run_session(trace, config, ScriptedQueryGenerator(trace, 500), backends, fast)
+        assert [e.detail["web"] for e in outcome.event_log
+                if e.type == "reflected" and "web" in e.detail] == [
+            "insufficient", "identical_query"]
+        assert outcome.selected_block == 2
+        assert outcome.references.web_chunks == ()
