@@ -92,7 +92,8 @@ class ToolQuery:
     """Tagged union: a web query string, a structured KG query, or NO_QUERY.
 
     Exactly one of ``web_text`` / ``kg_query`` is set for the web/kg variants;
-    both are None for the NO_QUERY sentinel.
+    both are None for the NO_QUERY sentinel. ``tool`` is the variant's Tool,
+    None for NO_QUERY, and ``is_no_query`` says whether it is None.
     """
 
     web_text: str | None = None
@@ -103,6 +104,12 @@ class ToolQuery:
             raise ValueError("a ToolQuery holds at most one payload")
         if self.web_text is not None and not self.web_text:
             raise ValueError("web query text must be non-empty")
+        # set once: sessions read them again and again; not fields, so
+        # equality, hashing, repr and replace are the fields' alone
+        tool = Tool.WEB if self.web_text is not None else (
+            Tool.KG if self.kg_query is not None else None)
+        object.__setattr__(self, "tool", tool)
+        object.__setattr__(self, "is_no_query", tool is None)
 
     @classmethod
     def web(cls, text: str) -> "ToolQuery":
@@ -111,18 +118,6 @@ class ToolQuery:
     @classmethod
     def kg(cls, query: KgQuery) -> "ToolQuery":
         return cls(kg_query=query)
-
-    @property
-    def is_no_query(self) -> bool:
-        return self.web_text is None and self.kg_query is None
-
-    @property
-    def tool(self) -> Tool | None:
-        if self.web_text is not None:
-            return Tool.WEB
-        if self.kg_query is not None:
-            return Tool.KG
-        return None
 
     def to_wire(self) -> Any:
         """Serialize for JSON files: plain string (web), flat map (kg), or "NO_QUERY"."""
@@ -190,9 +185,11 @@ class UtteranceTrace:
     final_answer_ref: str | None = None
 
     def __post_init__(self) -> None:
-        prev_start = -1
-        prev_end = 0
+        prev_start = prev_end = 0
         for w in self.words:
+            if w.start_ms < 0:
+                raise InputError(f"{self.utterance_id}: word {w.text!r} starts at "
+                                 f"{w.start_ms} ms, a negative time")
             if w.end_ms < w.start_ms:
                 raise InputError(f"{self.utterance_id}: word {w.text!r} ends before it starts")
             if w.start_ms < prev_start:

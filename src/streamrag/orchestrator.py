@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from itertools import count
 from operator import itemgetter
 from typing import Any, Callable, NamedTuple, Sequence
@@ -247,10 +247,12 @@ class _Session:
 
         call = ToolCall(tool, block, query, now, query_gen_ms, tool_ms)
         # Content is computed eagerly and deterministically; the timeline only
-        # controls when it counts.
+        # controls when it counts. Sessions and the reflector read no deeper
+        # than reflect_top_k, and a shallower ranking is a prefix of a deeper one.
         try:
             if tool is Tool.WEB:
-                call.result = web_search(self.backends.index, query, self.config.top_docs)
+                call.result = web_search(self.backends.index, query,
+                                         min(self.config.top_docs, self.config.reflect_top_k))
             else:
                 call.result = kg_lookup(self.backends.kg_store, query)
         except Exception as exc:  # noqa: BLE001 - backend failure becomes a failed call
@@ -420,12 +422,7 @@ def run_session(
     if web_result is not None or kg_answer is not None:
         chunked = None
         if web_result is not None:
-            trimmed = replace(
-                web_result,
-                ranked_doc_ids=web_result.ranked_doc_ids[: config.reflect_top_k],
-                doc_scores=web_result.doc_scores[: config.reflect_top_k],
-            )
-            chunked = chunk_and_rerank(backends.index, trimmed,
+            chunked = chunk_and_rerank(backends.index, web_result,
                                        rerank_text or web_result.query_text, config.chunk_tokens)
         references = assemble_references(
             chunked, kg_answer, config.ref_length_tokens, config.web_kg_ratio

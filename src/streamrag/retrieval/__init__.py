@@ -14,19 +14,26 @@ first occurrence there, or count a repeat. The norms are summed term by
 term, in ascending id, so each document's squares add in that order. A
 posting's weight, count times idf, is computed where it is read.
 
-A search for the top k is the threshold algorithm (Fagin, Lotem & Naor, 2001).
-It walks the posting lists of the query's terms side by side, each in
-descending order of impact (weight / document norm), and scores each newly
-seen document exactly: it looks the document's count up in each query term's
-count map, one dict lookup per term, and adds the products in ascending term
-id, as a walk over the document's own terms would, so its score is the same
-double bit for bit. The walk stops once the k-th best score is strictly above
-what any unseen document could reach, the sum of query weight times the next
-impact of each list, with a relative slack far above the rounding error, so a
-tie that a smaller doc_id would win is never left unseen. One sort of the
-documents seen by ``(-score, doc_id)`` then gives the top k. Each term's
-impact order and count map are built on first use and kept, since the index
-is immutable.
+A search for the top k first reads whole the posting lists of the query's
+rare terms, those with at most k postings: reading one costs no more than
+the k documents any search must score. It scores each of their documents
+exactly: it looks the document's count up in each query term's count map, one
+dict lookup per term, and adds the products in ascending term id, as a walk
+over the document's own terms would, so its score is the same double bit for
+bit. An unseen document then holds only the query's long terms, so its score
+is at most the cap (Turtle & Flood, 1995): each long term's query weight times
+its largest count times its idf, over the smallest document norm. Once the
+k-th best score is strictly above the cap, the search is done without opening
+a long list. Otherwise it walks the long lists side by side, each in
+descending order of impact (weight / document norm), scoring each newly seen
+document the same way: the threshold algorithm (Fagin, Lotem & Naor, 2001).
+The walk stops once the k-th best score is strictly above what any unseen
+document could reach, the sum of query weight times the next impact of each
+long list. Both tests carry a relative slack far above the rounding error, so
+a tie that a smaller doc_id would win is never left unseen. One sort of the
+documents seen by ``(-score, doc_id)`` then gives the top k. Each term's count
+map and largest count are built on first use and kept, since the index is
+immutable, and so is the impact order of each list that is walked.
 
 Streaming strategies search the same query text many times, so each index
 memoises its rankings by query text. The index is immutable and the ranking
@@ -62,9 +69,9 @@ _PUNCT_TO_SPACE = str.maketrans({c: " " for c in string.punctuation})
 # evicted first.
 RANKING_MEMO_SIZE = 1024
 
-# Relative slack on the top-k walk's stopping bound: far above a score's
+# Relative slack on the top-k search's stopping bounds: far above a score's
 # rounding error (under 1e-15 per query term), so rounding never stops the
-# walk before a document that ties the k-th best score.
+# search before a document that ties the k-th best score.
 _BOUND_SLACK = 1.0 + 1e-9
 
 
@@ -169,10 +176,15 @@ class DocIndex:
                 w = count * idf_t
                 sq[d] += w * w
         self._norms = array("d", map(math.sqrt, sq))
+        # the smallest nonzero norm: every posted document has one, so no
+        # document a search has not seen has a smaller one (see score_all)
+        self._min_norm = min(filter(None, self._norms), default=1.0)
         # zero-score documents fill a short ranking in doc_id order
         self._by_doc_id = array("i", sorted(range(self.n_docs), key=self.doc_ids.__getitem__))
-        # term id -> its postings in impact order, and its counts (see _impact_order)
-        self._impact_orders: dict[int, tuple[list[int], list[float], dict[int, int]]] = {}
+        # term id -> its counts by document index, and its largest count (see _term_counts)
+        self._count_maps: dict[int, tuple[dict[int, int], int]] = {}
+        # term id -> its postings in impact order (see _impact_order)
+        self._impact_orders: dict[int, tuple[list[int], list[float]]] = {}
         # (doc_id, chunk_tokens) -> the document's chunks as vectors (see _chunks)
         self._chunk_vectors: dict[tuple[str, int], tuple] = {}
         # query text -> (largest k asked, doc ids, scores), oldest use first
@@ -200,26 +212,65 @@ class DocIndex:
         """Cosine scores of documents sharing a term with the query, keyed by
         document index; every other document scores 0.
 
-        Without ``k`` every such document is scored. With it, the walk stops
-        once no unseen document can enter the top k, and only the documents
-        seen are returned; they hold the top k, with the same scores. A
-        document is scored by one lookup in each query term's count map (see
-        ``_impact_order``), its products added in ascending term id.
+        The postings of each query term with at most ``k`` of them are read
+        whole; without ``k`` that is every term, so every such document is
+        scored. With ``k``, the long lists are opened only if the k-th best
+        score does not beat the cap on an unseen document's score, and then
+        walked in impact order until no unseen document can enter the top k.
+        Only the documents seen are returned; they hold the top k, with the
+        same scores, and fewer than k of them means every document sharing a
+        term was seen. A document is scored by one lookup in each query term's
+        count map (see ``_term_counts``), its products added in ascending
+        term id.
         """
         terms, qnorm = self._query_terms(query_text)
-        idf, norms = self.idf, self._norms
-        orders = [self._impact_order(tid) for tid, _ in terms]
+        idf, norms, postings = self.idf, self._norms, self.postings
+        counted = [self._term_counts(tid) for tid, _ in terms]
         # in ascending term id, the order a walk over a document's terms adds in
-        lookups = [(counts.get, idf[tid], qw) for (tid, qw), (_, _, counts) in zip(terms, orders)]
-        # longest list first, so lists drop off the end as the walk exhausts them
-        walks = sorted(((qw, docs, impacts) for (_, qw), (docs, impacts, _) in zip(terms, orders)),
-                       key=lambda walk: len(walk[1]), reverse=True)
+        lookups = [(counts.get, idf[tid], qw) for (tid, qw), (counts, _) in zip(terms, counted)]
         scores: dict[int, float] = {}
         best: list[float] = []  # the k best scores seen, smallest first
+
+        def see(d: int) -> None:
+            dot = 0.0
+            for get, idf_t, qw in lookups:
+                count = get(d)
+                if count is not None:
+                    dot += qw * (count * idf_t)
+            score = scores[d] = dot / (norms[d] * qnorm)
+            if k is None:
+                return
+            if len(best) < k:
+                heapq.heappush(best, score)
+            elif score > best[0]:
+                heapq.heapreplace(best, score)
+
+        long_terms = []
+        for (tid, qw), (_, top) in zip(terms, counted):
+            docs = postings[tid]
+            if k is None or len(docs) <= k:
+                for d in docs:
+                    if d not in scores:
+                        see(d)
+            else:
+                long_terms.append((tid, qw, top))
+        if not long_terms:
+            return scores
+        if len(best) == k:
+            # an unseen document holds only long terms, each at most its
+            # largest count, and has at least the smallest norm
+            cap = 0.0
+            for tid, qw, top in long_terms:
+                cap += qw * (top * idf[tid])
+            if best[0] > cap / self._min_norm / qnorm * _BOUND_SLACK:
+                return scores
+        # longest list first, so lists drop off the end as the walk exhausts them
+        walks = sorted(((qw, *self._impact_order(tid)) for tid, qw, _ in long_terms),
+                       key=lambda walk: len(walk[1]), reverse=True)
         depth = 0
         while walks:
             if len(best) == k:
-                # each list's next impact caps an unseen document's share
+                # each long list's next impact caps an unseen document's share
                 bound = 0.0
                 for qw, _, impacts in walks:
                     bound += qw * impacts[depth]
@@ -227,38 +278,33 @@ class DocIndex:
                     break
             for _, docs, _ in walks:
                 d = docs[depth]
-                if d in scores:
-                    continue
-                dot = 0.0
-                for get, idf_t, qw in lookups:
-                    count = get(d)
-                    if count is not None:
-                        dot += qw * (count * idf_t)
-                score = scores[d] = dot / (norms[d] * qnorm)
-                if k is None:
-                    continue
-                if len(best) < k:
-                    heapq.heappush(best, score)
-                elif score > best[0]:
-                    heapq.heapreplace(best, score)
+                if d not in scores:
+                    see(d)
             depth += 1
             while walks and len(walks[-1][1]) == depth:
                 walks.pop()
         return scores
 
-    def _impact_order(self, tid: int) -> tuple[list[int], list[float], dict[int, int]]:
+    def _term_counts(self, tid: int) -> tuple[dict[int, int], int]:
+        """The counts of term ``tid`` by document index, and the largest;
+        built on first use and kept. A concurrent first use builds the same."""
+        entry = self._count_maps.get(tid)
+        if entry is None:
+            counts = self.post_counts[tid]
+            entry = self._count_maps[tid] = dict(zip(self.postings[tid], counts)), max(counts)
+        return entry
+
+    def _impact_order(self, tid: int) -> tuple[list[int], list[float]]:
         """The postings of term ``tid`` as (document indices, impacts) in
-        descending impact, ties in ascending document index, and its counts
-        by document index; built on first use and kept. A concurrent first use
-        builds the same items."""
+        descending impact, ties in ascending document index; built on first
+        use and kept. A concurrent first use builds the same."""
         order = self._impact_orders.get(tid)
         if order is None:
             docs, counts = self.postings[tid], self.post_counts[tid]
             idf_t, norms = self.idf[tid], self._norms
             impacts = [count * idf_t / norms[d] for d, count in zip(docs, counts)]
             ranked = sorted(range(len(docs)), key=impacts.__getitem__, reverse=True)
-            order = [docs[i] for i in ranked], [impacts[i] for i in ranked], dict(zip(docs, counts))
-            self._impact_orders[tid] = order
+            order = self._impact_orders[tid] = [docs[i] for i in ranked], [impacts[i] for i in ranked]
         return order
 
     def ranking(self, query_text: str, k: int) -> tuple[tuple[str, ...], tuple[float, ...]]:
@@ -287,8 +333,8 @@ class DocIndex:
     def _rank(self, query_text: str, k: int) -> tuple[tuple[str, ...], tuple[float, ...]]:
         """Rank afresh: one sort of the scored documents by ``(-score, doc_id)``
         gives the top k, and zero-scored documents fill a short ranking in
-        doc_id order. A short ranking means the walk ran to the end, so
-        ``scores`` holds every touched document."""
+        doc_id order. A short ranking means the search saw every document
+        sharing a term with the query, so ``scores`` holds them all."""
         scores = self.score_all(query_text, k)
         doc_ids = self.doc_ids
         top = sorted(scores, key=lambda d: (-scores[d], doc_ids[d]))[:k]
@@ -524,8 +570,12 @@ def top_docs_match(
 ) -> bool:
     """Whether two web queries retrieve the same leading documents.
 
-    ``ordered`` picks list vs set comparison of the top compare_k ids.
+    ``ordered`` picks list vs set comparison of the top compare_k ids of
+    the top retrieve_k. Only those are read, so each query is searched
+    ``min(retrieve_k, compare_k)`` deep: the ranking order is total, so that
+    is a prefix of the deeper ranking.
     """
-    a = web_search(index, first, retrieve_k).ranked_doc_ids[:compare_k]
-    b = web_search(index, second, retrieve_k).ranked_doc_ids[:compare_k]
+    depth = min(retrieve_k, compare_k)
+    a = web_search(index, first, depth).ranked_doc_ids
+    b = web_search(index, second, depth).ranked_doc_ids
     return a == b if ordered else set(a) == set(b)

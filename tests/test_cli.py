@@ -145,6 +145,20 @@ class TestSimulate:
         assert f"dup.jsonl:{len(lines) + 1}: duplicate utterance_id {uid!r}" in result.stderr
         assert not (tmp_path / "x").exists()
 
+    def test_negative_word_start_is_input_error(self, tmp_path, run_main):
+        lines = (FIXTURES / "traces.jsonl").read_text().splitlines()
+        raw = json.loads(lines[1])
+        raw["words"][0]["start_ms"] = -2
+        traces = tmp_path / "neg.jsonl"
+        traces.write_text("\n".join([lines[0], json.dumps(raw)]) + "\n")
+        word = raw["words"][0]["text"]
+        code, err = run_main("simulate", "--traces", str(traces), *INPUTS["simulate"][2:],
+                             "--out-dir", str(tmp_path / "x"))
+        assert code == 2
+        assert (f"neg.jsonl:2: {raw['utterance_id']}: word {word!r} starts at -2 ms, "
+                "a negative time") in err
+        assert not (tmp_path / "x").exists()
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"ref_length_tokens": 64, "seed": 5}))

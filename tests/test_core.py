@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,18 @@ class TestTraceValidation:
         with pytest.raises(InputError):
             _trace([("a", 100, 50)])
 
+    @pytest.mark.parametrize("start", [-1, -2])
+    @pytest.mark.parametrize("before", [[], [{"text": "w0", "start_ms": 0, "end_ms": 0}]])
+    def test_negative_start_is_named_as_such(self, before, start):
+        """A negative start is its own fault, whether or not it also reads as
+        overlapping (-1 ms) or as going backwards (-2 ms) after the
+        starting point."""
+        raw = {"utterance_id": "u", "words": [*before, {"text": "w1", "start_ms": start,
+                                                        "end_ms": 100}]}
+        with pytest.raises(InputError, match=rf"^u: word 'w1' starts at {start} ms, "
+                                             r"a negative time$"):
+            trace_from_dict(raw)
+
 
 class TestKgQuery:
     def test_canonical_key_ignores_order_and_case(self):
@@ -147,6 +160,31 @@ class TestToolQuery:
 
     def test_tool_of_no_query_is_none(self):
         assert NO_QUERY.tool is None
+
+    def test_tool_is_set_once_and_is_not_a_field(self):
+        """``tool`` and ``is_no_query`` are attributes set at construction:
+        ``replace`` and ``from_wire`` build them afresh, and equality, hashing
+        and repr read the fields alone."""
+        kg_query = KgQuery.make("other", {"main_entity": "e"})
+        web = ToolQuery.web("x")
+        cases = [
+            (replace(web, web_text="y"), Tool.WEB),
+            (replace(web, web_text=None, kg_query=kg_query), Tool.KG),
+            (replace(web, web_text=None), None),
+            (replace(ToolQuery.kg(kg_query), kg_query=None, web_text="x"), Tool.WEB),
+            (ToolQuery.from_wire("x", Tool.WEB), Tool.WEB),
+            (ToolQuery.from_wire({"domain": "other", "main_entity": "e"}, Tool.KG), Tool.KG),
+            (ToolQuery.from_wire("NO_QUERY", Tool.KG), None),
+            (ToolQuery.from_wire(None, Tool.WEB), None),
+        ]
+        for query, tool in cases:
+            assert query.tool is tool, query
+            assert query.is_no_query is (tool is None), query
+        assert [f.name for f in fields(ToolQuery)] == ["web_text", "kg_query"]
+        assert replace(web, web_text="y") == ToolQuery.web("y") != web
+        assert hash(web) == hash(("x", None))
+        assert repr(web) == "ToolQuery(web_text='x', kg_query=None)"
+        assert replace(web, web_text=None) == NO_QUERY
 
 
 class TestTraceIO:

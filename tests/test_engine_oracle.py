@@ -2,9 +2,12 @@
 
 The reference pumps a heap of timed callables; the engine computes each
 session as one timeline and sorts its log once. Over drawn traces, block
-sizes, endpoint delays, stage delays, generators, failing backends and all
-four strategies, both must give the same outcome and event log, or raise the
-same error. Stage delays are drawn from values whose sums land calls exactly
+sizes, endpoint delays, stage delays, generators, failing backends, search
+and reflection depths and all four strategies, both must give the same
+outcome and event log, or raise the same error. The reference searches
+``top_docs`` deep and trims to ``reflect_top_k``; the engine searches only
+``min(top_docs, reflect_top_k)`` deep, so the depths are drawn on both sides
+of each other. Stage delays are drawn from values whose sums land calls exactly
 on block boundaries and on utterance end (520 + 2200 + 280 = 3000 ms,
 520 + 480 = 1000 ms), so the tie rules are exercised, not just the common
 case.
@@ -30,6 +33,7 @@ from test_pinned_outputs import FlakyGenerator
 # 520 + 480 = 1000 are multiples of every block size drawn from BLOCK_MS.
 TIE_MS = [0, 250, 280, 480, 500, 520, 1000, 2200]
 BLOCK_MS = [250, 500, 1000]
+DEPTHS = [*range(1, 9), 50]
 
 
 def mostly(values: list[int], lo: int, hi: int) -> st.SearchStrategy[int]:
@@ -103,10 +107,12 @@ def _outcome(run, trace, config, make_gen, backends, latency) -> dict | str:
        generator=st.sampled_from(["scripted"] * 3 + ["flaky", "no_query", "failing"]),
        failing=st.sampled_from([None, None, ("index", "ranking"), ("kg_store", "lookup")]),
        fail_every=st.integers(1, 5),
-       rng_seed=st.integers(0, 3))
+       rng_seed=st.integers(0, 3),
+       top_docs=st.sampled_from(DEPTHS),
+       reflect_top_k=st.sampled_from(DEPTHS))
 def test_engine_matches_the_reference_engine(world, index, kg_store, data, strategy, block_ms,
                                              endpoint_delay_ms, generator, failing, fail_every,
-                                             rng_seed):
+                                             rng_seed, top_docs, reflect_top_k):
     trace_words = data.draw(words(block_ms), label="words")
     stages = data.draw(stage_delays(block_ms), label="stages")
     # one entity per distinct prefix, so equal prefixes are scripted alike;
@@ -121,7 +127,7 @@ def test_engine_matches_the_reference_engine(world, index, kg_store, data, strat
     trace = UtteranceTrace("drawn", trace_words, scripted, "answer")
 
     config = session_config(strategy, block_ms=block_ms, endpoint_delay_ms=endpoint_delay_ms,
-                            rng_seed=rng_seed)
+                            rng_seed=rng_seed, top_docs=top_docs, reflect_top_k=reflect_top_k)
     latency = LatencyModel(**stages, seed=rng_seed)
     make = generator_factory(config, index)
     real = data.draw(st.integers(0, 4), label="real calls before NO_QUERY")

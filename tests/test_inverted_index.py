@@ -2,11 +2,14 @@
 
 Scores are compared as float hex strings, so any change in summation order or
 arithmetic shows up; rankings are compared with the oracle's full
-``(-score, doc_id)`` sort of the whole corpus. Memoised rankings must equal a
-fresh index's, whatever order the depths are asked in, across evictions and
-under concurrent searches. Chunk reranks, served from the chunk vectors an
-index keeps, must equal a fresh index's and the oracle's scoring of the chunk
-texts, whatever documents were reranked before and from however many threads.
+``(-score, doc_id)`` sort of the whole corpus, whether a search stops after
+reading its rare terms' postings whole, at the cap on an unseen document's
+score, or after walking the long lists; an exact tie at the cap must not stop
+it. Memoised rankings must equal a fresh index's, whatever order the depths
+are asked in, across evictions and under concurrent searches. Chunk reranks,
+served from the chunk vectors an index keeps, must equal a fresh index's and
+the oracle's scoring of the chunk texts, whatever documents were reranked
+before and from however many threads.
 """
 
 from __future__ import annotations
@@ -225,6 +228,63 @@ def test_the_stop_is_strict_without_slack(monkeypatch):
     assert web_search(index, ToolQuery.web("alpha"), 1).ranked_doc_ids == ("d1000",)
 
 
+# How many filler words of each df "d2" holds, beside the rare term "short".
+# Found by lattice reduction (LLL) so that d2's norm makes its score the same
+# double as the score of "d1", which holds only the long term, and so that
+# this score is also exactly the cap on an unseen document's score.
+_CAP_TIE_FILLERS = {1: 22, 100: 3, 101: 5, 102: 5, 103: 7, 104: 6, 105: 4, 106: 5, 107: 4,
+                    108: 5, 109: 6, 110: 7, 111: 5, 112: 6, 113: 5, 114: 5, 115: 5, 116: 6,
+                    117: 5, 118: 6, 119: 7, 120: 4, 121: 4, 122: 7, 123: 5}
+
+
+def _cap_tie_corpus() -> list[dict]:
+    """400 documents: "d1" is "long"; "d2" is "short" and its filler words,
+    in an order whose rounding lands the tie; each of the other 398 holds
+    "long", its share of the filler words' other postings, dealt round robin,
+    and a word of its own. So "long" has the largest df, and d1 the smallest
+    norm and the largest count of "long": it reaches the cap."""
+    fillers = [(f"w{df}x{i}", df) for df, m in sorted(_CAP_TIE_FILLERS.items()) for i in range(m)]
+    random.Random(1).shuffle(fillers)
+    others = [["long"] for _ in range(398)]
+    dealt = 0
+    for word, df in fillers:
+        for _ in range(df - 1):
+            others[dealt % len(others)].append(word)
+            dealt += 1
+    return ([{"doc_id": "d1", "text": "long"},
+             {"doc_id": "d2", "text": " ".join(["short"] + [word for word, _ in fillers])}]
+            + [{"doc_id": f"f{i}", "text": " ".join(words + [f"own{i}"])}
+               for i, words in enumerate(others)])
+
+
+@pytest.mark.parametrize("slack", [retrieval._BOUND_SLACK, 1.0])
+def test_an_unseen_document_tying_the_kth_score_at_the_cap_is_searched(monkeypatch, slack):
+    """At k = 1 "short" is read whole and scores d2. d1, unseen, ties d2's
+    score exactly at the cap, so the cap test must not stop the search: the
+    walk over "long" finds d1, whose smaller doc_id takes the tie."""
+    monkeypatch.setattr(retrieval, "_BOUND_SLACK", slack)
+    corpus = _cap_tie_corpus()
+    index = index_documents(corpus)
+    scores = index.score_all("short long")
+    terms, qnorm = index._query_terms("short long")
+    (long_id, qw), _ = terms
+    cap = qw * (max(index.post_counts[long_id]) * index.idf[long_id]) / index._min_norm / qnorm
+    assert scores[0] == scores[1] == cap  # d1, d2
+    assert web_search(index, ToolQuery.web("short long"), 1).ranked_doc_ids == ("d1",)
+    assert_top_k_match(index, OracleDenseIndex(corpus), "short long")
+
+
+def test_the_cap_holds_a_long_terms_largest_count():
+    """d1 repeats "long" and outscores d2, which "short" gives first; a cap
+    that counted one "long" per document would fall below d2's score."""
+    corpus = [{"doc_id": "d1", "text": "long long"}, {"doc_id": "d2", "text": "short alpha beta"},
+              {"doc_id": "d3", "text": "long alpha beta gamma"},
+              {"doc_id": "d4", "text": "gamma delta echo"}]
+    index = index_documents(corpus)
+    assert web_search(index, ToolQuery.web("short long"), 1).ranked_doc_ids == ("d1",)
+    assert_top_k_match(index, OracleDenseIndex(corpus), "short long")
+
+
 @pytest.mark.parametrize("k", [4, 6, 9])
 def test_k_at_or_above_the_touched_documents_walks_them_all(k):
     corpus = [{"doc_id": doc_id, "text": text} for doc_id, text in
@@ -237,6 +297,37 @@ def test_k_at_or_above_the_touched_documents_walks_them_all(k):
     result = web_search(index, ToolQuery.web("alpha beta"), k)
     assert len(result.doc_scores) == min(k, 6)
     assert result.doc_scores[4:] == (0.0,) * (len(result.doc_scores) - 4)  # the zero fill
+
+
+def test_an_entity_query_at_k_5_scores_only_its_documents():
+    """stream-2k's fresh search: the entity term's 5 postings are read whole,
+    and the cap on a document holding only the two common terms stops the
+    search there, so no long list is sorted."""
+    world = FixtureWorld(2000)
+    index = index_documents(world.corpus)
+    for entity in world.entities[::20]:
+        query = world.web_query(entity).web_text
+        entity_docs = index.postings[index.vocab[entity.lower()]]
+        assert len(entity_docs) == 5
+        assert sorted(index.score_all(query, 5)) == entity_docs
+        assert web_search(index, ToolQuery.web(query), 5).doc_scores[-1] > 0.0
+    assert index._impact_orders == {}
+
+
+@pytest.mark.parametrize("k", [3, 50])
+def test_an_entity_query_walks_when_its_documents_cannot_fill_k(k):
+    """Below k = 5 every list is long, and above it the entity's documents
+    are fewer than k: either way the common terms' lists are walked, and the
+    ranking is the oracle's."""
+    world = FixtureWorld(2000)
+    index = index_documents(world.corpus)
+    oracle = OracleDenseIndex(world.corpus)
+    query = world.web_query(world.entities[0]).web_text
+    result = web_search(index, ToolQuery.web(query), k)
+    assert {index.vocab["overview"], index.vocab["facts"]} <= set(index._impact_orders)
+    expected = oracle.ranking(query)[:k]
+    assert list(result.ranked_doc_ids) == [doc_id for doc_id, _ in expected]
+    assert _hex(result.doc_scores) == _hex(score for _, score in expected)
 
 
 def test_top_k_walk_stops_long_before_the_touched_documents():
