@@ -344,8 +344,7 @@ def generator_factory(config: SessionConfig, index: DocIndex) -> GeneratorFactor
 
 def _similarity_ctx(config: SessionConfig, index: DocIndex) -> SimilarityContext:
     """The trigger's and the labels' equivalence check."""
-    return SimilarityContext(index=index, compare_k=config.reflect_top_k,
-                             retrieve_k=config.top_docs, ordered=config.reflect_ordered)
+    return SimilarityContext.from_config(index, config)
 
 
 @cli.command()

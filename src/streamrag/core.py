@@ -288,6 +288,19 @@ class SessionConfig:
         if self.endpoint_delay_ms < 0:
             raise InputError("endpoint_delay_ms must be >= 0")
 
+    @property
+    def search_depth(self) -> int:
+        """How deep a session and its similarity checks search: they read
+        only the top ``reflect_top_k`` of the top ``top_docs``."""
+        return read_depth(self.top_docs, self.reflect_top_k)
+
+
+def read_depth(retrieve_k: int, compare_k: int) -> int:
+    """How deep to search when only the top ``compare_k`` of the top
+    ``retrieve_k`` documents are read. Ranking by ``(-score, doc_id)`` is a
+    total order, so the shallower ranking is a prefix of the deeper one."""
+    return min(retrieve_k, compare_k)
+
 
 def default_block_ms(strategy: Strategy) -> int:
     return 500 if strategy is Strategy.MODEL_TRIGGERED else 1000

@@ -247,12 +247,10 @@ class _Session:
 
         call = ToolCall(tool, block, query, now, query_gen_ms, tool_ms)
         # Content is computed eagerly and deterministically; the timeline only
-        # controls when it counts. Sessions and the reflector read no deeper
-        # than reflect_top_k, and a shallower ranking is a prefix of a deeper one.
+        # controls when it counts.
         try:
             if tool is Tool.WEB:
-                call.result = web_search(self.backends.index, query,
-                                         min(self.config.top_docs, self.config.reflect_top_k))
+                call.result = web_search(self.backends.index, query, self.config.search_depth)
             else:
                 call.result = kg_lookup(self.backends.kg_store, query)
         except Exception as exc:  # noqa: BLE001 - backend failure becomes a failed call
@@ -381,13 +379,7 @@ def run_session(
         session.settle(utterance_end)
         final_web = session.prev_query(Tool.WEB)
         final_kg = session.prev_query(Tool.KG)
-        ctx = SimilarityContext(
-            index=backends.index,
-            compare_k=config.reflect_top_k,
-            retrieve_k=config.top_docs,
-            ordered=config.reflect_ordered,
-            kg_store=backends.kg_store,
-        )
+        ctx = SimilarityContext.from_config(backends.index, config, backends.kg_store)
         selected, scan_log = select_earliest_joint(session.cache, final_web, final_kg, ctx)
         for record in scan_log:
             session.log("reflected", block=record["block"], detail=record)

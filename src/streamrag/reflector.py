@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
 
-from .core import BlockIndex, Tool, ToolQuery
+from .core import BlockIndex, SessionConfig, Tool, ToolQuery
 from .errors import WrongToolError
 from .retrieval import DocIndex, KgStore, kg_lookup, top_docs_match
 
@@ -89,6 +89,13 @@ class SimilarityContext:
     retrieve_k: int = 50
     ordered: bool = False
     kg_store: KgStore | None = None
+
+    @classmethod
+    def from_config(cls, index: DocIndex, config: SessionConfig,
+                    kg_store: KgStore | None = None) -> SimilarityContext:
+        """The check a session with ``config`` makes."""
+        return cls(index=index, compare_k=config.reflect_top_k, retrieve_k=config.top_docs,
+                   ordered=config.reflect_ordered, kg_store=kg_store)
 
 
 def reflect_with_reason(

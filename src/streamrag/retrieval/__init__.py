@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from ..core import KgQuery, Tool, ToolQuery, parse_records
+from ..core import KgQuery, Tool, ToolQuery, parse_records, read_depth
 from ..errors import DuplicateDocIdError, InputError, WrongToolError
 
 _PUNCT_TO_SPACE = str.maketrans({c: " " for c in string.punctuation})
@@ -571,11 +571,10 @@ def top_docs_match(
     """Whether two web queries retrieve the same leading documents.
 
     ``ordered`` picks list vs set comparison of the top compare_k ids of
-    the top retrieve_k. Only those are read, so each query is searched
-    ``min(retrieve_k, compare_k)`` deep: the ranking order is total, so that
-    is a prefix of the deeper ranking.
+    the top retrieve_k; each query is searched only as deep as that reads
+    (see ``read_depth``).
     """
-    depth = min(retrieve_k, compare_k)
+    depth = read_depth(retrieve_k, compare_k)
     a = web_search(index, first, depth).ranked_doc_ids
     b = web_search(index, second, depth).ranked_doc_ids
     return a == b if ordered else set(a) == set(b)

@@ -263,6 +263,11 @@ class TestSessionConfig:
         with pytest.raises(InputError):
             SessionConfig(strategy=Strategy.OPEN_BOOK, **kwargs)
 
+    @pytest.mark.parametrize("top_docs, reflect_top_k, depth", [(50, 5, 5), (3, 5, 3), (5, 5, 5)])
+    def test_search_depth_is_what_a_session_reads(self, top_docs, reflect_top_k, depth):
+        config = SessionConfig(top_docs=top_docs, reflect_top_k=reflect_top_k)
+        assert config.search_depth == depth
+
     def test_scripted_queries_helper(self):
         entry = ScriptedQueries(ToolQuery.web("w"), ToolQuery.kg(KgQuery.make("other", {})))
         assert entry.for_tool(Tool.WEB).web_text == "w"

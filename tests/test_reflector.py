@@ -74,6 +74,14 @@ class TestReflect:
             reflect_with_reason(ToolQuery.web("a"), _kg("b"), reflect_ctx)
 
 
+def test_context_from_config_compares_what_the_session_reads(index, kg_store):
+    config = session_config(Strategy.FIXED_INTERVAL, top_docs=3, reflect_top_k=4)
+    ctx = SimilarityContext.from_config(index, config, kg_store)
+    assert ctx == SimilarityContext(index=index, compare_k=4, retrieve_k=3, ordered=True,
+                                    kg_store=kg_store)
+    assert SimilarityContext.from_config(index, config).kg_store is None
+
+
 class TestOneCheck:
     """The labeler's and trigger's similarity_f is the reflector's check run
     without a kg store."""
