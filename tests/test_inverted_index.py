@@ -330,6 +330,25 @@ def test_an_entity_query_walks_when_its_documents_cannot_fill_k(k):
     assert _hex(result.doc_scores) == _hex(score for _, score in expected)
 
 
+def test_a_query_of_common_words_walks_at_k_5():
+    """No term of two filler syllables and "overview" has 5 postings or
+    fewer, so the cap cannot act: the walk opens every list, stops long
+    before the documents the query touches, and ranks as the oracle."""
+    world = FixtureWorld(2000)
+    index = index_documents(world.corpus)
+    oracle = OracleDenseIndex(world.corpus)
+    query = "vor zel overview"
+    tids = {index.vocab[term] for term in query.split()}
+    assert min(len(index.postings[tid]) for tid in tids) > 5
+    seen = index.score_all(query, 5)
+    assert set(index._impact_orders) == tids
+    assert 5 <= len(seen) < len(index.score_all(query)) // 10
+    result = web_search(index, ToolQuery.web(query), 5)
+    expected = oracle.ranking(query)[:5]
+    assert list(result.ranked_doc_ids) == [doc_id for doc_id, _ in expected]
+    assert _hex(result.doc_scores) == _hex(score for _, score in expected)
+
+
 def test_top_k_walk_stops_long_before_the_touched_documents():
     """The 50th-best score for an entity's web query comes from documents
     matching only its two common terms; the walk still stops early."""
