@@ -109,12 +109,15 @@ def _stage(value: Any) -> bool:
 
 
 def _parse_ratio(raw: str) -> tuple[int, int] | None:
-    """web:kg, each in plain ASCII digits, as in '2:1'; None if malformed."""
+    """web:kg in plain ASCII digits, not both 0, as in '2:1'; None otherwise."""
     web, _, kg = raw.partition(":")
+    if not (is_digits(web) and is_digits(kg)):
+        return None
     try:
-        return (int(web), int(kg)) if is_digits(web) and is_digits(kg) else None
+        ratio = int(web), int(kg)
     except ValueError:  # more digits than int() reads
         return None
+    return ratio if any(ratio) else None
 
 
 _STAGES = ("query_gen", "web_fetch", "chunk_rerank", "kg_lookup", "response_gen", "response_tail")
@@ -125,7 +128,7 @@ _CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "block_ms": (lambda v: v is None or _positive(v), "a positive integer"),
     "ref_length_tokens": (_non_negative, "a non-negative integer"),
     "web_kg_ratio": (lambda v: isinstance(v, str) and _parse_ratio(v) is not None,
-                     "web:kg in ASCII digits, like '2:1'"),
+                     "web:kg in ASCII digits, not both 0, like '2:1'"),
     "top_docs": (_positive, "a positive integer"),
     "reflect_top_k": (_positive, "a positive integer"),
     "chunk_tokens": (_positive, "a positive integer"),
@@ -337,14 +340,9 @@ def generator_factory(config: SessionConfig, index: DocIndex) -> GeneratorFactor
         return lambda trace: FinalQueryGenerator(trace)
     if config.strategy is Strategy.FIXED_INTERVAL:
         return lambda trace: ScriptedQueryGenerator(trace, config.block_ms)
-    ctx = _similarity_ctx(config, index)
+    ctx = SimilarityContext.from_config(index, config)
     similar = lambda current, prev: similarity_f(current, prev, ctx)
     return lambda trace: StreamingScriptedGenerator(trace, config.block_ms, similar)
-
-
-def _similarity_ctx(config: SessionConfig, index: DocIndex) -> SimilarityContext:
-    """The trigger's and the labels' equivalence check."""
-    return SimilarityContext.from_config(index, config)
 
 
 @cli.command()
@@ -374,7 +372,7 @@ def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
     cfg["block_ms"], cfg["reflect_ordered"] = config.block_ms, config.reflect_ordered
 
     traces = read_traces(traces_path)
-    ctx = _similarity_ctx(config, index_documents(_read_corpus(corpus_path)))
+    ctx = SimilarityContext.from_config(index_documents(_read_corpus(corpus_path)), config)
 
     pseudo_gt = _read_pseudo_gt(pseudo_gt_path, traces) if pseudo_gt_path else {}
 

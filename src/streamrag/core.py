@@ -11,8 +11,10 @@ block boundary is excluded until the block in which it completes.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
+import random
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
@@ -281,8 +283,8 @@ class SessionConfig:
             raise InputError("block_ms must be positive")
         if self.ref_length_tokens < 0:
             raise InputError("ref_length_tokens must be >= 0")
-        if self.web_kg_ratio[0] < 0 or self.web_kg_ratio[1] < 0:
-            raise InputError("web_kg_ratio parts must be non-negative")
+        if min(self.web_kg_ratio) < 0 or not any(self.web_kg_ratio):
+            raise InputError("web_kg_ratio parts must be non-negative and not both 0")
         if self.top_docs < 1 or self.reflect_top_k < 1 or self.chunk_tokens < 1:
             raise InputError("top_docs, reflect_top_k and chunk_tokens must be >= 1")
         if self.endpoint_delay_ms < 0:
@@ -304,6 +306,13 @@ def read_depth(retrieve_k: int, compare_k: int) -> int:
 
 def default_block_ms(strategy: Strategy) -> int:
     return 500 if strategy is Strategy.MODEL_TRIGGERED else 1000
+
+
+def substream_rng(*parts: Any) -> random.Random:
+    """Independent deterministic RNG derived from hashable key parts."""
+    key = "\x1f".join(str(p) for p in parts).encode("utf-8")
+    seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+    return random.Random(seed)
 
 
 # --- file I/O ------------------------------------------------------------

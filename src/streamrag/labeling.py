@@ -25,10 +25,10 @@ from .core import (
     blocks_of,
     json_int,
     read_jsonl,
+    substream_rng,
     write_jsonl,
 )
 from .errors import InputError
-from .orchestrator import substream_rng
 from .reflector import SimilarityContext, reflect_with_reason
 
 

@@ -20,7 +20,6 @@ from .errors import AlignmentError, InputError
 from .orchestrator import SessionOutcome
 
 COMPONENTS = ("query_gen", "tool_results", "response_gen", "total")
-STATS = ("p50", "p90", "mean")
 
 
 def nearest_rank(sorted_values: Sequence[float], percentile: float) -> float:

@@ -28,7 +28,6 @@ the total.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import asdict, dataclass, field, fields
 from itertools import count
@@ -47,6 +46,7 @@ from .core import (
     blocks_of,
     is_int,
     json_int,
+    substream_rng,
 )
 from .errors import InputError
 from .reflector import (
@@ -105,16 +105,6 @@ class LatencyModel:
     def __post_init__(self) -> None:
         for name in ("query_gen", "web_fetch", "chunk_rerank", "kg_lookup", "response_gen", "response_tail"):
             _validate_stage(name, getattr(self, name))
-
-    def sample(self, stage: str, rng: random.Random) -> int:
-        return _draw(getattr(self, stage), rng)
-
-
-def substream_rng(*parts: Any) -> random.Random:
-    """Independent deterministic RNG derived from hashable key parts."""
-    key = "\x1f".join(str(p) for p in parts).encode("utf-8")
-    seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
-    return random.Random(seed)
 
 
 class LogEvent(NamedTuple):
@@ -412,12 +402,10 @@ def run_session(
 
     references = ReferenceBundle((), (), 0)
     if web_result is not None or kg_answer is not None:
-        chunked = None
-        if web_result is not None:
-            chunked = chunk_and_rerank(backends.index, web_result,
-                                       rerank_text or web_result.query_text, config.chunk_tokens)
+        chunks = [] if web_result is None else chunk_and_rerank(
+            backends.index, web_result, rerank_text or web_result.query_text, config.chunk_tokens)
         references = assemble_references(
-            chunked, kg_answer, config.ref_length_tokens, config.web_kg_ratio
+            chunks, kg_answer, config.ref_length_tokens, config.web_kg_ratio
         )
 
     tools_expected = strategy is not Strategy.CLOSED_BOOK

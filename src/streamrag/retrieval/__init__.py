@@ -14,13 +14,13 @@ first occurrence there, or count a repeat. The norms are summed term by
 term, in ascending id, so each document's squares add in that order. A
 posting's weight, count times idf, is computed where it is read.
 
-A search for the top k first reads whole the posting lists of the query's
-rare terms, those with at most k postings: reading one costs no more than
-the k documents any search must score. It scores each of their documents
-exactly: it looks the document's count up in each query term's count map, one
-dict lookup per term, and adds the products in ascending term id, as a walk
-over the document's own terms would, so its score is the same double bit for
-bit. An unseen document then holds only the query's long terms, so its score
+Every search is for the top k, and k is always given. It first reads whole
+the posting lists of the query's rare terms, those with at most k postings:
+reading one costs no more than the k documents any search must score. It
+scores each of their documents exactly: it looks the document's count up in
+each query term's count map, one dict lookup per term, and adds the products
+in ascending term id, as a walk over the document's own terms would, so its
+score is the same double bit for bit. An unseen document then holds only the query's long terms, so its score
 is at most the cap (Turtle & Flood, 1995): each long term's query weight times
 its largest count times its idf, over the smallest document norm. Once the
 k-th best score is strictly above the cap, the search is done without opening
@@ -31,19 +31,22 @@ The walk stops once the k-th best score is strictly above what any unseen
 document could reach, the sum of query weight times the next impact of each
 long list. Both tests carry a relative slack far above the rounding error, so
 a tie that a smaller doc_id would win is never left unseen. One sort of the
-documents seen by ``(-score, doc_id)`` then gives the top k. Each term's count
-map and largest count are built on first use and kept, since the index is
-immutable, and so is the impact order of each list that is walked.
+documents seen by ``(-score, doc_id)`` then gives the top k; fewer than k seen
+means every document sharing a term with the query was seen, and the rest
+score 0. At k = ``n_docs`` every list is rare, so all of them are scored.
+Each term's count map and largest count are built on first use and kept,
+since the index is immutable, and so is the impact order of each list that is
+walked.
 
 Streaming strategies search the same query text many times, so each index
 memoises its rankings by query text. The index is immutable and the ranking
 order is total, so a memoised ranking is exactly what a fresh search returns.
 
 They also rerank the same documents many times. A chunk rerank scores the
-chunks of a result's documents with the same cosine as any other text
-(``score_texts``): each chunk's term counts and norm are built the first time
-its document is chunked at that size, the missing documents' chunks tokenized
-in one call, and kept on the index. A rerank then adds the query weight times
+chunks of a result's documents with the same cosine, each chunk as a text of
+its own: each chunk's term counts and norm are built the first time its
+document is chunked at that size, the missing documents' chunks tokenized in
+one call, and kept on the index. A rerank then adds the query weight times
 each chunk weight over the query's terms, in ascending term id, which are the
 products a walk over the chunk's own terms would add, in the same order.
 """
@@ -113,12 +116,12 @@ class Chunk:
 
 @dataclass(frozen=True)
 class WebResult:
-    """Ranked documents (and, after reranking, chunks) for one web query."""
+    """The top k documents for one web query and their scores, in
+    ``(-score, doc_id)`` order (see ``DocIndex.score_all``)."""
 
     query_text: str
     ranked_doc_ids: tuple[str, ...]
     doc_scores: tuple[float, ...]
-    ranked_chunks: tuple[Chunk, ...] = ()
 
 
 class DocIndex:
@@ -208,20 +211,19 @@ class DocIndex:
         terms.sort()
         return terms, math.sqrt(sq)
 
-    def score_all(self, query_text: str, k: int | None = None) -> dict[int, float]:
-        """Cosine scores of documents sharing a term with the query, keyed by
-        document index; every other document scores 0.
+    def score_all(self, query_text: str, k: int) -> dict[int, float]:
+        """Cosine scores of the documents a search for the top ``k`` sees,
+        keyed by document index; a document sharing no term scores 0.
 
         The postings of each query term with at most ``k`` of them are read
-        whole; without ``k`` that is every term, so every such document is
-        scored. With ``k``, the long lists are opened only if the k-th best
-        score does not beat the cap on an unseen document's score, and then
-        walked in impact order until no unseen document can enter the top k.
-        Only the documents seen are returned; they hold the top k, with the
-        same scores, and fewer than k of them means every document sharing a
-        term was seen. A document is scored by one lookup in each query term's
-        count map (see ``_term_counts``), its products added in ascending
-        term id.
+        whole. The long lists are opened only if the k-th best score does not
+        beat the cap on an unseen document's score, and then walked in impact
+        order until no unseen document can enter the top k. The documents
+        seen hold the top k, each with its exact score, and fewer than k of
+        them means every document sharing a term was seen; ``k = n_docs``
+        reads every list whole. A document is scored by one lookup in each
+        query term's count map (see ``_term_counts``), its products added in
+        ascending term id.
         """
         terms, qnorm = self._query_terms(query_text)
         idf, norms, postings = self.idf, self._norms, self.postings
@@ -238,8 +240,6 @@ class DocIndex:
                 if count is not None:
                     dot += qw * (count * idf_t)
             score = scores[d] = dot / (norms[d] * qnorm)
-            if k is None:
-                return
             if len(best) < k:
                 heapq.heappush(best, score)
             elif score > best[0]:
@@ -248,7 +248,7 @@ class DocIndex:
         long_terms = []
         for (tid, qw), (_, top) in zip(terms, counted):
             docs = postings[tid]
-            if k is None or len(docs) <= k:
+            if len(docs) <= k:
                 for d in docs:
                     if d not in scores:
                         see(d)
@@ -331,10 +331,10 @@ class DocIndex:
         return doc_ids, scores
 
     def _rank(self, query_text: str, k: int) -> tuple[tuple[str, ...], tuple[float, ...]]:
-        """Rank afresh: one sort of the scored documents by ``(-score, doc_id)``
-        gives the top k, and zero-scored documents fill a short ranking in
-        doc_id order. A short ranking means the search saw every document
-        sharing a term with the query, so ``scores`` holds them all."""
+        """Rank afresh: one sort of the documents ``score_all`` saw by
+        ``(-score, doc_id)`` gives the top k. Fewer than k seen means they are
+        every document sharing a term with the query, so zero-scored documents
+        fill the rest in doc_id order."""
         scores = self.score_all(query_text, k)
         doc_ids = self.doc_ids
         top = sorted(scores, key=lambda d: (-scores[d], doc_ids[d]))[:k]
@@ -378,22 +378,16 @@ class DocIndex:
                 dot += qw * (count * idf[tid])
         return dot / (norm * qnorm) if dot != 0.0 else 0.0
 
-    def score_texts(self, query_text: str, texts: Sequence[str]) -> list[float]:
-        """Score arbitrary texts (e.g. chunks) against the query with index idf."""
-        terms, qnorm = self._query_terms(query_text)
-        return [self._cosine(terms, qnorm, *self._term_vector(tokens))
-                for tokens in tokenize_all(texts)]
-
     def _chunks(self, doc_ids: Sequence[str], chunk_tokens: int
                 ) -> list[tuple[tuple[int, str, dict[int, int], float], ...]]:
         """Each document's chunks as (token offset, text, term counts, norm).
 
         A chunk is a run of at most ``chunk_tokens`` whitespace tokens of the
-        document, joined on single spaces; its counts and norm are those
-        ``score_texts`` computes for its text. A document's chunks are built
-        on first use and kept, since the index is immutable: the documents
-        not yet kept are chunked together and tokenized in one call. A
-        concurrent first use builds the same entries.
+        document, joined on single spaces; its counts and norm are its text's
+        (see ``_term_vector``). A document's chunks are built on first use and
+        kept, since the index is immutable: the documents not yet kept are
+        chunked together and tokenized in one call. A concurrent first use
+        builds the same entries.
         """
         table = self._chunk_vectors
         keys = [(doc_id, chunk_tokens) for doc_id in doc_ids]
@@ -421,8 +415,8 @@ class DocIndex:
 
     def rank_chunks(self, query_text: str, doc_ids: Sequence[str], chunk_tokens: int
                     ) -> list[Chunk]:
-        """The chunks of the documents (see ``_chunks``), each scored as
-        ``score_texts`` scores its text, in ``(-score, doc_id, offset)`` order."""
+        """The chunks of the documents (see ``_chunks``), each scored by its
+        cosine with the query, in ``(-score, doc_id, offset)`` order."""
         terms, qnorm = self._query_terms(query_text)
         cosine = self._cosine
         ranked = [(-cosine(terms, qnorm, counts, norm), doc_id, offset, text)
@@ -461,8 +455,8 @@ def web_search(index: DocIndex, query: ToolQuery, k: int) -> WebResult:
 
 def chunk_and_rerank(
     index: DocIndex, result: WebResult, query_text: str, chunk_tokens: int
-) -> WebResult:
-    """Split ranked documents into fixed-size token chunks and rank the chunks.
+) -> list[Chunk]:
+    """Split a result's documents into fixed-size token chunks and rank them.
 
     Chunks are contiguous runs of at most chunk_tokens whitespace tokens,
     scored against query_text by the index scorer from the chunk vectors the
@@ -471,8 +465,7 @@ def chunk_and_rerank(
     """
     if chunk_tokens < 1:
         raise ValueError("chunk_tokens must be >= 1")
-    ranked = index.rank_chunks(query_text, result.ranked_doc_ids, chunk_tokens)
-    return WebResult(result.query_text, result.ranked_doc_ids, result.doc_scores, tuple(ranked))
+    return index.rank_chunks(query_text, result.ranked_doc_ids, chunk_tokens)
 
 
 class KgStore:
@@ -521,18 +514,20 @@ class ReferenceBundle:
 
 
 def assemble_references(
-    web: WebResult | None,
+    chunks: Sequence[Chunk],
     kg: str | None,
     budget_tokens: int,
     ratio: tuple[int, int],
 ) -> ReferenceBundle:
-    """Fill the reference budget: KG share first (whole answers only), then
-    web chunks in rank order, truncating at most the final chunk."""
+    """Fill the reference budget: the KG share, ``kg / (web + kg)`` of it,
+    first (whole answers only), then the ranked web chunks in order,
+    truncating at most the final chunk."""
     if budget_tokens < 0:
         raise ValueError("budget_tokens must be >= 0")
     web_share, kg_share = ratio
-    denom = web_share + kg_share
-    kg_budget = (budget_tokens * kg_share) // denom if denom else 0
+    if min(ratio) < 0 or not any(ratio):
+        raise ValueError(f"ratio parts must be non-negative and not both 0, got {ratio}")
+    kg_budget = (budget_tokens * kg_share) // (web_share + kg_share)
 
     kg_answers: list[str] = []
     used = 0
@@ -544,18 +539,17 @@ def assemble_references(
 
     web_chunks: list[str] = []
     remaining = budget_tokens - used
-    if web is not None:
-        for chunk in web.ranked_chunks:
-            if remaining <= 0:
-                break
-            n = count_tokens(chunk.text)
-            if n <= remaining:
-                web_chunks.append(chunk.text)
-                remaining -= n
-            else:
-                web_chunks.append(truncate_tokens(chunk.text, remaining))
-                remaining = 0
-                break
+    for chunk in chunks:
+        if remaining <= 0:
+            break
+        n = count_tokens(chunk.text)
+        if n <= remaining:
+            web_chunks.append(chunk.text)
+            remaining -= n
+        else:
+            web_chunks.append(truncate_tokens(chunk.text, remaining))
+            remaining = 0
+            break
     total = sum(count_tokens(t) for t in kg_answers) + sum(count_tokens(t) for t in web_chunks)
     return ReferenceBundle(tuple(web_chunks), tuple(kg_answers), total)
 

@@ -472,7 +472,7 @@ def oracle_run_session(trace, config, gen, backends, latency) -> SessionOutcome:
 
     references = ReferenceBundle((), (), 0)
     if web_result is not None or kg_answer is not None:
-        chunked = None
+        chunked = ()
         if web_result is not None:
             trimmed = replace(web_result,
                               ranked_doc_ids=web_result.ranked_doc_ids[: config.reflect_top_k],

@@ -231,6 +231,7 @@ class TestValueChecks:
         ("simulate", {"seed": 1.5}),
         ("simulate", {"web_kg_ratio": "1_0:1"}),
         ("label", {"block_ms": 0}),  # 0 is not "unset": only null is
+        ("simulate", {"web_kg_ratio": "0:0"}),  # no share to divide the budget by
     ])
     def test_bad_config_value_is_input_error(self, tmp_path, monkeypatch, run_main, source,
                                              command, values):

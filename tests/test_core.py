@@ -257,6 +257,7 @@ class TestSessionConfig:
             {"web_kg_ratio": (-1, 1)},
             {"top_docs": 0},
             {"endpoint_delay_ms": -1},
+            {"web_kg_ratio": (0, 0)},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

@@ -27,7 +27,14 @@ from hypothesis import strategies as st
 from streamrag import retrieval
 from streamrag.core import KgQuery, ToolQuery
 from streamrag.errors import WrongToolError
-from streamrag.retrieval import DocIndex, WebResult, chunk_and_rerank, index_documents, web_search
+from streamrag.retrieval import (
+    Chunk,
+    DocIndex,
+    WebResult,
+    chunk_and_rerank,
+    index_documents,
+    web_search,
+)
 from streamrag.synth import FixtureWorld
 
 from oracles import OracleDenseIndex
@@ -77,17 +84,26 @@ def assert_index_matches_oracle(index, oracle: OracleDenseIndex) -> None:
     assert _hex(index._norms) == _hex(oracle.norms)
 
 
+def _depths(n: int) -> list[int]:
+    return sorted({1, 5, 50, n, n + 7})
+
+
 def assert_scores_match(index, oracle: OracleDenseIndex, query: str) -> None:
+    """At every depth, each document ``score_all`` returns carries the
+    oracle's score bit for bit, whether the search read it in a short list or
+    in the walk; at ``n_docs`` it returns every document the query touches."""
     expected = oracle.scores(query)
-    scores = index.score_all(query)
+    for k in _depths(index.n_docs):
+        scores = index.score_all(query, k)
+        assert {d: s.hex() for d, s in scores.items()} == {d: expected[d].hex() for d in scores}, k
+    scores = index.score_all(query, index.n_docs)
     assert sorted(scores) == [d for d, s in enumerate(expected) if s != 0.0]
     assert _hex(scores.get(d, 0.0) for d in range(len(expected))) == _hex(expected)
 
 
 def assert_top_k_match(index, oracle: OracleDenseIndex, query: str) -> None:
     ranking = oracle.ranking(query)
-    n = len(ranking)
-    for k in sorted({1, 5, 50, n, n + 7}):
+    for k in _depths(len(ranking)):
         result = web_search(index, ToolQuery.web(query), k)
         expected = ranking[:k]
         assert list(result.ranked_doc_ids) == [doc_id for doc_id, _ in expected], k
@@ -103,14 +119,6 @@ def test_scores_and_top_k_match_oracle_on_generated_corpora(corpus, queries):
     for query in queries:
         assert_scores_match(index, oracle, query)
         assert_top_k_match(index, oracle, query)
-
-
-@settings(max_examples=100, deadline=None)
-@given(corpus=corpora(), query=query_text, texts=st.lists(text, max_size=8))
-def test_score_texts_matches_oracle(corpus, query, texts):
-    index = index_documents(corpus)
-    oracle = OracleDenseIndex(corpus)
-    assert _hex(index.score_texts(query, texts)) == _hex(oracle.score_texts(query, texts))
 
 
 def _fixture_queries(world) -> list[str]:
@@ -154,14 +162,6 @@ def test_entity_queries_rank_as_the_oracle_on_a_2000_doc_corpus():
         assert_top_k_match(index, oracle, query)
 
 
-def test_score_texts_matches_oracle_on_fixture_chunks(world, index):
-    oracle = OracleDenseIndex(world.corpus)
-    texts = [record["text"][i:i + 60] for record in world.corpus[:40] for i in (0, 30)]
-    texts += ["", "unseen tokens only", "Rare Beauty unseen"]
-    for query in _fixture_queries(world)[::5]:
-        assert _hex(index.score_texts(query, texts)) == _hex(oracle.score_texts(query, texts))
-
-
 def test_a_corpus_holding_nul_matches_the_oracle():
     corpus = [{"doc_id": "d1", "text": "alpha\x00beta \u039f\u0394\u039f\u03a3"},
               {"doc_id": "d2", "text": "\u03a3 alpha"}, {"doc_id": "d3", "text": "beta\x00"}]
@@ -186,7 +186,7 @@ def test_short_ranking_fills_with_zero_scores_in_doc_id_string_order():
 def test_zero_overlap_query_ranks_all_by_doc_id():
     corpus = [{"doc_id": doc_id, "text": "alpha beta"} for doc_id in ("d999", "d1000", "d2")]
     index = index_documents(corpus)
-    assert index.score_all("gamma") == {}
+    assert index.score_all("gamma", index.n_docs) == {}
     result = web_search(index, ToolQuery.web("gamma"), 10)
     assert result.ranked_doc_ids == ("d1000", "d2", "d999")
     assert result.doc_scores == (0.0, 0.0, 0.0)
@@ -196,7 +196,7 @@ def test_zero_overlap_query_ranks_all_by_doc_id():
 def test_out_of_vocabulary_or_tokenless_query_walks_nothing(query):
     corpus = [{"doc_id": doc_id, "text": "alpha beta"} for doc_id in ("d999", "d1000", "d2")]
     index = index_documents(corpus)
-    assert index.score_all(query) == {}
+    assert index.score_all(query, index.n_docs) == {}
     assert index.score_all(query, 2) == {}
     result = web_search(index, ToolQuery.web(query), 2)
     assert result.ranked_doc_ids == ("d1000", "d2")
@@ -265,7 +265,7 @@ def test_an_unseen_document_tying_the_kth_score_at_the_cap_is_searched(monkeypat
     monkeypatch.setattr(retrieval, "_BOUND_SLACK", slack)
     corpus = _cap_tie_corpus()
     index = index_documents(corpus)
-    scores = index.score_all("short long")
+    scores = index.score_all("short long", index.n_docs)
     terms, qnorm = index._query_terms("short long")
     (long_id, qw), _ = terms
     cap = qw * (max(index.post_counts[long_id]) * index.idf[long_id]) / index._min_norm / qnorm
@@ -291,8 +291,8 @@ def test_k_at_or_above_the_touched_documents_walks_them_all(k):
               [("d999", "alpha beta"), ("d5", "alpha"), ("d1000", "alpha alpha gamma"),
                ("d2", "beta"), ("d30", "gamma delta"), ("d4", "echo")]]
     index = index_documents(corpus)
-    assert index.score_all("alpha beta", k) == index.score_all("alpha beta")
-    assert len(index.score_all("alpha beta")) == 4
+    assert index.score_all("alpha beta", k) == index.score_all("alpha beta", index.n_docs)
+    assert len(index.score_all("alpha beta", index.n_docs)) == 4
     assert_top_k_match(index, OracleDenseIndex(corpus), "alpha beta")
     result = web_search(index, ToolQuery.web("alpha beta"), k)
     assert len(result.doc_scores) == min(k, 6)
@@ -342,7 +342,7 @@ def test_a_query_of_common_words_walks_at_k_5():
     assert min(len(index.postings[tid]) for tid in tids) > 5
     seen = index.score_all(query, 5)
     assert set(index._impact_orders) == tids
-    assert 5 <= len(seen) < len(index.score_all(query)) // 10
+    assert 5 <= len(seen) < len(index.score_all(query, index.n_docs)) // 10
     result = web_search(index, ToolQuery.web(query), 5)
     expected = oracle.ranking(query)[:5]
     assert list(result.ranked_doc_ids) == [doc_id for doc_id, _ in expected]
@@ -355,15 +355,11 @@ def test_top_k_walk_stops_long_before_the_touched_documents():
     world = FixtureWorld(2000)
     index = index_documents(world.corpus)
     query = world.web_query(world.entities[0]).web_text
-    touched = index.score_all(query)
+    touched = index.score_all(query, index.n_docs)
     seen = index.score_all(query, 50)
     assert len(touched) >= 1900
     assert 50 <= len(seen) <= 200
     assert {d: touched[d] for d in seen} == seen
-
-
-def _depths(n: int) -> list[int]:
-    return sorted({1, 5, 50, n, n + 7})
 
 
 @settings(max_examples=100, deadline=None)
@@ -466,8 +462,8 @@ def test_concurrent_searches_with_a_tiny_memo_match_a_sequential_run(world, monk
 CHUNK_SIZES = [1, 3, 128]
 
 
-def _chunks(result: WebResult) -> list[tuple[str, int, str, str]]:
-    return [(c.doc_id, c.offset, c.text, c.score.hex()) for c in result.ranked_chunks]
+def _chunks(chunks: list[Chunk]) -> list[tuple[str, int, str, str]]:
+    return [(c.doc_id, c.offset, c.text, c.score.hex()) for c in chunks]
 
 
 def _oracle_chunks(corpus, oracle: OracleDenseIndex, query: str, doc_ids, chunk_tokens: int):
@@ -485,7 +481,7 @@ def _oracle_chunks(corpus, oracle: OracleDenseIndex, query: str, doc_ids, chunk_
     return [(doc_id, offset, text, score.hex()) for (doc_id, offset, text), score in ranked]
 
 
-def _rerank(index, query: str, doc_ids, chunk_tokens: int) -> WebResult:
+def _rerank(index, query: str, doc_ids, chunk_tokens: int) -> list[Chunk]:
     result = WebResult(query, tuple(doc_ids), (0.0,) * len(doc_ids))
     return chunk_and_rerank(index, result, query, chunk_tokens)
 
@@ -523,9 +519,21 @@ def test_chunks_holding_nul_rerank_as_the_oracle(chunk_tokens):
     oracle = OracleDenseIndex(corpus)
     doc_ids = ["d2", "d1", "d3", "d1"]
     for query in ["alpha", "alpha\x00beta", "\u03bf\u03b4\u03bf\u03c2 \u03c3", "beta"]:
-        result = _rerank(index, query, doc_ids, chunk_tokens)
-        assert any("\x00" in chunk.text for chunk in result.ranked_chunks)
-        assert _chunks(result) == _oracle_chunks(corpus, oracle, query, doc_ids, chunk_tokens)
+        chunks = _rerank(index, query, doc_ids, chunk_tokens)
+        assert any("\x00" in chunk.text for chunk in chunks)
+        assert _chunks(chunks) == _oracle_chunks(corpus, oracle, query, doc_ids, chunk_tokens)
+
+
+def test_fixture_reranks_match_the_oracle(world):
+    """Chunks of the fixture corpus's documents score as the oracle scores
+    their texts, at every chunk size, whether the query touches them or not."""
+    index = index_documents(world.corpus)
+    oracle = OracleDenseIndex(world.corpus)
+    doc_ids = [record["doc_id"] for record in world.corpus[:40]]
+    for query in _fixture_queries(world)[::5]:
+        for chunk_tokens in CHUNK_SIZES:
+            assert (_chunks(_rerank(index, query, doc_ids, chunk_tokens))
+                    == _oracle_chunks(world.corpus, oracle, query, doc_ids, chunk_tokens))
 
 
 def test_concurrent_first_reranks_match_a_sequential_run(world):

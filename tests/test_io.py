@@ -283,13 +283,13 @@ class TestIntegersExitTwo:
         assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("ratio", ["1_0:1", " 2:1", "+2:1", "2:-1", "2:1:1", "\u00b2:1",
-                                       "9" * 5000 + ":1"], ids=lambda r: ascii(r[:8]))
+                                       "9" * 5000 + ":1", "0:0"], ids=lambda r: ascii(r[:8]))
     def test_ratio(self, tmp_path, ratio):
         code, err = run_main("simulate", "--traces", TRACES, "--corpus", CORPUS, "--kg", KG,
                              "--ratio", ratio, "--out-dir", str(tmp_path / "out"))
         assert code == 2, err
-        assert (f"input error: --ratio must be web:kg in ASCII digits, like '2:1', "
-                f"got {ratio!r}") in err
+        assert (f"input error: --ratio must be web:kg in ASCII digits, not both 0, "
+                f"like '2:1', got {ratio!r}") in err
         assert not (tmp_path / "out").exists()
 
 

@@ -97,12 +97,18 @@ def _uniform_trace(world: FixtureWorld, blocks: int = 3, last_end: int = 1400) -
 
 
 class TestLatencyModel:
-    def test_constant_and_empirical_sampling(self):
-        model = LatencyModel(query_gen=[100, 200, 300], seed=1)
-        rng = substream_rng(1, "x")
-        draws = {model.sample("query_gen", rng) for _ in range(30)}
+    def test_constant_and_empirical_sampling(self, world, backends):
+        """A session draws a list stage from its samples and reads a constant
+        stage as it is."""
+        latency = LatencyModel(query_gen=[100, 200, 300], seed=1)
+        config = session_config(Strategy.OPEN_BOOK)
+        traces = random_batch(world, 30, seed=1, block_ms=500)
+        outcomes, errors = run_batch(traces, config, generator_factory(config, backends.index),
+                                     backends, latency)
+        assert not errors
+        draws = {outcome.latency.query_gen_ms for outcome in outcomes}
         assert draws <= {100, 200, 300} and len(draws) > 1
-        assert model.sample("response_gen", rng) == 2520
+        assert {outcome.latency.response_gen_ms for outcome in outcomes} == {2520}
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):

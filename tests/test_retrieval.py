@@ -21,6 +21,7 @@ from streamrag.retrieval import (
 )
 
 from oracles import (
+    OracleDenseIndex,
     oracle_docs_with_phrase,
     oracle_greedy_fill,
     oracle_rank_docs,
@@ -155,19 +156,19 @@ class TestChunkAndRerank:
         text = " ".join(f"tok{i}" for i in range(10))
         index = index_documents([{"doc_id": "a", "text": text}])
         result = web_search(index, ToolQuery.web("tok0"), 1)
-        chunked = chunk_and_rerank(index, result, "tok0", 4)
-        sizes = sorted((len(c.text.split()) for c in chunked.ranked_chunks), reverse=True)
+        chunks = chunk_and_rerank(index, result, "tok0", 4)
+        sizes = sorted((len(c.text.split()) for c in chunks), reverse=True)
         assert sizes == [4, 4, 2]
 
     def test_chunk_with_query_terms_outranks_chunk_without(self, index):
         docs = [{"doc_id": "a", "text": "alpha beta gamma delta " + "filler " * 8 + "omega end"}]
         local = index_documents(docs)
         result = web_search(local, ToolQuery.web("alpha beta"), 1)
-        chunked = chunk_and_rerank(local, result, "alpha beta", 4)
-        # oracle: score the two chunks directly
-        texts = [c.text for c in chunked.ranked_chunks]
-        direct = local.score_texts("alpha beta", texts)
-        assert chunked.ranked_chunks[0].text.startswith("alpha beta")
+        chunks = chunk_and_rerank(local, result, "alpha beta", 4)
+        # oracle: score the chunks' texts directly
+        direct = OracleDenseIndex(docs).score_texts("alpha beta", [c.text for c in chunks])
+        assert chunks[0].text.startswith("alpha beta")
+        assert [c.score for c in chunks] == direct
         assert direct[0] == max(direct)
 
     def test_ties_break_by_doc_id_then_offset(self):
@@ -177,8 +178,8 @@ class TestChunkAndRerank:
         ]
         local = index_documents(docs)
         result = web_search(local, ToolQuery.web("same words"), 2)
-        chunked = chunk_and_rerank(local, result, "same words", 3)
-        keys = [(c.doc_id, c.offset) for c in chunked.ranked_chunks]
+        chunks = chunk_and_rerank(local, result, "same words", 3)
+        keys = [(c.doc_id, c.offset) for c in chunks]
         assert keys == sorted(keys)
 
     def test_chunk_tokens_must_be_positive(self, index):
@@ -222,8 +223,8 @@ class TestKgLookup:
 
 class TestAssembleReferences:
     def test_zero_budget_empty_bundle(self, index):
-        result = chunk_and_rerank(index, web_search(index, ToolQuery.web("synthetic"), 5), "synthetic", 16)
-        bundle = assemble_references(result, "an answer", 0, (2, 1))
+        chunks = chunk_and_rerank(index, web_search(index, ToolQuery.web("synthetic"), 5), "synthetic", 16)
+        bundle = assemble_references(chunks, "an answer", 0, (2, 1))
         assert bundle.total_tokens == 0
         assert bundle.web_chunks == () and bundle.kg_answers == ()
 
@@ -236,15 +237,15 @@ class TestAssembleReferences:
 
         docs = [{"doc_id": f"d{i}", "text": chunks[i]} for i in range(2)]
         index = index_documents(docs)
-        result = chunk_and_rerank(index, web_search(index, ToolQuery.web("c0w0"), 2), "c0w0", 100)
-        bundle = assemble_references(result, kg_answer, 300, (2, 1))
+        chunks = chunk_and_rerank(index, web_search(index, ToolQuery.web("c0w0"), 2), "c0w0", 100)
+        bundle = assemble_references(chunks, kg_answer, 300, (2, 1))
         assert bundle.kg_answers == (kg_answer,)
         assert len(bundle.web_chunks) == 2
         assert bundle.total_tokens == 250
 
     def test_no_kg_gives_all_budget_to_web(self, index):
-        result = chunk_and_rerank(index, web_search(index, ToolQuery.web("synthetic"), 5), "synthetic", 8)
-        bundle = assemble_references(result, None, 40, (2, 1))
+        chunks = chunk_and_rerank(index, web_search(index, ToolQuery.web("synthetic"), 5), "synthetic", 8)
+        bundle = assemble_references(chunks, None, 40, (2, 1))
         assert bundle.kg_answers == ()
         assert bundle.total_tokens <= 40
         assert bundle.web_chunks
@@ -252,13 +253,13 @@ class TestAssembleReferences:
     def test_final_chunk_truncated_to_exact_budget(self):
         docs = [{"doc_id": "d", "text": " ".join(f"w{i}" for i in range(30))}]
         index = index_documents(docs)
-        result = chunk_and_rerank(index, web_search(index, ToolQuery.web("w0"), 1), "w0", 30)
-        bundle = assemble_references(result, None, 12, (2, 1))
+        chunks = chunk_and_rerank(index, web_search(index, ToolQuery.web("w0"), 1), "w0", 30)
+        bundle = assemble_references(chunks, None, 12, (2, 1))
         assert bundle.total_tokens == 12
         assert len(bundle.web_chunks[0].split()) == 12
 
     def test_kg_answer_never_split(self):
-        bundle = assemble_references(None, " ".join(["long"] * 50), 60, (2, 1))
+        bundle = assemble_references((), " ".join(["long"] * 50), 60, (2, 1))
         # 60-token budget gives KG a 20-token share; a 50-token answer is dropped whole
         assert bundle.kg_answers == ()
         assert bundle.total_tokens == 0
@@ -271,11 +272,8 @@ class TestAssembleReferences:
     )
     @settings(max_examples=80, deadline=None)
     def test_budget_safety_property(self, chunk_sizes, kg_size, budget, ratio):
-        if ratio == (0, 0):
-            ratio = (2, 1)
         chunks = [" ".join(f"c{i}w{j}" for j in range(n)) for i, n in enumerate(chunk_sizes)]
         kg_answer = None if kg_size is None else " ".join(f"k{j}" for j in range(kg_size))
-        oracle_web, oracle_kg, oracle_total = oracle_greedy_fill(chunks, kg_answer, budget, ratio)
         if chunks:
             docs = [{"doc_id": f"d{i:02d}", "text": text} for i, text in enumerate(chunks) if text]
         else:
@@ -284,10 +282,15 @@ class TestAssembleReferences:
             index = index_documents(docs)
             result = web_search(index, ToolQuery.web(chunks[0].split()[0]), len(docs))
             # chunk at max size so each doc is one chunk, in rank order
-            result = chunk_and_rerank(index, result, chunks[0].split()[0], 64)
+            ranked = chunk_and_rerank(index, result, chunks[0].split()[0], 64)
         else:
-            result = None
-        bundle = assemble_references(result, kg_answer, budget, ratio)
+            ranked = []
+        if ratio == (0, 0):  # no share to divide the budget by
+            with pytest.raises(ValueError, match="not both 0"):
+                assemble_references(ranked, kg_answer, budget, ratio)
+            return
+        oracle_web, oracle_kg, oracle_total = oracle_greedy_fill(chunks, kg_answer, budget, ratio)
+        bundle = assemble_references(ranked, kg_answer, budget, ratio)
         assert bundle.total_tokens <= budget
         assert bundle.kg_answers == tuple(oracle_kg)
 
