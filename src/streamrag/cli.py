@@ -16,8 +16,9 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import click
 
@@ -26,6 +27,7 @@ from .core import (
     ScriptedQueries,
     SessionConfig,
     Strategy,
+    default_block_ms,
     is_digits,
     is_int,
     json_int,
@@ -56,6 +58,7 @@ from .metrics import (
     score_responses,
 )
 from .orchestrator import (
+    STAGES,
     Backends,
     GeneratorFactory,
     LatencyModel,
@@ -68,27 +71,6 @@ from .triggers import (
     ScriptedQueryGenerator,
     StreamingScriptedGenerator,
 )
-
-DEFAULTS: dict[str, Any] = {
-    "strategy": "open_book",
-    "block_ms": None,  # per-strategy default
-    "ref_length_tokens": 300,
-    "web_kg_ratio": "2:1",
-    "top_docs": 50,
-    "reflect_top_k": 5,
-    "chunk_tokens": 128,
-    "reflect_ordered": None,  # per-strategy default
-    "negative_prob": 0.1,
-    "endpoint_delay_ms": 0,
-    "seed": 0,
-    "query_gen_ms": 590,
-    "web_fetch_ms": 2500,
-    "chunk_rerank_ms": 280,
-    "kg_lookup_ms": 200,
-    "response_gen_ms": 2520,
-    "response_tail_ms": 0,
-}
-
 
 _STRATEGIES = [s.value for s in Strategy]
 
@@ -120,32 +102,49 @@ def _parse_ratio(raw: str) -> tuple[int, int] | None:
     return ratio if any(ratio) else None
 
 
-_STAGES = ("query_gen", "web_fetch", "chunk_rerank", "kg_lookup", "response_gen", "response_tail")
+class Setting(NamedTuple):
+    default: Any
+    accepts: Callable[[Any], bool]
+    expected: str  # what ``accepts`` takes, for error messages
 
-# What each DEFAULTS key accepts, from flags and config files alike.
-_CHECKS: dict[str, tuple[Callable[[Any], bool], str]] = {
-    "strategy": (lambda v: v in _STRATEGIES, f"one of {_STRATEGIES}"),
-    "block_ms": (lambda v: v is None or _positive(v), "a positive integer"),
-    "ref_length_tokens": (_non_negative, "a non-negative integer"),
-    "web_kg_ratio": (lambda v: isinstance(v, str) and _parse_ratio(v) is not None,
-                     "web:kg in ASCII digits, not both 0, like '2:1'"),
-    "top_docs": (_positive, "a positive integer"),
-    "reflect_top_k": (_positive, "a positive integer"),
-    "chunk_tokens": (_positive, "a positive integer"),
-    "reflect_ordered": (lambda v: v is None or isinstance(v, bool), "true or false"),
-    "negative_prob": (lambda v: (is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
-                      "in [0, 1]"),
-    "endpoint_delay_ms": (_non_negative, "a non-negative integer"),
-    "seed": (is_int, "an integer"),
-    **{f"{stage}_ms": (_stage, "a non-negative integer, or a non-empty list of them")
-       for stage in _STAGES},
+
+_SESSION_DEFAULTS = {f.name: f.default for f in fields(SessionConfig)}
+_LATENCY_DEFAULTS = {f.name: f.default for f in fields(LatencyModel)}
+
+# Every setting of simulate and label, as a config file and the flags name it:
+# its default, read from SessionConfig and LatencyModel but for negative_prob,
+# and what it accepts, from flags and config files alike.
+SETTINGS: dict[str, Setting] = {
+    "strategy": Setting(_SESSION_DEFAULTS["strategy"].value, lambda v: v in _STRATEGIES,
+                        f"one of {_STRATEGIES}"),
+    "block_ms": Setting(_SESSION_DEFAULTS["block_ms"], lambda v: v is None or _positive(v),
+                        "a positive integer"),
+    "ref_length_tokens": Setting(_SESSION_DEFAULTS["ref_length_tokens"], _non_negative,
+                                 "a non-negative integer"),
+    "web_kg_ratio": Setting("%d:%d" % _SESSION_DEFAULTS["web_kg_ratio"],
+                            lambda v: isinstance(v, str) and _parse_ratio(v) is not None,
+                            "web:kg in ASCII digits, not both 0, like '2:1'"),
+    "top_docs": Setting(_SESSION_DEFAULTS["top_docs"], _positive, "a positive integer"),
+    "reflect_top_k": Setting(_SESSION_DEFAULTS["reflect_top_k"], _positive, "a positive integer"),
+    "chunk_tokens": Setting(_SESSION_DEFAULTS["chunk_tokens"], _positive, "a positive integer"),
+    "reflect_ordered": Setting(_SESSION_DEFAULTS["reflect_ordered"],
+                               lambda v: v is None or isinstance(v, bool), "true or false"),
+    "negative_prob": Setting(0.1, lambda v: (is_int(v) or isinstance(v, float)) and 0 <= v <= 1,
+                             "in [0, 1]"),
+    "endpoint_delay_ms": Setting(_SESSION_DEFAULTS["endpoint_delay_ms"], _non_negative,
+                                 "a non-negative integer"),
+    "seed": Setting(_SESSION_DEFAULTS["rng_seed"], is_int, "an integer"),
+    **{f"{stage}_ms": Setting(_LATENCY_DEFAULTS[stage], _stage,
+                              "a non-negative integer, or a non-empty list of them")
+       for stage in STAGES},
 }
+DEFAULTS: dict[str, Any] = {key: setting.default for key, setting in SETTINGS.items()}
 
 
 def _check_value(key: str, value: Any, name: str) -> None:
-    accepts, expected = _CHECKS[key]
-    if not accepts(value):
-        raise InputError(f"{name} must be {expected}, got {value!r}")
+    setting = SETTINGS[key]
+    if not setting.accepts(value):
+        raise InputError(f"{name} must be {setting.expected}, got {value!r}")
 
 
 def _echo(message: str, err: bool = False) -> None:
@@ -195,6 +194,18 @@ _LABEL_KEYS = ("block_ms", "negative_prob", "seed", "top_docs", "reflect_top_k",
                "reflect_ordered")
 
 
+def _session_config(cfg: dict[str, Any], strategy: Strategy) -> SessionConfig:
+    """The session config of the settings ``cfg`` holds, the rest at their
+    defaults. ``cfg`` then records the block size and web-match mode that
+    run, which default by strategy."""
+    given = {key: cfg[key] for key in cfg.keys() & (_SESSION_DEFAULTS.keys() - {"strategy"})}
+    if "web_kg_ratio" in given:
+        given["web_kg_ratio"] = _parse_ratio(given["web_kg_ratio"])
+    config = SessionConfig(strategy=strategy, rng_seed=cfg["seed"], **given)
+    cfg["block_ms"], cfg["reflect_ordered"] = config.block_ms, config.reflect_ordered
+    return config
+
+
 def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -205,6 +216,20 @@ def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
     writer.writeheader()
     writer.writerows(rows)
     write_atomic(path, [buf.getvalue()])
+
+
+def _write_table(out: Path, name: str, rows: list[dict], out_format: str,
+                 columns: list[str]) -> list[str]:
+    """Write ``rows`` as ``name``.json, .csv or both, as ``out_format``
+    says; returns the names of the files written."""
+    written = []
+    if out_format in ("json", "both"):
+        write_json(out / f"{name}.json", rows)
+        written.append(f"{name}.json")
+    if out_format in ("csv", "both"):
+        _write_csv(out / f"{name}.csv", rows, columns)
+        written.append(f"{name}.csv")
+    return written
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict[str, str],
@@ -249,7 +274,7 @@ def cli() -> None:
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--kg", "kg_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--strategy", type=click.Choice(_STRATEGIES), default=None,
-              help="Defaults to open_book.")
+              help=f"Defaults to {DEFAULTS['strategy']}.")
 @click.option("--block-ms", type=int, default=None)
 @click.option("--ref-tokens", "ref_length_tokens", type=int, default=None)
 @click.option("--ratio", "web_kg_ratio", default=None, help="web:kg reference ratio, e.g. 2:1")
@@ -272,28 +297,8 @@ def simulate(traces_path, corpus_path, kg_path, out_dir, out_format, config_path
              **flags) -> None:
     """Run sessions for every trace and write outcomes, event logs, and a latency table."""
     cfg = _resolve(flags, config_path, _SIMULATE_KEYS)
-    strategy_enum = Strategy(cfg["strategy"])
-    session_config = SessionConfig(
-        strategy=strategy_enum,
-        block_ms=cfg["block_ms"],
-        ref_length_tokens=cfg["ref_length_tokens"],
-        web_kg_ratio=_parse_ratio(cfg["web_kg_ratio"]),
-        top_docs=cfg["top_docs"],
-        reflect_top_k=cfg["reflect_top_k"],
-        chunk_tokens=cfg["chunk_tokens"],
-        reflect_ordered=cfg["reflect_ordered"],
-        endpoint_delay_ms=cfg["endpoint_delay_ms"],
-        rng_seed=cfg["seed"],
-    )
-    latency = LatencyModel(
-        query_gen=cfg["query_gen_ms"],
-        web_fetch=cfg["web_fetch_ms"],
-        chunk_rerank=cfg["chunk_rerank_ms"],
-        kg_lookup=cfg["kg_lookup_ms"],
-        response_gen=cfg["response_gen_ms"],
-        response_tail=cfg["response_tail_ms"],
-        seed=cfg["seed"],
-    )
+    session_config = _session_config(cfg, Strategy(cfg["strategy"]))
+    latency = LatencyModel(seed=cfg["seed"], **{stage: cfg[f"{stage}_ms"] for stage in STAGES})
 
     backends = Backends(index=index_documents(_read_corpus(corpus_path)), kg_store=_read_kg(kg_path))
     traces = read_traces(traces_path)
@@ -311,21 +316,13 @@ def simulate(traces_path, corpus_path, kg_path, out_dir, out_format, config_path
     write_jsonl(out / "events.jsonl", ({"utterance_id": o.utterance_id, **e.to_dict()}
                                        for o in outcomes for e in o.event_log))
 
-    table = aggregate_latency(outcomes)
-    if out_format in ("json", "both"):
-        write_json(out / "latency_table.json", table.rows())
-        outputs.append("latency_table.json")
-    if out_format in ("csv", "both"):
-        _write_csv(out / "latency_table.csv", table.rows(),
-                   ["strategy", "stat", "query_gen", "tool_results", "response_gen", "total"])
-        outputs.append("latency_table.csv")
-
-    # the block size and web-match mode that ran, default or not
-    cfg["block_ms"], cfg["reflect_ordered"] = session_config.block_ms, session_config.reflect_ordered
+    outputs += _write_table(out, "latency_table", aggregate_latency(outcomes).rows(), out_format,
+                            ["strategy", "stat", "query_gen", "tool_results", "response_gen",
+                             "total"])
     _write_manifest(out, "simulate", cfg,
                     {"traces": traces_path, "corpus": corpus_path, "kg": kg_path},
                     outputs, seed=cfg["seed"])
-    _echo(f"simulated {len(outcomes)} sessions ({strategy_enum.value}) -> {out}")
+    _echo(f"simulated {len(outcomes)} sessions ({session_config.strategy.value}) -> {out}")
 
 
 def generator_factory(config: SessionConfig, index: DocIndex) -> GeneratorFactory:
@@ -350,7 +347,8 @@ def generator_factory(config: SessionConfig, index: DocIndex) -> GeneratorFactor
 @click.option("--corpus", "corpus_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--pseudo-gt", "pseudo_gt_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="External reference queries; defaults to the traces' scripted ones.")
-@click.option("--block-ms", type=int, default=None, help="Defaults to 500.")
+@click.option("--block-ms", type=int, default=None,
+              help=f"Defaults to {default_block_ms(Strategy.MODEL_TRIGGERED)}.")
 @click.option("--negative-prob", type=float, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--top-docs", type=int, default=None)
@@ -366,10 +364,7 @@ def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
           config_path, **flags) -> None:
     """Build a streaming-trigger training set (fire vs NO_QUERY) with negatives."""
     cfg = _resolve(flags, config_path, _LABEL_KEYS)
-    config = SessionConfig(strategy=Strategy.MODEL_TRIGGERED, block_ms=cfg["block_ms"],
-                           top_docs=cfg["top_docs"], reflect_top_k=cfg["reflect_top_k"],
-                           reflect_ordered=cfg["reflect_ordered"])
-    cfg["block_ms"], cfg["reflect_ordered"] = config.block_ms, config.reflect_ordered
+    config = _session_config(cfg, Strategy.MODEL_TRIGGERED)
 
     traces = read_traces(traces_path)
     ctx = SimilarityContext.from_config(index_documents(_read_corpus(corpus_path)), config)
@@ -419,7 +414,7 @@ def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
 
 def _read_pseudo_gt(path: str, traces) -> dict[str, dict]:
     def parse(r: dict) -> tuple[str, int, ScriptedQueries]:
-        uid, block, entry = (str(r["utterance_id"]), json_int(r["block"], "block"),
+        uid, block, entry = (str(r["utterance_id"]), json_int(r["block"], "block", minimum=1),
                              ScriptedQueries.from_wire(r))
         check_reference(uid, block, entry)
         return uid, block, entry
@@ -467,16 +462,9 @@ def report(baseline_path, strategy_path, judgments_path, out_dir, out_format, se
     pair_rows = per_pair_savings_rows(baseline, strategy)
 
     out = make_out_dir(out_dir)
-    outputs = []
-    savings_rows = [r.to_dict() for r in reports]
-    if out_format in ("json", "both"):
-        write_json(out / "savings.json", savings_rows)
-        outputs.append("savings.json")
-    if out_format in ("csv", "both"):
-        _write_csv(out / "savings.csv", savings_rows,
-                   ["basis", "tool_use_latency_base_s", "mean_savings_pct",
-                    "pct_queries_benefiting", "max_parallel_threads", "n_pairs"])
-        outputs.append("savings.csv")
+    outputs = _write_table(out, "savings", [r.to_dict() for r in reports], out_format,
+                           ["basis", "tool_use_latency_base_s", "mean_savings_pct",
+                            "pct_queries_benefiting", "max_parallel_threads", "n_pairs"])
     _write_csv(out / "savings_per_utterance.csv", pair_rows,
                ["utterance_id", "baseline_tool_results_s", "strategy_tool_results_s",
                 "saving_s", "baseline_first_token_s", "strategy_first_token_s"])

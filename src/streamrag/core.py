@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Container, Hashable, Iterable, Iterator, TypeVar
+from typing import Any, BinaryIO, Callable, Collection, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import EmptyTraceError, InputError
 
@@ -214,7 +214,7 @@ class UtteranceTrace:
         return " ".join(w.text for w in self.words)
 
 
-def blocks_of(trace: UtteranceTrace, block_ms: int, listed: Container[BlockIndex] | None = None,
+def blocks_of(trace: UtteranceTrace, block_ms: int, listed: Collection[BlockIndex] | None = None,
               what: str = "queries") -> list[tuple[BlockIndex, str]]:
     """Split a trace into block prefixes: block b holds words with end_ms <= b*block_ms.
 
@@ -222,10 +222,12 @@ def blocks_of(trace: UtteranceTrace, block_ms: int, listed: Container[BlockIndex
     blocks 1..B with ``B = ceil(last_end_ms / block_ms)``. The prefix of a
     block may be empty when no word has completed yet.
 
-    A block that ``listed`` lacks is an InputError naming ``what`` and the
-    first ten such blocks. It is raised before any prefix is built, after
-    looking at no more blocks than ``listed`` holds plus eleven, so a trace
-    far longer than its script costs no more than the script.
+    ``listed`` must hold exactly blocks 1..B: a block it lacks, or one past
+    B, is an InputError naming ``what`` and the first ten such blocks, so a
+    script written for another block size is not read at this one. It is
+    raised before any prefix is built, after looking at no more blocks than
+    ``listed`` holds plus eleven, so a trace far longer than its script
+    costs no more than the script.
     """
     if block_ms <= 0:
         raise ValueError("block_ms must be positive")
@@ -236,6 +238,11 @@ def blocks_of(trace: UtteranceTrace, block_ms: int, listed: Container[BlockIndex
             more = f" and more of {total_blocks}" if len(missing) > 10 else ""
             raise InputError(f"{trace.utterance_id}: no {what} for blocks {missing[:10]}{more} "
                              f"at block_ms={block_ms}")
+        beyond = sorted(b for b in listed if b > total_blocks)
+        if beyond:
+            more = f" and {len(beyond) - 10} more" if len(beyond) > 10 else ""
+            raise InputError(f"{trace.utterance_id}: {what} for blocks {beyond[:10]}{more} "
+                             f"beyond the {total_blocks} blocks at block_ms={block_ms}")
     out: list[tuple[BlockIndex, str]] = []
     texts: list[str] = []
     word_iter = iter(trace.words)

@@ -86,6 +86,10 @@ def _draw(spec: StageSpec, rng: random.Random) -> int:
     return spec if isinstance(spec, int) else rng.choice(spec)
 
 
+# The latency stages, each a field of LatencyModel.
+STAGES = ("query_gen", "web_fetch", "chunk_rerank", "kg_lookup", "response_gen", "response_tail")
+
+
 @dataclass(frozen=True)
 class LatencyModel:
     """Per-stage delays in ms: a constant, or an empirical list sampled uniformly.
@@ -103,7 +107,7 @@ class LatencyModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("query_gen", "web_fetch", "chunk_rerank", "kg_lookup", "response_gen", "response_tail"):
+        for name in STAGES:
             _validate_stage(name, getattr(self, name))
 
 

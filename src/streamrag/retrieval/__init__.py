@@ -348,19 +348,15 @@ class DocIndex:
         return tuple(doc_ids[d] for d, _ in ranked), tuple(score for _, score in ranked)
 
     def _term_vector(self, tokens: Sequence[str]) -> tuple[dict[int, int], float]:
-        """In-vocabulary tokens counted by term id, and the L2 norm of all the
-        tokens: each out-of-vocabulary token adds the unseen-term idf squared
-        first, then each term its squared weight in ascending id."""
-        vocab_get, idf = self.vocab.get, self.idf
-        unseen_sq = self._default_idf * self._default_idf
+        """Tokens counted by term id, and their L2 norm: each term's squared
+        weight added in ascending id. Only chunks of indexed documents come
+        here, and every token of those is in the vocabulary."""
+        vocab, idf = self.vocab, self.idf
         counts: dict[int, int] = {}
-        sq = 0.0
         for token in tokens:
-            tid = vocab_get(token)
-            if tid is None:
-                sq += unseen_sq
-            else:
-                counts[tid] = counts.get(tid, 0) + 1
+            tid = vocab[token]
+            counts[tid] = counts.get(tid, 0) + 1
+        sq = 0.0
         for tid in sorted(counts):
             w = counts[tid] * idf[tid]
             sq += w * w

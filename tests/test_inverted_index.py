@@ -462,6 +462,34 @@ def test_concurrent_searches_with_a_tiny_memo_match_a_sequential_run(world, monk
 CHUNK_SIZES = [1, 3, 128]
 
 
+# Words whose lowercasing or splitting might differ between a document and
+# one of its chunks: final and medial sigmas, NUL, NBSP and "\x1c" (both
+# whitespace to str.split), combining marks and punctuation-only words.
+CHUNK_EDGE_WORDS = ["\u03a3", "\u039f\u0394\u039f\u03a3", "\u03c2", "\u03a3\u0301", "\u0301",
+                    "\u0301\u03a3", "\u00ad\u03a3", "a\x00", "\x00", "\u0130", "--", "!?", "Alpha,"]
+edge_text = st.tuples(st.lists(st.sampled_from(CHUNK_EDGE_WORDS), max_size=12),
+                      st.sampled_from([" ", "\xa0", "\x1c", ""])).map(
+    lambda parts: parts[1].join(parts[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(edge_text, min_size=1, max_size=6),
+       chunk_tokens=st.sampled_from([1, 2, 3, 128]))
+def test_every_token_of_a_chunk_is_in_the_vocabulary(texts, chunk_tokens):
+    """A chunk is a run of an indexed document's whitespace-split words, so
+    its tokens, alone or tokenized with the other chunks, are the index's
+    terms: a chunk vector has no out-of-vocabulary weight."""
+    corpus = [{"doc_id": f"d{i}", "text": text} for i, text in enumerate(texts)]
+    index = index_documents(corpus)
+    for record in corpus:
+        words = record["text"].split()
+        chunks = [" ".join(words[at:at + chunk_tokens])
+                  for at in range(0, len(words), chunk_tokens)]
+        for tokens in [*map(retrieval.tokenize, chunks), *retrieval.tokenize_all(chunks)]:
+            assert set(tokens) <= index.vocab.keys()
+    assert len(index._chunks(index.doc_ids, chunk_tokens)) == len(corpus)
+
+
 def _chunks(chunks: list[Chunk]) -> list[tuple[str, int, str, str]]:
     return [(c.doc_id, c.offset, c.text, c.score.hex()) for c in chunks]
 

@@ -24,8 +24,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from streamrag.cli import cli, main
+from streamrag.core import write_traces
 from streamrag.errors import InputError
 from streamrag.labeling import read_training_set
+from streamrag.synth import FixtureWorld, random_batch
 
 from subproc import child_env
 
@@ -242,7 +244,7 @@ class TestIntegersExitTwo:
         assert code == 2, err
         assert f"input error: {bad}:2: {field} must be an integer, got {value!r}" in err
 
-    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    @pytest.mark.parametrize("value", [*NOT_INTEGERS, 0], ids=repr)
     def test_pseudo_gt_block(self, tmp_path, value):
         records = _pseudo_gt(_lines(Path(TRACES)))
         records[2]["block"] = value
@@ -250,7 +252,8 @@ class TestIntegersExitTwo:
         code, err = run_main("label", "--traces", TRACES, "--corpus", CORPUS, "--pseudo-gt", bad,
                              "--out-dir", str(tmp_path / "out"))
         assert code == 2, err
-        assert f"input error: {bad}:3: block must be an integer, got {value!r}" in err
+        rule = "be at least 1" if value == 0 else "be an integer"
+        assert f"input error: {bad}:3: block must {rule}, got {value!r}" in err
 
     @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
     def test_training_record_block(self, tmp_path, value):
@@ -331,6 +334,20 @@ class TestNamedFailures:
                     + " of 2000000000 at block_ms=500") in run.stderr
         assert float(run.stderr.rsplit("seconds: ", 1)[1]) < 1.0
 
+    @pytest.mark.parametrize("command", ["fixed_interval", "model_triggered", "label"])
+    def test_a_script_for_smaller_blocks_exits_two_naming_the_blocks(self, tmp_path, command):
+        # the fixtures are scripted for 500 ms blocks: 1000 ms blocks end
+        # brand-founder at block 3, before its script does
+        args = (["label"] if command == "label"
+                else ["simulate", "--kg", KG, "--strategy", command])
+        code, err = run_main(*args, "--traces", TRACES, "--corpus", CORPUS, "--block-ms", "1000",
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        what = "reference" if command == "label" else "scripted"
+        assert (f"brand-founder: {what} queries for blocks [4, 5] beyond the 3 blocks "
+                "at block_ms=1000") in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_reference_queries_name_the_pseudo_gt_file(self, tmp_path):
         traces = _lines(Path(TRACES))
         records = [r for r in _pseudo_gt(traces)
@@ -379,16 +396,26 @@ class TestUnwritableOutputs:
         assert not (out / f"{output}.tmp").exists()
 
 
+@pytest.fixture(scope="module")
+def scripted_at(tmp_path_factory) -> dict[int, str]:
+    """A trace file scripted at each block size, over the fixtures' corpus:
+    the fixtures' own at 500 ms."""
+    path = tmp_path_factory.mktemp("traces") / "traces-1000.jsonl"
+    write_traces(random_batch(FixtureWorld(), count=4, seed=11, block_ms=1000), str(path))
+    return {500: TRACES, 1000: str(path)}
+
+
 class TestManifestBlockSize:
     """The manifest records the block size the run used, defaulted or given."""
 
-    # the fixtures script queries for 500 ms blocks, which 1000 ms blocks align with
     @pytest.mark.parametrize("given", [None, 500, 1000])
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_simulate(self, tmp_path, strategy, given):
+    def test_simulate(self, tmp_path, scripted_at, strategy, given):
         out = tmp_path / "out"
         flags = [] if given is None else ["--block-ms", str(given)]
-        cli.main(args=["simulate", "--traces", TRACES, "--corpus", CORPUS, "--kg", KG,
+        default = 500 if strategy == "model_triggered" else 1000
+        traces = scripted_at[default if given is None else given]
+        cli.main(args=["simulate", "--traces", traces, "--corpus", CORPUS, "--kg", KG,
                        "--strategy", strategy, *flags, "--out-dir", str(out)],
                  standalone_mode=False)
         recorded = json.loads((out / "manifest.json").read_text())["config"]["block_ms"]
@@ -400,14 +427,14 @@ class TestManifestBlockSize:
             assert interior and {e["t_ms"] / e["block"] for e in interior} == {recorded}
         else:
             assert ingested == []  # these strategies never split the utterance
-        default = 500 if strategy == "model_triggered" else 1000
         assert recorded == (default if given is None else given)
 
     @pytest.mark.parametrize("given", [None, 1000])
-    def test_label(self, tmp_path, given):
+    def test_label(self, tmp_path, scripted_at, given):
         out = tmp_path / "out"
         flags = [] if given is None else ["--block-ms", str(given)]
-        cli.main(args=["label", "--traces", TRACES, "--corpus", CORPUS, *flags,
+        traces = scripted_at[500 if given is None else given]
+        cli.main(args=["label", "--traces", traces, "--corpus", CORPUS, *flags,
                        "--out-dir", str(out)], standalone_mode=False)
         recorded = json.loads((out / "manifest.json").read_text())["config"]["block_ms"]
         assert recorded == json.loads((out / "summary.json").read_text())["block_ms"]

@@ -52,11 +52,14 @@ PINNED: dict[str, dict[str, str]] = {
         "outcomes.jsonl": "2e37673a4c107473561b37224c571228af8bf1a82376a566905ec835b750f944",
     },
     "fixed_interval": {
-        "events.jsonl": "911d1054cddf9881cd42d22aaae098e5ad79fa855be23ee4e8f1df9148642565",
-        "latency_table.csv": "d0453f158e9f07860bfabe8c7eae2c7133d92e48bf2b8d971f0c80287062894c",
-        "latency_table.json": "6cf3d4f68d90d6dcfb460964687cd0a206daa584962da0b0787e5d7497681091",
-        "manifest.json": "65ee45b196a5e8e8d9baa78c605d6a3abb809f120fab057633034cd14f7b4b5f",
-        "outcomes.jsonl": "53e0e3d60f090a42bfcd50640cb9ad9e781029596bf10fa20f8dcb90b0d8ed8f",
+        # re-recorded at --block-ms 500 when a script with blocks past an
+        # utterance's last became an input error: at its default of 1000 ms,
+        # fixed_interval had read the 500 ms fixtures as 1000 ms blocks
+        "events.jsonl": "8bb4f1650713eee368474c0b06f49e0e8013f550236a92b6b1ab750c879c1bf3",
+        "latency_table.csv": "53f662afc573b358afd47d55bf90c0aac95ea5b44215546f7de19df7266769c1",
+        "latency_table.json": "f2044ea955eb9332cb1a965831df1f10c0af3553c2e9c1e82ae8ca7d5598e01c",
+        "manifest.json": "a25b17693581c1b132914aa23f1355f7b98ebab59a001f4149037753d55bccc3",
+        "outcomes.jsonl": "b5e404b9d3130b012f3f554ffaf63e924aa72172171281a7bc3e1a2d58237aa7",
     },
     "model_triggered": {
         "events.jsonl": "8e0ac809bf0195f35f112bf5cf7279c57d855da767ad9e8edbdae4df039cbc74",
@@ -80,8 +83,10 @@ INPUTS = ["--traces", str(FIXTURES / "traces.jsonl"), "--corpus", str(FIXTURES /
 def _command(name: str, out_dir: Path) -> list[str]:
     if name == "label":
         return ["label", *INPUTS, "--seed", "7", "--out-dir", str(out_dir)]
+    # the fixtures are scripted for 500 ms blocks, fixed_interval's default is 1000
+    block = ["--block-ms", "500"] if name == "fixed_interval" else []
     return ["simulate", *INPUTS, "--kg", str(FIXTURES / "kg.json"),
-            "--strategy", name, "--seed", "7", "--out-dir", str(out_dir)]
+            "--strategy", name, *block, "--seed", "7", "--out-dir", str(out_dir)]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -92,6 +97,48 @@ def test_cli_outputs_match_pinned_digests(name, tmp_path, monkeypatch):
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                for f in sorted(out.iterdir())}
     assert written == PINNED[name]
+
+
+# ``report`` of the pinned model_triggered outcomes against the pinned
+# open_book ones, judged by fixtures/judgments.jsonl, at --format both.
+# Recorded before the CLI's settings were gathered into one table.
+REPORT_PINNED: dict[str, str] = {
+    "manifest.json": "1a00e6a664c0895fff173f52b082befb74dcc51ce801f483ee0cf8e83205fb26",
+    "savings.csv": "ffdb097964db113dbc68ed05604b3f775d00e91a1dbdb5a613b5883af5d21d6d",
+    "savings.json": "b903e61dfc13e6df5f3d458b09b786bfb301a2fb3547288ce51a67b132264103",
+    "savings_per_utterance.csv": "9c4688658297cce602c1d771d10f450edb585b5a9287b9e440cc8f651821b796",
+    "scores.json": "73c5ee479484cb9d1c883204feb9ae683c90cfb13e417adbd43e7d497a764d8f",
+}
+# the file --format json or csv leaves out
+REPORT_OMITS = {"both": None, "json": "savings.csv", "csv": "savings.json"}
+
+
+@pytest.fixture(scope="module")
+def pinned_outcomes(tmp_path_factory) -> dict[str, Path]:
+    root = tmp_path_factory.mktemp("pinned")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("STREAMRAG_CONFIG", raising=False)
+        for strategy in ("open_book", "model_triggered"):
+            cli.main(args=_command(strategy, root / strategy), standalone_mode=False)
+    return {s: root / s / "outcomes.jsonl" for s in ("open_book", "model_triggered")}
+
+
+@pytest.mark.parametrize("out_format", sorted(REPORT_OMITS))
+def test_report_outputs_match_pinned_digests(out_format, pinned_outcomes, tmp_path):
+    out = tmp_path / "report"
+    cli.main(args=["report", "--baseline", str(pinned_outcomes["open_book"]),
+                   "--strategy", str(pinned_outcomes["model_triggered"]),
+                   "--judgments", str(FIXTURES / "judgments.jsonl"),
+                   "--format", out_format, "--out-dir", str(out)], standalone_mode=False)
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in sorted(out.iterdir())}
+    expected = {name: digest for name, digest in REPORT_PINNED.items()
+                if name != REPORT_OMITS[out_format]}
+    if out_format != "both":  # the manifest lists the files written
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["outputs"] == sorted(set(expected) - {"manifest.json"})
+        del written["manifest.json"], expected["manifest.json"]
+    assert written == expected
 
 
 # --- session-level pins --------------------------------------------------
