@@ -9,7 +9,9 @@ scoring weighs accurate/hallucinated/missing verdicts as +1/-1/0.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
 from enum import Enum
@@ -28,6 +30,13 @@ def nearest_rank(sorted_values: Sequence[float], percentile: float) -> float:
         raise ValueError("cannot take a percentile of no values")
     rank = max(1, math.ceil(percentile / 100.0 * len(sorted_values)))
     return sorted_values[rank - 1]
+
+
+def _mean(values: Sequence[float]) -> float:
+    """The values added left to right from 0.0, over their count. ``sum``
+    adds floats with compensated summation from Python 3.12 on, so its means
+    would differ in the last bits between Python versions."""
+    return functools.reduce(operator.add, values, 0.0) / len(values)
 
 
 def _components_seconds(outcome: SessionOutcome) -> dict[str, float]:
@@ -72,7 +81,7 @@ def aggregate_latency(outcomes: Iterable[SessionOutcome]) -> LatencyTable:
         per_component = {c: sorted(r[c] for r in rows) for c in COMPONENTS}
         cells[(strategy, "p50")] = {c: nearest_rank(v, 50) for c, v in per_component.items()}
         cells[(strategy, "p90")] = {c: nearest_rank(v, 90) for c, v in per_component.items()}
-        cells[(strategy, "mean")] = {c: sum(v) / len(v) for c, v in per_component.items()}
+        cells[(strategy, "mean")] = {c: _mean(v) for c, v in per_component.items()}
     return LatencyTable(cells)
 
 
@@ -140,14 +149,14 @@ def savings_report(
         (o.latency.query_gen_ms + o.latency.tool_results_ms) / 1000.0 for o in baseline
     )
     base_s = (
-        sum(tool_use) / len(tool_use) if basis is SavingsBasis.MEAN else nearest_rank(tool_use, 50)
+        _mean(tool_use) if basis is SavingsBasis.MEAN else nearest_rank(tool_use, 50)
     )
     if base_s <= 0:
         raise ValueError("baseline tool-use latency is zero; savings are undefined")
     savings_s = [
         (b.latency.tool_results_ms - s.latency.tool_results_ms) / 1000.0 for b, s in pairs
     ]
-    mean_pct = sum(s / base_s * 100.0 for s in savings_s) / len(savings_s)
+    mean_pct = _mean([s / base_s * 100.0 for s in savings_s])
     benefiting = 100.0 * sum(1 for s in savings_s if s > 0) / len(savings_s)
     return SavingsReport(
         basis=basis,

@@ -42,13 +42,17 @@ Streaming strategies search the same query text many times, so each index
 memoises its rankings by query text. The index is immutable and the ranking
 order is total, so a memoised ranking is exactly what a fresh search returns.
 
-They also rerank the same documents many times. A chunk rerank scores the
-chunks of a result's documents with the same cosine, each chunk as a text of
-its own: each chunk's term counts and norm are built the first time its
-document is chunked at that size, the missing documents' chunks tokenized in
-one call, and kept on the index. A rerank then adds the query weight times
-each chunk weight over the query's terms, in ascending term id, which are the
-products a walk over the chunk's own terms would add, in the same order.
+A chunk rerank scores the chunks of a result's documents with the same
+cosine, each chunk as a text of its own. A document that fits in one chunk
+is that chunk: whitespace is neither cased nor case-ignorable, so joining its
+words on single spaces changes none of its tokens, and it is scored from the
+index's own counts and norm exactly as a search scores it, with nothing built
+or kept. A longer document's chunks get their term counts and norm the first
+time it is chunked at that size, the missing documents' chunks tokenized in
+one call, and are kept on the index. A rerank then adds the query weight
+times each chunk weight over the query's terms, in ascending term id, which
+are the products a walk over the chunk's own terms would add, in the same
+order.
 """
 
 from __future__ import annotations
@@ -106,6 +110,19 @@ def truncate_tokens(text: str, limit: int) -> str:
     return " ".join(text.split()[:limit])
 
 
+def _doc_score(d: int, lookups: list[tuple], norms: array, qnorm: float) -> float:
+    """Cosine of document ``d`` with a query: one lookup in each query term's
+    count map (see ``DocIndex._lookups``), the products added in ascending
+    term id, as a walk over the document's own terms would add them; 0.0 when
+    they add to 0, as for a document with no terms."""
+    dot = 0.0
+    for get, idf_t, qw in lookups:
+        count = get(d)
+        if count is not None:
+            dot += qw * (count * idf_t)
+    return dot / (norms[d] * qnorm) if dot != 0.0 else 0.0
+
+
 @dataclass(frozen=True)
 class Chunk:
     doc_id: str
@@ -133,27 +150,27 @@ class DocIndex:
     ``count * idf[t]``, computed where it is read. Both lists come from one
     pass over the corpus's tokens, the norms from a pass over the postings.
     Rebuilding from the same corpus yields the same index; all lookups are
-    pure, so rankings are memoised (see ``ranking``) and chunk vectors kept
-    (see ``_chunks``).
+    pure, so rankings are memoised (see ``ranking``) and the chunk vectors
+    of documents longer than one chunk kept (see ``_chunks``).
     """
 
     def __init__(self, docs: Sequence[tuple[str, str]]) -> None:
         if not docs:
             raise InputError("cannot index an empty corpus")
-        seen: set[str] = set()
-        for doc_id, _ in docs:
-            if doc_id in seen:
+        # doc_id -> document index
+        positions: dict[str, int] = {}
+        for d, (doc_id, _) in enumerate(docs):
+            if positions.setdefault(doc_id, d) != d:
                 raise DuplicateDocIdError(f"duplicate doc_id {doc_id!r}")
-            seen.add(doc_id)
-
-        self.doc_ids: list[str] = [doc_id for doc_id, _ in docs]
-        self._texts: dict[str, str] = {doc_id: text for doc_id, text in docs}
+        self._positions = positions
+        self.doc_ids: list[str] = list(positions)
+        self._texts: list[str] = [text for _, text in docs]
         self.n_docs = len(docs)
 
         vocab: dict[str, int] = {}
         postings: list[list[int]] = []
         post_counts: list[list[int]] = []
-        for d, tokens in enumerate(tokenize_all([text for _, text in docs])):
+        for d, tokens in enumerate(tokenize_all(self._texts)):
             for token in tokens:
                 tid = vocab.get(token)
                 if tid is None:
@@ -188,7 +205,7 @@ class DocIndex:
         self._count_maps: dict[int, tuple[dict[int, int], int]] = {}
         # term id -> its postings in impact order (see _impact_order)
         self._impact_orders: dict[int, tuple[list[int], list[float]]] = {}
-        # (doc_id, chunk_tokens) -> the document's chunks as vectors (see _chunks)
+        # (doc_id, chunk_tokens) -> a longer document's chunks as vectors (see _chunks)
         self._chunk_vectors: dict[tuple[str, int], tuple] = {}
         # query text -> (largest k asked, doc ids, scores), oldest use first
         self._rankings: OrderedDict[str, tuple] = OrderedDict()
@@ -221,51 +238,34 @@ class DocIndex:
         order until no unseen document can enter the top k. The documents
         seen hold the top k, each with its exact score, and fewer than k of
         them means every document sharing a term was seen; ``k = n_docs``
-        reads every list whole. A document is scored by one lookup in each
-        query term's count map (see ``_term_counts``), its products added in
-        ascending term id.
+        reads every list whole. Each document is scored by ``_doc_score``.
         """
         terms, qnorm = self._query_terms(query_text)
         idf, norms, postings = self.idf, self._norms, self.postings
-        counted = [self._term_counts(tid) for tid, _ in terms]
-        # in ascending term id, the order a walk over a document's terms adds in
-        lookups = [(counts.get, idf[tid], qw) for (tid, qw), (counts, _) in zip(terms, counted)]
+        lookups = self._lookups(terms)
         scores: dict[int, float] = {}
-        best: list[float] = []  # the k best scores seen, smallest first
-
-        def see(d: int) -> None:
-            dot = 0.0
-            for get, idf_t, qw in lookups:
-                count = get(d)
-                if count is not None:
-                    dot += qw * (count * idf_t)
-            score = scores[d] = dot / (norms[d] * qnorm)
-            if len(best) < k:
-                heapq.heappush(best, score)
-            elif score > best[0]:
-                heapq.heapreplace(best, score)
-
         long_terms = []
-        for (tid, qw), (_, top) in zip(terms, counted):
+        for tid, qw in terms:
             docs = postings[tid]
             if len(docs) <= k:
                 for d in docs:
                     if d not in scores:
-                        see(d)
+                        scores[d] = _doc_score(d, lookups, norms, qnorm)
             else:
-                long_terms.append((tid, qw, top))
+                long_terms.append((tid, qw))
         if not long_terms:
             return scores
+        best = sorted(scores.values())[-k:]  # the k best scores seen, smallest first: a heap
         if len(best) == k:
             # an unseen document holds only long terms, each at most its
             # largest count, and has at least the smallest norm
             cap = 0.0
-            for tid, qw, top in long_terms:
-                cap += qw * (top * idf[tid])
+            for tid, qw in long_terms:
+                cap += qw * (self._term_counts(tid)[1] * idf[tid])
             if best[0] > cap / self._min_norm / qnorm * _BOUND_SLACK:
                 return scores
         # longest list first, so lists drop off the end as the walk exhausts them
-        walks = sorted(((qw, *self._impact_order(tid)) for tid, qw, _ in long_terms),
+        walks = sorted(((qw, *self._impact_order(tid)) for tid, qw in long_terms),
                        key=lambda walk: len(walk[1]), reverse=True)
         depth = 0
         while walks:
@@ -279,11 +279,21 @@ class DocIndex:
             for _, docs, _ in walks:
                 d = docs[depth]
                 if d not in scores:
-                    see(d)
+                    score = scores[d] = _doc_score(d, lookups, norms, qnorm)
+                    if len(best) < k:
+                        heapq.heappush(best, score)
+                    elif score > best[0]:
+                        heapq.heapreplace(best, score)
             depth += 1
             while walks and len(walks[-1][1]) == depth:
                 walks.pop()
         return scores
+
+    def _lookups(self, terms: list[tuple[int, float]]) -> list[tuple]:
+        """Each query term's (count map ``get``, idf, query weight), in
+        ascending term id: what ``_doc_score`` reads for a query."""
+        idf = self.idf
+        return [(self._term_counts(tid)[0].get, idf[tid], qw) for tid, qw in terms]
 
     def _term_counts(self, tid: int) -> tuple[dict[int, int], int]:
         """The counts of term ``tid`` by document index, and the largest;
@@ -383,7 +393,9 @@ class DocIndex:
         (see ``_term_vector``). A document's chunks are built on first use and
         kept, since the index is immutable: the documents not yet kept are
         chunked together and tokenized in one call. A concurrent first use
-        builds the same entries.
+        builds the same entries. ``rank_chunks`` sends only documents of more
+        than one chunk here; one that fits in a chunk is scored from the
+        index's own vector.
         """
         table = self._chunk_vectors
         keys = [(doc_id, chunk_tokens) for doc_id in doc_ids]
@@ -395,7 +407,7 @@ class DocIndex:
             texts: list[str] = []
             ends = []  # each missing document's chunks end here in offsets and texts
             for doc_id in missing:
-                words = self._texts[doc_id].split()
+                words = self._texts[self._positions[doc_id]].split()
                 for offset in range(0, len(words), chunk_tokens):
                     offsets.append(offset)
                     texts.append(" ".join(words[offset:offset + chunk_tokens]))
@@ -412,12 +424,32 @@ class DocIndex:
     def rank_chunks(self, query_text: str, doc_ids: Sequence[str], chunk_tokens: int
                     ) -> list[Chunk]:
         """The chunks of the documents (see ``_chunks``), each scored by its
-        cosine with the query, in ``(-score, doc_id, offset)`` order."""
+        cosine with the query, in ``(-score, doc_id, offset)`` order.
+
+        A document of 1 to ``chunk_tokens`` whitespace words is its own only
+        chunk, at offset 0, and is scored as a search scores it (see
+        ``_doc_score``): whitespace is neither cased nor case-ignorable, so
+        the chunk's tokens, counts and norm are the document's own. Only
+        longer documents are chunked and kept; an empty or whitespace-only
+        document has no chunk.
+        """
         terms, qnorm = self._query_terms(query_text)
-        cosine = self._cosine
-        ranked = [(-cosine(terms, qnorm, counts, norm), doc_id, offset, text)
-                  for doc_id, chunks in zip(doc_ids, self._chunks(doc_ids, chunk_tokens))
-                  for offset, text, counts, norm in chunks]
+        lookups, norms = self._lookups(terms), self._norms
+        positions, texts = self._positions, self._texts
+        ranked = []
+        longer = []  # documents of more than one chunk
+        for doc_id in doc_ids:
+            d = positions[doc_id]
+            words = texts[d].split()
+            if len(words) > chunk_tokens:
+                longer.append(doc_id)
+            elif words:
+                ranked.append((-_doc_score(d, lookups, norms, qnorm), doc_id, 0, " ".join(words)))
+        if longer:
+            cosine = self._cosine
+            ranked += [(-cosine(terms, qnorm, counts, norm), doc_id, offset, text)
+                       for doc_id, chunks in zip(longer, self._chunks(longer, chunk_tokens))
+                       for offset, text, counts, norm in chunks]
         ranked.sort()  # a tie on (-score, doc_id, offset) is a repeated document's same chunk
         return [Chunk(doc_id, offset, text, -neg) for neg, doc_id, offset, text in ranked]
 
@@ -455,9 +487,10 @@ def chunk_and_rerank(
     """Split a result's documents into fixed-size token chunks and rank them.
 
     Chunks are contiguous runs of at most chunk_tokens whitespace tokens,
-    scored against query_text by the index scorer from the chunk vectors the
-    index keeps (``DocIndex.rank_chunks``); ties break by doc_id then chunk
-    offset, so the ranking does not depend on document rank order.
+    scored against query_text by the index scorer (``DocIndex.rank_chunks``:
+    a document that fits in one chunk from the index's own vector, a longer
+    one from the chunk vectors the index keeps); ties break by doc_id then
+    chunk offset, so the ranking does not depend on document rank order.
     """
     if chunk_tokens < 1:
         raise ValueError("chunk_tokens must be >= 1")

@@ -6,10 +6,11 @@ arithmetic shows up; rankings are compared with the oracle's full
 reading its rare terms' postings whole, at the cap on an unseen document's
 score, or after walking the long lists; an exact tie at the cap must not stop
 it. Memoised rankings must equal a fresh index's, whatever order the depths
-are asked in, across evictions and under concurrent searches. Chunk reranks,
-served from the chunk vectors an index keeps, must equal a fresh index's and
-the oracle's scoring of the chunk texts, whatever documents were reranked
-before and from however many threads.
+are asked in, across evictions and under concurrent searches. Chunk reranks
+must equal a fresh index's and the oracle's scoring of the chunk texts,
+whatever documents were reranked before and from however many threads; a
+document that fits in one chunk, scored from the index's own vector, must
+also equal its kept chunk vector's score, and keeps nothing.
 """
 
 from __future__ import annotations
@@ -514,6 +515,16 @@ def _rerank(index, query: str, doc_ids, chunk_tokens: int) -> list[Chunk]:
     return chunk_and_rerank(index, result, query, chunk_tokens)
 
 
+def _table_rerank(index, query: str, doc_ids, chunk_tokens: int):
+    """Every document ranked from the chunk vectors ``DocIndex._chunks``
+    builds and keeps for it, single-chunk documents included."""
+    terms, qnorm = index._query_terms(query)
+    ranked = sorted((-index._cosine(terms, qnorm, counts, norm), doc_id, offset, text)
+                    for doc_id, chunks in zip(doc_ids, index._chunks(doc_ids, chunk_tokens))
+                    for offset, text, counts, norm in chunks)
+    return [(doc_id, offset, text, (-neg).hex()) for neg, doc_id, offset, text in ranked]
+
+
 @st.composite
 def rerank_calls(draw):
     """A corpus and a sequence of reranks on it: a query, documents drawn
@@ -535,6 +546,7 @@ def test_kept_chunk_vectors_rerank_as_a_fresh_index_and_the_oracle(drawn):
         ranked = _chunks(_rerank(index, query, doc_ids, chunk_tokens))
         assert ranked == _chunks(_rerank(index_documents(corpus), query, doc_ids, chunk_tokens))
         assert ranked == _oracle_chunks(corpus, oracle, query, doc_ids, chunk_tokens)
+        assert ranked == _table_rerank(index_documents(corpus), query, doc_ids, chunk_tokens)
 
 
 @pytest.mark.parametrize("chunk_tokens", CHUNK_SIZES)
@@ -552,16 +564,75 @@ def test_chunks_holding_nul_rerank_as_the_oracle(chunk_tokens):
         assert _chunks(chunks) == _oracle_chunks(corpus, oracle, query, doc_ids, chunk_tokens)
 
 
+# At 3 tokens a chunk: d1 and d6 fill one chunk exactly, d2 is one word
+# longer, d3 is empty, d4 whitespace only, d5 three punctuation-only words
+# (a chunk with no term, norm 0), and d7 a single word.
+SINGLE_CHUNK_CORPUS = [
+    {"doc_id": "d1", "text": "alpha beta gamma"},
+    {"doc_id": "d2", "text": "alpha beta gamma delta"},
+    {"doc_id": "d3", "text": ""},
+    {"doc_id": "d4", "text": " \t\xa0\x1c "},
+    {"doc_id": "d5", "text": "-- !? ..."},
+    {"doc_id": "d6", "text": "Beta  beta,\tALPHA"},
+    {"doc_id": "d7", "text": "gamma"},
+]
+SINGLE_CHUNK_IDS = ["d6", "d1", "d3", "d5", "d1", "d2", "d4", "d7", "d6"]  # with repeats
+
+
+@pytest.mark.parametrize("chunk_tokens", [1, 2, 3, 4, 128])
+@pytest.mark.parametrize("query", ["alpha", "beta gamma delta", "Gamma alpha alpha",
+                                   "unseen words", "-- ?", ""])
+def test_single_chunk_documents_rerank_as_the_chunk_table_and_the_oracle(query, chunk_tokens):
+    """A document of at most chunk_tokens words, scored from the index's own
+    vector, ranks as its kept chunk vector and as the oracle's scoring of its
+    text: at exactly chunk_tokens words and one more, with no term (a zero
+    norm), for a query with no in-vocabulary token or none at all, and with
+    documents repeated."""
+    corpus = SINGLE_CHUNK_CORPUS
+    expected = _oracle_chunks(corpus, OracleDenseIndex(corpus), query, SINGLE_CHUNK_IDS,
+                              chunk_tokens)
+    index = index_documents(corpus)
+    assert _chunks(_rerank(index, query, SINGLE_CHUNK_IDS, chunk_tokens)) == expected
+    assert _table_rerank(index_documents(corpus), query, SINGLE_CHUNK_IDS, chunk_tokens) \
+        == expected
+    # warm: the same documents again, and the table the longer ones left
+    assert _chunks(_rerank(index, query, SINGLE_CHUNK_IDS, chunk_tokens)) == expected
+
+
+def test_a_cold_rerank_of_single_chunk_documents_keeps_and_tokenizes_nothing(monkeypatch):
+    """Documents that fit one chunk are neither tokenized again nor kept;
+    longer ones still fill the chunk table."""
+    index = index_documents(SINGLE_CHUNK_CORPUS)
+
+    def refuse(texts):
+        raise AssertionError("a single-chunk rerank tokenized its chunks")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(retrieval, "tokenize_all", refuse)
+        chunks = _rerank(index, "alpha beta", ["d1", "d3", "d4", "d5", "d6", "d7", "d1"], 3)
+    assert sorted((chunk.doc_id, chunk.offset) for chunk in chunks) == [
+        ("d1", 0), ("d1", 0), ("d5", 0), ("d6", 0), ("d7", 0)]
+    assert index._chunk_vectors == {}
+    _rerank(index, "alpha beta", ["d2", "d1", "d2"], 3)
+    assert list(index._chunk_vectors) == [("d2", 3)]
+    assert [offset for offset, *_ in index._chunk_vectors["d2", 3]] == [0, 3]
+
+
 def test_fixture_reranks_match_the_oracle(world):
     """Chunks of the fixture corpus's documents score as the oracle scores
-    their texts, at every chunk size, whether the query touches them or not."""
+    their texts and as their kept chunk vectors score, at every chunk size,
+    whether the query touches them or not. Every fixture document fits one
+    128-token chunk, so none is kept at that size."""
     index = index_documents(world.corpus)
+    table = index_documents(world.corpus)
     oracle = OracleDenseIndex(world.corpus)
     doc_ids = [record["doc_id"] for record in world.corpus[:40]]
     for query in _fixture_queries(world)[::5]:
         for chunk_tokens in CHUNK_SIZES:
-            assert (_chunks(_rerank(index, query, doc_ids, chunk_tokens))
-                    == _oracle_chunks(world.corpus, oracle, query, doc_ids, chunk_tokens))
+            ranked = _chunks(_rerank(index, query, doc_ids, chunk_tokens))
+            assert ranked == _oracle_chunks(world.corpus, oracle, query, doc_ids, chunk_tokens)
+            assert ranked == _table_rerank(table, query, doc_ids, chunk_tokens)
+    assert {chunk_tokens for _, chunk_tokens in index._chunk_vectors} == {1, 3}
 
 
 def test_concurrent_first_reranks_match_a_sequential_run(world):

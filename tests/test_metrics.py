@@ -76,6 +76,15 @@ class TestAggregateLatency:
         table = aggregate_latency(outcomes)
         assert table.get("open_book", "p90")["total"] == pytest.approx(9.0)
 
+    def test_mean_adds_left_to_right_on_every_python(self):
+        # 0.1 added ten times from 0.0 is 0.9999999999999999; Python 3.12's
+        # compensated sum() would give 1.0 and a mean of 0.1
+        outcomes = [_outcome(f"u{i}", Strategy.OPEN_BOOK, 0, 100, 0) for i in range(10)]
+        assert aggregate_latency(outcomes).get("open_book", "mean")["tool_results"] \
+            == 0.09999999999999999
+        report = savings_report(outcomes, outcomes, SavingsBasis.MEAN)
+        assert report.tool_use_latency_base_s == 0.09999999999999999
+
     def test_p50_never_exceeds_p90(self):
         import random
 
