@@ -17,26 +17,28 @@ posting's weight, count times idf, is computed where it is read.
 Every search is for the top k, and k is always given. It first reads whole
 the posting lists of the query's rare terms, those with at most k postings:
 reading one costs no more than the k documents any search must score. It
-scores each of their documents exactly: it looks the document's count up in
-each query term's count map, one dict lookup per term, and adds the products
-in ascending term id, as a walk over the document's own terms would, so its
-score is the same double bit for bit. An unseen document then holds only the query's long terms, so its score
-is at most the cap (Turtle & Flood, 1995): each long term's query weight times
-its largest count times its idf, over the smallest document norm. Once the
-k-th best score is strictly above the cap, the search is done without opening
-a long list. Otherwise it walks the long lists side by side, each in
-descending order of impact (weight / document norm), scoring each newly seen
-document the same way: the threshold algorithm (Fagin, Lotem & Naor, 2001).
-The walk stops once the k-th best score is strictly above what any unseen
-document could reach, the sum of query weight times the next impact of each
-long list. Both tests carry a relative slack far above the rounding error, so
-a tie that a smaller doc_id would win is never left unseen. One sort of the
-documents seen by ``(-score, doc_id)`` then gives the top k; fewer than k seen
-means every document sharing a term with the query was seen, and the rest
-score 0. At k = ``n_docs`` every list is rare, so all of them are scored.
-Each term's count map and largest count are built on first use and kept,
-since the index is immutable, and so is the impact order of each list that is
-walked.
+scores each of their documents exactly, in one loop: it finds the document's
+count in each query term's postings by bisection, since postings ascend, and
+adds the products in ascending term id, as a walk over the document's own
+terms would, so its score is the same double bit for bit. An unseen document
+then holds only the query's long terms, so its score is at most the cap
+(Turtle & Flood, 1995): each long term's query weight times its largest count
+times its idf, over the smallest document norm. Once the k-th best score is
+strictly above the cap, the search is done without opening a long list.
+Otherwise it walks the long lists side by side, each in descending order of
+impact (weight / document norm): the threshold algorithm (Fagin, Lotem & Naor,
+2001). A document the walk sees first holds none of the rare terms, so it is
+scored from the long lists' count maps alone, one dict lookup per term, in the
+same order. The walk stops once the k-th best score is strictly above what any
+unseen document could reach, the sum of query weight times the next impact of
+each long list. Both tests carry a relative slack far above the rounding
+error, so a tie that a smaller doc_id would win is never left unseen. One sort
+of the documents seen by ``(-score, doc_id)`` then gives the top k; fewer than
+k seen means every document sharing a term with the query was seen, and the
+rest score 0. At k = ``n_docs`` every list is rare, so all of them are scored.
+Each long term's largest count is taken on first use and kept, since the index
+is immutable, and so are the impact order and count map of each list that is
+walked: a search the cap ends builds neither for its long lists.
 
 Streaming strategies search the same query text many times, so each index
 memoises its rankings by query text. The index is immutable and the ranking
@@ -45,14 +47,16 @@ order is total, so a memoised ranking is exactly what a fresh search returns.
 A chunk rerank scores the chunks of a result's documents with the same
 cosine, each chunk as a text of its own. A document that fits in one chunk
 is that chunk: whitespace is neither cased nor case-ignorable, so joining its
-words on single spaces changes none of its tokens, and it is scored from the
-index's own counts and norm exactly as a search scores it, with nothing built
-or kept. A longer document's chunks get their term counts and norm the first
-time it is chunked at that size, the missing documents' chunks tokenized in
-one call, and are kept on the index. A rerank then adds the query weight
-times each chunk weight over the query's terms, in ascending term id, which
-are the products a walk over the chunk's own terms would add, in the same
-order.
+words on single spaces changes none of its tokens, and its score is the
+document's search score, with nothing built or kept. When the ranking memo
+holds the rerank's query text and that document, the score is the memo's,
+the scorer's own double; otherwise it is scored from the index's postings as
+a search scores a rare list's documents. A longer document's chunks get their
+term counts and norm the first time it is chunked at that size, the missing
+documents' chunks tokenized in one call, and are kept on the index. A rerank
+then adds the query weight times each chunk weight over the query's terms, in
+ascending term id, which are the products a walk over the chunk's own terms
+would add, in the same order.
 """
 
 from __future__ import annotations
@@ -62,10 +66,11 @@ import math
 import string
 import threading
 from array import array
+from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ..core import KgQuery, Tool, ToolQuery, parse_records, read_depth
 from ..errors import DuplicateDocIdError, InputError, WrongToolError
@@ -111,10 +116,10 @@ def truncate_tokens(text: str, limit: int) -> str:
 
 
 def _doc_score(d: int, lookups: list[tuple], norms: array, qnorm: float) -> float:
-    """Cosine of document ``d`` with a query: one lookup in each query term's
-    count map (see ``DocIndex._lookups``), the products added in ascending
-    term id, as a walk over the document's own terms would add them; 0.0 when
-    they add to 0, as for a document with no terms."""
+    """Cosine of document ``d`` with a query: one lookup in each given term's
+    count map, as (``get``, idf, query weight) in ascending term id, the
+    products added in that order, as a walk over the document's own terms
+    would add them; 0.0 when they add to 0."""
     dot = 0.0
     for get, idf_t, qw in lookups:
         count = get(d)
@@ -123,8 +128,7 @@ def _doc_score(d: int, lookups: list[tuple], norms: array, qnorm: float) -> floa
     return dot / (norms[d] * qnorm) if dot != 0.0 else 0.0
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     doc_id: str
     offset: int  # token offset of the chunk within its document
     text: str
@@ -201,10 +205,10 @@ class DocIndex:
         self._min_norm = min(filter(None, self._norms), default=1.0)
         # zero-score documents fill a short ranking in doc_id order
         self._by_doc_id = array("i", sorted(range(self.n_docs), key=self.doc_ids.__getitem__))
-        # term id -> its counts by document index, and its largest count (see _term_counts)
-        self._count_maps: dict[int, tuple[dict[int, int], int]] = {}
-        # term id -> its postings in impact order (see _impact_order)
-        self._impact_orders: dict[int, tuple[list[int], list[float]]] = {}
+        # term id -> its largest count (see _max_count)
+        self._max_counts: dict[int, int] = {}
+        # term id -> its postings in impact order and its count map (see _impact_order)
+        self._impact_orders: dict[int, tuple[list[int], list[float], dict[int, int]]] = {}
         # (doc_id, chunk_tokens) -> a longer document's chunks as vectors (see _chunks)
         self._chunk_vectors: dict[tuple[str, int], tuple] = {}
         # query text -> (largest k asked, doc ids, scores), oldest use first
@@ -238,21 +242,21 @@ class DocIndex:
         order until no unseen document can enter the top k. The documents
         seen hold the top k, each with its exact score, and fewer than k of
         them means every document sharing a term was seen; ``k = n_docs``
-        reads every list whole. Each document is scored by ``_doc_score``.
+        reads every list whole. The rare lists' documents are scored by
+        ``_score_docs``, the walk's by ``_doc_score`` from the long lists'
+        count maps: a document the walk sees first holds no rare term.
         """
         terms, qnorm = self._query_terms(query_text)
         idf, norms, postings = self.idf, self._norms, self.postings
-        lookups = self._lookups(terms)
-        scores: dict[int, float] = {}
+        seen: dict[int, None] = {}
         long_terms = []
         for tid, qw in terms:
             docs = postings[tid]
             if len(docs) <= k:
-                for d in docs:
-                    if d not in scores:
-                        scores[d] = _doc_score(d, lookups, norms, qnorm)
+                seen.update(dict.fromkeys(docs))
             else:
                 long_terms.append((tid, qw))
+        scores = self._score_docs(seen, terms, qnorm)
         if not long_terms:
             return scores
         best = sorted(scores.values())[-k:]  # the k best scores seen, smallest first: a heap
@@ -261,12 +265,17 @@ class DocIndex:
             # largest count, and has at least the smallest norm
             cap = 0.0
             for tid, qw in long_terms:
-                cap += qw * (self._term_counts(tid)[1] * idf[tid])
+                cap += qw * (self._max_count(tid) * idf[tid])
             if best[0] > cap / self._min_norm / qnorm * _BOUND_SLACK:
                 return scores
+        lookups = []  # in ascending term id, for _doc_score
+        walks = []
+        for tid, qw in long_terms:
+            docs, impacts, counts = self._impact_order(tid)
+            lookups.append((counts.get, idf[tid], qw))
+            walks.append((qw, docs, impacts))
         # longest list first, so lists drop off the end as the walk exhausts them
-        walks = sorted(((qw, *self._impact_order(tid)) for tid, qw in long_terms),
-                       key=lambda walk: len(walk[1]), reverse=True)
+        walks.sort(key=lambda walk: len(walk[1]), reverse=True)
         depth = 0
         while walks:
             if len(best) == k:
@@ -289,32 +298,49 @@ class DocIndex:
                 walks.pop()
         return scores
 
-    def _lookups(self, terms: list[tuple[int, float]]) -> list[tuple]:
-        """Each query term's (count map ``get``, idf, query weight), in
-        ascending term id: what ``_doc_score`` reads for a query."""
-        idf = self.idf
-        return [(self._term_counts(tid)[0].get, idf[tid], qw) for tid, qw in terms]
+    def _score_docs(self, docs: Iterable[int], terms: list[tuple[int, float]],
+                    qnorm: float) -> dict[int, float]:
+        """Cosine of each document with the query's (term id, weight) pairs,
+        keyed by document index: each term's count in the document found by
+        bisection on its ascending postings, the products added in ascending
+        term id, as a walk over the document's own terms would add them; 0.0
+        when they add to 0, as for a document with no terms."""
+        idf, norms, postings, post_counts = self.idf, self._norms, self.postings, self.post_counts
+        # bisecting below the last posting lands on it when d is past the end
+        columns = [(postings[tid], len(postings[tid]) - 1, post_counts[tid], idf[tid], qw)
+                   for tid, qw in terms]
+        scores = {}
+        for d in docs:
+            dot = 0.0
+            for term_docs, last, counts, idf_t, qw in columns:
+                i = bisect_left(term_docs, d, 0, last)
+                if term_docs[i] == d:
+                    dot += qw * (counts[i] * idf_t)
+            scores[d] = dot / (norms[d] * qnorm) if dot != 0.0 else 0.0
+        return scores
 
-    def _term_counts(self, tid: int) -> tuple[dict[int, int], int]:
-        """The counts of term ``tid`` by document index, and the largest;
-        built on first use and kept. A concurrent first use builds the same."""
-        entry = self._count_maps.get(tid)
-        if entry is None:
-            counts = self.post_counts[tid]
-            entry = self._count_maps[tid] = dict(zip(self.postings[tid], counts)), max(counts)
-        return entry
+    def _max_count(self, tid: int) -> int:
+        """The largest count of term ``tid`` in a document; taken on first
+        use and kept. A concurrent first use takes the same."""
+        count = self._max_counts.get(tid)
+        if count is None:
+            count = self._max_counts[tid] = max(self.post_counts[tid])
+        return count
 
-    def _impact_order(self, tid: int) -> tuple[list[int], list[float]]:
+    def _impact_order(self, tid: int) -> tuple[list[int], list[float], dict[int, int]]:
         """The postings of term ``tid`` as (document indices, impacts) in
-        descending impact, ties in ascending document index; built on first
-        use and kept. A concurrent first use builds the same."""
+        descending impact, ties in ascending document index, and its counts
+        by document index, for the walk; built on first use and kept. A
+        concurrent first use builds the same."""
         order = self._impact_orders.get(tid)
         if order is None:
             docs, counts = self.postings[tid], self.post_counts[tid]
             idf_t, norms = self.idf[tid], self._norms
             impacts = [count * idf_t / norms[d] for d, count in zip(docs, counts)]
             ranked = sorted(range(len(docs)), key=impacts.__getitem__, reverse=True)
-            order = self._impact_orders[tid] = [docs[i] for i in ranked], [impacts[i] for i in ranked]
+            order = self._impact_orders[tid] = ([docs[i] for i in ranked],
+                                                [impacts[i] for i in ranked],
+                                                dict(zip(docs, counts)))
         return order
 
     def ranking(self, query_text: str, k: int) -> tuple[tuple[str, ...], tuple[float, ...]]:
@@ -427,16 +453,20 @@ class DocIndex:
         cosine with the query, in ``(-score, doc_id, offset)`` order.
 
         A document of 1 to ``chunk_tokens`` whitespace words is its own only
-        chunk, at offset 0, and is scored as a search scores it (see
-        ``_doc_score``): whitespace is neither cased nor case-ignorable, so
-        the chunk's tokens, counts and norm are the document's own. Only
-        longer documents are chunked and kept; an empty or whitespace-only
-        document has no chunk.
+        chunk, at offset 0, and scores its search score: whitespace is
+        neither cased nor case-ignorable, so the chunk's tokens, counts and
+        norm are the document's own. That score is the ranking memo's when
+        the memo holds this query text and this document, and is otherwise
+        computed as a search computes it (see ``_score_docs``). Only longer
+        documents are chunked and kept; an empty or whitespace-only document
+        has no chunk.
         """
-        terms, qnorm = self._query_terms(query_text)
-        lookups, norms = self._lookups(terms), self._norms
+        with self._rankings_lock:
+            entry = self._rankings.get(query_text)
+        memo = {} if entry is None else dict(zip(entry[1], entry[2]))
         positions, texts = self._positions, self._texts
         ranked = []
+        unscored = []  # single-chunk documents the memo does not hold, as (index, doc_id, text)
         longer = []  # documents of more than one chunk
         for doc_id in doc_ids:
             d = positions[doc_id]
@@ -444,8 +474,15 @@ class DocIndex:
             if len(words) > chunk_tokens:
                 longer.append(doc_id)
             elif words:
-                ranked.append((-_doc_score(d, lookups, norms, qnorm), doc_id, 0, " ".join(words)))
-        if longer:
+                score = memo.get(doc_id)
+                if score is None:
+                    unscored.append((d, doc_id, " ".join(words)))
+                else:
+                    ranked.append((-score, doc_id, 0, " ".join(words)))
+        if unscored or longer:
+            terms, qnorm = self._query_terms(query_text)
+            scores = self._score_docs([d for d, _, _ in unscored], terms, qnorm)
+            ranked += [(-scores[d], doc_id, 0, text) for d, doc_id, text in unscored]
             cosine = self._cosine
             ranked += [(-cosine(terms, qnorm, counts, norm), doc_id, offset, text)
                        for doc_id, chunks in zip(longer, self._chunks(longer, chunk_tokens))

@@ -10,7 +10,10 @@ are asked in, across evictions and under concurrent searches. Chunk reranks
 must equal a fresh index's and the oracle's scoring of the chunk texts,
 whatever documents were reranked before and from however many threads; a
 document that fits in one chunk, scored from the index's own vector, must
-also equal its kept chunk vector's score, and keeps nothing.
+also equal its kept chunk vector's score, and keeps nothing. A rerank of a
+searched text takes such a document's score from the ranking memo, never
+from the result it is handed, and must equal a fresh index's rerank whether
+or not the memo still holds the text.
 """
 
 from __future__ import annotations
@@ -350,6 +353,34 @@ def test_a_query_of_common_words_walks_at_k_5():
     assert _hex(result.doc_scores) == _hex(score for _, score in expected)
 
 
+def test_entity_searches_build_no_count_map_or_impact_order_for_the_common_terms():
+    """A search the cap ends reads the common terms' counts by bisection and
+    keeps only their largest counts: no count map, no impact order."""
+    world = FixtureWorld(2000)
+    index = index_documents(world.corpus)
+    for entity in world.entities[::20]:
+        web_search(index, ToolQuery.web(world.web_query(entity).web_text), 5)
+    common = {index.vocab["overview"], index.vocab["facts"]}
+    assert min(len(index.postings[tid]) for tid in common) == 1950
+    assert set(index._max_counts) == common
+    assert index._impact_orders == {}  # a list's count map is kept beside its impact order
+
+
+def test_a_walk_builds_count_maps_exactly_for_the_lists_it_opens():
+    """The common-word query walks all three of its lists, and each gets its
+    count map beside its impact order; the largest counts are never taken."""
+    world = FixtureWorld(2000)
+    index = index_documents(world.corpus)
+    query = "vor zel overview"
+    index.score_all(query, 5)
+    tids = {index.vocab[term] for term in query.split()}
+    assert set(index._impact_orders) == tids
+    for tid in tids:
+        assert index._impact_orders[tid][2] == dict(zip(index.postings[tid],
+                                                        index.post_counts[tid]))
+    assert index._max_counts == {}
+
+
 def test_top_k_walk_stops_long_before_the_touched_documents():
     """The 50th-best score for an entity's web query comes from documents
     matching only its two common terms; the walk still stops early."""
@@ -635,21 +666,30 @@ def test_fixture_reranks_match_the_oracle(world):
     assert {chunk_tokens for _, chunk_tokens in index._chunk_vectors} == {1, 3}
 
 
-def test_concurrent_first_reranks_match_a_sequential_run(world):
+def test_concurrent_first_reranks_match_a_sequential_run(world, monkeypatch):
     """Four threads rerank on one index whose chunk table starts empty, five
-    times over; every result and the table they leave equal a sequential run's."""
+    times over; every result and the table they leave equal a sequential run's.
+    Before every second rerank a thread searches its text, into a memo of two
+    texts, so a rerank meets its text memoised, evicted by another thread's
+    search, or never searched on that index."""
     sequential = index_documents(world.corpus)
     asks = [(query, k, chunk_tokens) for query in _fixture_queries(world)[:6]
             for k in (5, 20) for chunk_tokens in (3, 128)]
     searched = {ask: web_search(sequential, ToolQuery.web(ask[0]), ask[1]) for ask in asks}
     expected = {ask: _chunks(chunk_and_rerank(sequential, searched[ask], ask[0], ask[2]))
                 for ask in asks}
+    monkeypatch.setattr(retrieval, "RANKING_MEMO_SIZE", 2)
 
     def reranks(shared, start, seed):
         order = asks * 3
         random.Random(seed).shuffle(order)
         start.wait()  # every thread meets the table empty
-        return [(ask, chunk_and_rerank(shared, searched[ask], ask[0], ask[2])) for ask in order]
+        ranked = []
+        for i, ask in enumerate(order):
+            if i % 2:
+                web_search(shared, ToolQuery.web(ask[0]), ask[1])
+            ranked.append((ask, chunk_and_rerank(shared, searched[ask], ask[0], ask[2])))
+        return ranked
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
@@ -665,5 +705,54 @@ def test_concurrent_first_reranks_match_a_sequential_run(world):
                 for ask, result in run:
                     assert _chunks(result) == expected[ask], (round_, ask)
             assert shared._chunk_vectors == sequential._chunk_vectors
+            assert len(shared._rankings) <= 2
     finally:
         sys.setswitchinterval(interval)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=rerank_calls(), k=st.sampled_from([1, 5, 50]), memo_size=st.sampled_from([1, 1024]))
+def test_a_rerank_after_a_search_matches_a_fresh_index_and_the_oracle(drawn, k, memo_size):
+    """Each call searches its text on the one index, then reranks that result,
+    and a hand-made result of its documents and the drawn ones with every
+    score zeroed, for this text and for the previous call's, which a memo of
+    one has evicted: each rerank equals a fresh index's and the oracle's, bit
+    for bit, at chunk sizes that split some documents and at 128 tokens."""
+    corpus, calls = drawn
+    index = index_documents(corpus)
+    oracle = OracleDenseIndex(corpus)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(retrieval, "RANKING_MEMO_SIZE", memo_size)
+        previous = None
+        for query, doc_ids, chunk_tokens in calls:
+            result = web_search(index, ToolQuery.web(query), k)
+            ids = result.ranked_doc_ids + tuple(doc_ids)
+            asks = [(result, query, result.ranked_doc_ids),
+                    (WebResult(query, ids, (0.0,) * len(ids)), query, ids)]
+            if previous is not None:
+                asks.append((previous, previous.query_text, previous.ranked_doc_ids))
+            for handed, text, ranked_ids in asks:
+                ranked = _chunks(chunk_and_rerank(index, handed, text, chunk_tokens))
+                assert ranked == _chunks(_rerank(index_documents(corpus), text, ranked_ids,
+                                                 chunk_tokens))
+                assert ranked == _oracle_chunks(corpus, oracle, text, ranked_ids, chunk_tokens)
+            previous = result
+
+
+def test_a_rerank_of_a_searched_text_reads_its_scores_from_the_memo(world, monkeypatch):
+    """Every document of a searched result fits one 128-token chunk and is in
+    the memo, so the rerank derives no query terms; a hand-made result with
+    zeroed scores still gets the index's."""
+    index = index_documents(world.corpus)
+    query = world.web_query(world.entities[3]).web_text
+    result = web_search(index, ToolQuery.web(query), 5)
+    expected = _chunks(chunk_and_rerank(index_documents(world.corpus), result, query, 128))
+    assert all(float.fromhex(score) > 0.0 for *_, score in expected)
+
+    def refuse(self, query_text):
+        raise AssertionError("a memoised rerank derived its query terms")
+
+    monkeypatch.setattr(DocIndex, "_query_terms", refuse)
+    zeroed = WebResult(query, result.ranked_doc_ids, (0.0,) * 5)
+    assert _chunks(chunk_and_rerank(index, result, query, 128)) == expected
+    assert _chunks(chunk_and_rerank(index, zeroed, query, 128)) == expected
