@@ -247,8 +247,19 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict[str,
 
 
 def _read_corpus(path: str) -> list[dict]:
-    return read_jsonl(path, lambda doc: {"doc_id": doc["doc_id"], "text": doc["text"]},
-                      "corpus record")
+    return read_jsonl(path, _corpus_doc, "corpus record",
+                      key=lambda doc: f"doc_id {doc['doc_id']!r}")
+
+
+def _corpus_doc(raw: dict) -> dict:
+    """A corpus record as ``corpus_doc.schema.json`` has it: a non-empty
+    string ``doc_id`` and a string ``text``."""
+    doc_id, text = raw["doc_id"], raw["text"]
+    if not isinstance(doc_id, str) or not doc_id:
+        raise InputError(f"corpus record 'doc_id' must be a non-empty string, got {doc_id!r}")
+    if not isinstance(text, str):
+        raise InputError(f"corpus record 'text' must be a string, got {text!r}")
+    return {"doc_id": doc_id, "text": text}
 
 
 def _read_kg(path: str) -> KgStore:

@@ -60,7 +60,11 @@ class KgQuery:
 
     @classmethod
     def make(cls, domain: KgDomain | str, attributes: dict[str, str] | None = None) -> "KgQuery":
-        dom = KgDomain(domain)
+        # the enum's own value -> member map; KgDomain() raises for any other domain
+        try:
+            dom = KgDomain._value2member_map_[domain]
+        except (KeyError, TypeError):
+            dom = KgDomain(domain)
         attrs = tuple(sorted((str(k), str(v)) for k, v in (attributes or {}).items()))
         return cls(domain=dom, attributes=attrs)
 
@@ -75,11 +79,16 @@ class KgQuery:
 
     @classmethod
     def from_flat_dict(cls, raw: dict[str, Any]) -> "KgQuery":
+        """A query read from JSON: ``domain`` and every attribute value are
+        strings, as ``kg_query.schema.json`` requires."""
         if "domain" not in raw or not str(raw["domain"]):
             raise InputError(f"kg query missing non-empty 'domain': {raw!r}")
         attrs = {k: v for k, v in raw.items() if k != "domain"}
+        for name, value in raw.items():
+            if not isinstance(value, str):
+                raise InputError(f"kg query {name!r} must be a string, got {value!r}")
         try:
-            return cls.make(str(raw["domain"]), attrs)
+            return cls.make(raw["domain"], attrs)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
 

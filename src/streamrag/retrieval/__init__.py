@@ -10,9 +10,13 @@ The index is built in one pass over the corpus's tokens (single-pass
 in-memory inversion, Heinz & Zobel 2003): the texts are lowercased and
 stripped in one call, and each document's tokens, split one document at a
 time, assign term ids and append the document to a term's postings at its
-first occurrence there, or count a repeat. The norms are summed term by
-term, in ascending id, so each document's squares add in that order. A
-posting's weight, count times idf, is computed where it is read.
+first occurrence there. A repeat there is noted as (term id, posting
+position) in one flat list of ints, and the counts are 1s with the repeats
+added in. idf is computed once per distinct document frequency. The norms
+are summed term by term, in ascending id, so each document's squares add in
+that order; a term that never repeats adds its idf squared per posting, the
+double a count of 1 gives. A posting's weight, count times idf, is computed
+where it is read.
 
 Every search is for the top k, and k is always given. It first reads whole
 the posting lists of the query's rare terms, those with at most k postings:
@@ -151,8 +155,10 @@ class DocIndex:
     Term ids follow first occurrence in the corpus. ``postings[t]`` holds the
     indices of the documents containing term ``t``, ascending, and
     ``post_counts[t]`` its count in each; a posting's weight is
-    ``count * idf[t]``, computed where it is read. Both lists come from one
-    pass over the corpus's tokens, the norms from a pass over the postings.
+    ``count * idf[t]``, computed where it is read. One pass over the
+    corpus's tokens builds the postings and notes each in-document repeat;
+    the counts are 1s with those repeats added in, and the norms come from
+    a pass over the postings.
     Rebuilding from the same corpus yields the same index; all lookups are
     pure, so rankings are memoised (see ``ranking``) and the chunk vectors
     of documents longer than one chunk kept (see ``_chunks``).
@@ -161,50 +167,64 @@ class DocIndex:
     def __init__(self, docs: Sequence[tuple[str, str]]) -> None:
         if not docs:
             raise InputError("cannot index an empty corpus")
+        n = self.n_docs = len(docs)
+        self.doc_ids: list[str] = [doc_id for doc_id, _ in docs]
         # doc_id -> document index
-        positions: dict[str, int] = {}
-        for d, (doc_id, _) in enumerate(docs):
-            if positions.setdefault(doc_id, d) != d:
-                raise DuplicateDocIdError(f"duplicate doc_id {doc_id!r}")
-        self._positions = positions
-        self.doc_ids: list[str] = list(positions)
+        self._positions = positions = dict(zip(self.doc_ids, range(n)))
+        if len(positions) != n:
+            first: dict[str, int] = {}
+            for d, doc_id in enumerate(self.doc_ids):
+                if first.setdefault(doc_id, d) != d:
+                    raise DuplicateDocIdError(f"duplicate doc_id {doc_id!r}")
         self._texts: list[str] = [text for _, text in docs]
-        self.n_docs = len(docs)
 
         vocab: dict[str, int] = {}
         postings: list[list[int]] = []
-        post_counts: list[list[int]] = []
+        repeats: list[int] = []  # (term id, posting position) of each repeat, flat
         for d, tokens in enumerate(tokenize_all(self._texts)):
             for token in tokens:
                 tid = vocab.get(token)
                 if tid is None:
                     vocab[token] = len(postings)
                     postings.append([d])
-                    post_counts.append([1])
-                elif postings[tid][-1] == d:  # a repeat within this document
-                    post_counts[tid][-1] += 1
                 else:
-                    postings[tid].append(d)
-                    post_counts[tid].append(1)
+                    term_docs = postings[tid]
+                    if term_docs[-1] == d:  # a repeat within this document
+                        repeats.append(tid)
+                        repeats.append(len(term_docs) - 1)
+                    else:
+                        term_docs.append(d)
+        post_counts = [[1] * len(term_docs) for term_docs in postings]
+        pairs = iter(repeats)
+        for tid, i in zip(pairs, pairs):
+            post_counts[tid][i] += 1
 
-        n = self.n_docs
         self.vocab = vocab
         self.postings = postings
         self.post_counts = post_counts
-        self.idf = idf = array("d", [math.log((1.0 + n) / (1.0 + len(p))) + 1.0 for p in postings])
+        dfs = list(map(len, postings))
+        idf_of_df = {df: math.log((1.0 + n) / (1.0 + df)) + 1.0 for df in set(dfs)}
+        self.idf = idf = array("d", map(idf_of_df.__getitem__, dfs))
         self._default_idf = math.log(1.0 + n) + 1.0  # df 0
-        # term by term in ascending id, so each document's squares add in that order
+        # term by term in ascending id, so each document's squares add in that
+        # order; a term counted once everywhere adds (1 * idf) ** 2, the same double
+        repeated = set(repeats[::2])
         sq = [0.0] * n
-        for term_docs, counts, idf_t in zip(postings, post_counts, idf):
-            for d, count in zip(term_docs, counts):
-                w = count * idf_t
-                sq[d] += w * w
+        for tid, (term_docs, idf_t) in enumerate(zip(postings, idf)):
+            if tid in repeated:
+                for d, count in zip(term_docs, post_counts[tid]):
+                    w = count * idf_t
+                    sq[d] += w * w
+            else:
+                w2 = idf_t * idf_t
+                for d in term_docs:
+                    sq[d] += w2
         self._norms = array("d", map(math.sqrt, sq))
         # the smallest nonzero norm: every posted document has one, so no
         # document a search has not seen has a smaller one (see score_all)
         self._min_norm = min(filter(None, self._norms), default=1.0)
-        # zero-score documents fill a short ranking in doc_id order
-        self._by_doc_id = array("i", sorted(range(self.n_docs), key=self.doc_ids.__getitem__))
+        # document indices in doc_id order, sorted on the first zero fill (see _rank)
+        self._by_doc_id: array | None = None
         # term id -> its largest count (see _max_count)
         self._max_counts: dict[int, int] = {}
         # term id -> its postings in impact order and its count map (see _impact_order)
@@ -376,7 +396,11 @@ class DocIndex:
         top = sorted(scores, key=lambda d: (-scores[d], doc_ids[d]))[:k]
         ranked = [(d, scores[d]) for d in top]
         if len(ranked) < k:
-            for d in self._by_doc_id:
+            by_doc_id = self._by_doc_id
+            if by_doc_id is None:  # a concurrent first fill sorts the same
+                by_doc_id = self._by_doc_id = array("i", sorted(range(self.n_docs),
+                                                                key=doc_ids.__getitem__))
+            for d in by_doc_id:
                 if d not in scores:
                     ranked.append((d, 0.0))
                     if len(ranked) == k:
@@ -493,12 +517,16 @@ class DocIndex:
 
 def index_documents(corpus: Iterable[dict]) -> DocIndex:
     """Build a DocIndex from {doc_id, text} records."""
-    docs = []
-    for record in corpus:
-        try:
-            docs.append((str(record["doc_id"]), str(record["text"])))
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"corpus record must have doc_id and text: {record!r}") from exc
+    records = list(corpus)
+    try:
+        docs = [(str(record["doc_id"]), str(record["text"])) for record in records]
+    except (KeyError, TypeError):
+        for record in records:  # name the first bad record
+            try:
+                str(record["doc_id"]), str(record["text"])
+            except (KeyError, TypeError) as exc:
+                raise InputError(f"corpus record must have doc_id and text: {record!r}") from exc
+        raise
     return DocIndex(docs)
 
 
@@ -546,13 +574,20 @@ class KgStore:
     @classmethod
     def from_records(cls, records: Iterable[dict], source: str = "kg") -> "KgStore":
         """Build a store from {"query", "answer"} records. A fault in a record,
+        such as an answer that is not a string (``kg_fixture.schema.json``),
         or a canonical query (``KgQuery.canonical_key``) that an earlier record
         holds, is an InputError naming ``source`` and the record's index."""
-        return cls(dict(parse_records(
-            enumerate(records),
-            lambda record: (KgQuery.from_flat_dict(record["query"]).canonical_key(),
-                            str(record["answer"])),
-            "kg record", f"{source}: record ", key=itemgetter(0))))
+        return cls(dict(parse_records(enumerate(records), _kg_entry, "kg record",
+                                      f"{source}: record ", key=itemgetter(0))))
+
+
+def _kg_entry(record: dict) -> tuple[tuple, str]:
+    """A KG record's canonical query and its answer, which must be a string."""
+    key = KgQuery.from_flat_dict(record["query"]).canonical_key()
+    answer = record["answer"]
+    if not isinstance(answer, str):
+        raise InputError(f"kg record 'answer' must be a string, got {answer!r}")
+    return key, answer
 
 
 def kg_lookup(store: KgStore, query: ToolQuery) -> str | None:

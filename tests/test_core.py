@@ -140,6 +140,16 @@ class TestKgQuery:
         with pytest.raises(InputError):
             KgQuery.from_flat_dict({"domain": "weather"})
 
+    @pytest.mark.parametrize("domain", ["weather", "MUSIC", 5, None, ["music"], {}])
+    def test_make_rejects_an_unknown_or_unhashable_domain_as_the_enum_does(self, domain):
+        with pytest.raises(ValueError, match=r" is not a valid KgDomain$"):
+            KgQuery.make(domain)
+
+    def test_make_takes_a_domain_by_value_or_member(self):
+        for domain in KgDomain:
+            assert KgQuery.make(domain.value).domain is domain
+            assert KgQuery.make(domain).domain is domain
+
 
 class TestToolQuery:
     def test_wire_forms(self):

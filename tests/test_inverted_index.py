@@ -1,5 +1,9 @@
 """The inverted index holds, scores and ranks exactly as the dense CSR oracle does.
 
+The build must hold the oracle's tables, counts above 1 included, whether a
+term repeats in the document that introduces it, in a later one or in two in
+a row, and must order the zero fill as the oracle does.
+
 Scores are compared as float hex strings, so any change in summation order or
 arithmetic shows up; rankings are compared with the oracle's full
 ``(-score, doc_id)`` sort of the whole corpus, whether a search stops after
@@ -30,7 +34,7 @@ from hypothesis import strategies as st
 
 from streamrag import retrieval
 from streamrag.core import KgQuery, ToolQuery
-from streamrag.errors import WrongToolError
+from streamrag.errors import DuplicateDocIdError, InputError, WrongToolError
 from streamrag.retrieval import (
     Chunk,
     DocIndex,
@@ -86,6 +90,7 @@ def assert_index_matches_oracle(index, oracle: OracleDenseIndex) -> None:
     assert _hex(index.idf) == _hex(oracle.idf)
     assert index._default_idf.hex() == oracle.default_idf.hex()
     assert _hex(index._norms) == _hex(oracle.norms)
+    assert index._min_norm.hex() == min(filter(None, oracle.norms), default=1.0).hex()
 
 
 def _depths(n: int) -> list[int]:
@@ -123,6 +128,84 @@ def test_scores_and_top_k_match_oracle_on_generated_corpora(corpus, queries):
     for query in queries:
         assert_scores_match(index, oracle, query)
         assert_top_k_match(index, oracle, query)
+
+
+# Terms that no other text spells, so each repeats only where it is put.
+FRESH = ["kilo", "lima", "mike"]
+# an empty, a punctuation-only and a NUL-holding text; one NUL sends the
+# whole corpus through per-text tokenizing
+ODD_TEXTS = ["", "!! - ,", "alpha\x00beta gamma\x00"]
+
+
+@st.composite
+def repeating_corpora(draw):
+    """Corpora whose counts are not all 1: a term repeated 2-4 times in the
+    document that introduces it, a term repeated in a later document than
+    its first, and a term repeated in two documents in a row, among texts
+    that may be empty, punctuation-only or hold a NUL."""
+    ids = draw(st.lists(st.integers(0, 1200).map(lambda i: f"d{i}"), min_size=3, max_size=12,
+                        unique=True))
+    texts = [draw(st.one_of(text, st.sampled_from(ODD_TEXTS))) for _ in ids]
+    n = len(texts)
+    first = draw(st.integers(0, n - 1))
+    texts[first] += " " + " ".join([FRESH[0]] * draw(st.integers(2, 4)))
+    later = draw(st.integers(1, n - 1))
+    texts[draw(st.integers(0, later - 1))] += " " + FRESH[1]
+    texts[later] += f" {FRESH[1]} " + FRESH[1]
+    row = draw(st.integers(0, n - 2))
+    texts[row] += f" {FRESH[2]} {FRESH[2]}"
+    texts[row + 1] = f"{FRESH[2]} {texts[row + 1]} {FRESH[2]}"
+    return [{"doc_id": doc_id, "text": t} for doc_id, t in zip(ids, texts)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus=repeating_corpora(), queries=st.lists(query_text, min_size=1, max_size=3))
+def test_repeated_terms_build_and_rank_as_the_oracle(corpus, queries):
+    """Counts above 1, in the document that introduces a term, in a later
+    one and in two in a row, with empty, punctuation-only and NUL-holding
+    texts, from records handed over one at a time by a generator."""
+    index = index_documents(record for record in corpus)
+    oracle = OracleDenseIndex(corpus)
+    assert_index_matches_oracle(index, oracle)
+    assert any(count > 1 for counts in index.post_counts for count in counts)
+    for query in queries + ["mike lima kilo"]:
+        assert_scores_match(index, oracle, query)
+        assert_top_k_match(index, oracle, query)
+    # the zero fill's doc_id order is sorted on the first fill, not in the build
+    fresh = index_documents(corpus)
+    assert fresh._by_doc_id is None
+    ranked = web_search(fresh, ToolQuery.web("kilo"), fresh.n_docs + 7).ranked_doc_ids
+    assert list(ranked) == [doc_id for doc_id, _ in oracle.ranking("kilo")]
+    assert [fresh.doc_ids[d] for d in fresh._by_doc_id] == sorted(oracle.doc_ids)
+
+
+def test_a_corpus_of_tokenless_texts_has_no_norm_and_ranks_by_doc_id():
+    corpus = [{"doc_id": doc_id, "text": text}
+              for doc_id, text in zip(["d999", "d1000", "d2"], ["", "!! -", " \t"])]
+    index = index_documents(corpus)
+    oracle = OracleDenseIndex(corpus)
+    assert_index_matches_oracle(index, oracle)
+    assert index._min_norm == 1.0
+    result = web_search(index, ToolQuery.web("alpha"), 5)
+    assert result.ranked_doc_ids == ("d1000", "d2", "d999")
+
+
+@pytest.mark.parametrize("ids, repeated", [(["a", "b", "a"], "a"), (["a", "b", "b", "a"], "b"),
+                                           (["x", "y", "z", "y", "x"], "y")])
+def test_a_repeated_doc_id_is_named_at_its_first_repeat(ids, repeated):
+    with pytest.raises(DuplicateDocIdError) as raised:
+        index_documents({"doc_id": doc_id, "text": "alpha"} for doc_id in ids)
+    assert str(raised.value) == f"duplicate doc_id {repeated!r}"
+
+
+@pytest.mark.parametrize("records, bad", [
+    ([{"doc_id": "a", "text": "x"}, {"doc_id": "b"}], "{'doc_id': 'b'}"),
+    ([{"doc_id": "a", "text": "x"}, ["b", "y"], {"text": "z"}], "['b', 'y']"),
+])
+def test_a_record_without_doc_id_or_text_is_named(records, bad):
+    with pytest.raises(InputError) as raised:
+        index_documents(iter(records))
+    assert str(raised.value) == f"corpus record must have doc_id and text: {bad}"
 
 
 def _fixture_queries(world) -> list[str]:

@@ -214,6 +214,69 @@ class TestFaultyInputsExitTwo:
                 f"(first at {bad}: record 1)") in err
 
 
+class TestSchemaTypes:
+    """Corpus and KG values of a type their schema does not allow exit 2 where
+    they are read: a corpus record at its line, a KG record at its index."""
+
+    @pytest.mark.parametrize("record, message", [
+        ({"doc_id": 7, "text": ["x"]}, "corpus record 'doc_id' must be a non-empty string, got 7"),
+        ({"doc_id": "", "text": "x"}, "corpus record 'doc_id' must be a non-empty string, got ''"),
+        ({"doc_id": "dz", "text": ["x"]}, "corpus record 'text' must be a string, got ['x']"),
+        ({"doc_id": "dz", "text": None}, "corpus record 'text' must be a string, got None"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "label"])
+    def test_corpus_value(self, tmp_path, command, record, message):
+        rows = _lines(Path(CORPUS))
+        rows.insert(2, record)
+        bad = _write_lines(tmp_path / "corpus.jsonl", rows)
+        args = ["--kg", KG] if command == "simulate" else []
+        code, err = run_main(command, "--traces", TRACES, "--corpus", bad, *args,
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"input error: {bad}:3: {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "label"])
+    def test_repeated_doc_id_names_both_lines(self, tmp_path, command):
+        rows = _lines(Path(CORPUS))
+        bad = _write_lines(tmp_path / "corpus.jsonl", [*rows[:3], rows[0], *rows[3:]])
+        args = ["--kg", KG] if command == "simulate" else []
+        code, err = run_main(command, "--traces", TRACES, "--corpus", bad, *args,
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert (f"input error: {bad}:4: duplicate doc_id {rows[0]['doc_id']!r} "
+                f"(first at {bad}:1)") in err
+
+    @pytest.mark.parametrize("query, answer, message", [
+        ({"domain": "other", "main_entity": 5}, None, "kg query 'main_entity' must be a string, got 5"),
+        ({"domain": "other", "main_entity": "zz"}, None, "kg record 'answer' must be a string, got None"),
+        ({"domain": "other", "main_entity": "zz"}, 5, "kg record 'answer' must be a string, got 5"),
+        ({"domain": "music", "artist_name": ["zz"]}, "a", "kg query 'artist_name' must be a string, got ['zz']"),
+        ({"domain": 5, "main_entity": "zz"}, "a", "kg query 'domain' must be a string, got 5"),
+    ])
+    def test_kg_value(self, tmp_path, query, answer, message):
+        records = json.loads(Path(KG).read_text(encoding="utf-8"))
+        records.insert(1, {"query": query, "answer": answer})
+        bad = tmp_path / "kg.json"
+        bad.write_text(json.dumps(records))
+        code, err = run_main("simulate", "--traces", TRACES, "--corpus", CORPUS, "--kg", str(bad),
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"input error: {bad}: record 1: {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_scripted_kg_query_is_held_to_the_same_schema(self, tmp_path):
+        rows = _lines(Path(TRACES))
+        block = min(rows[0]["scripted_queries"], key=int)
+        rows[0]["scripted_queries"][block]["kg"] = {"domain": "other", "main_entity": 5}
+        bad = _write_lines(tmp_path / "traces.jsonl", rows)
+        code, err = run_main("simulate", "--traces", bad, "--corpus", CORPUS, "--kg", KG,
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert f"input error: {bad}:1: " in err
+        assert "kg query 'main_entity' must be a string, got 5" in err
+
+
 def _write_lines(path: Path, rows: list) -> str:
     path.write_text("".join(json.dumps(r) + "\n" for r in rows))
     return str(path)
