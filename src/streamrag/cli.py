@@ -31,6 +31,7 @@ from .core import (
     is_digits,
     is_int,
     json_int,
+    json_str,
     make_out_dir,
     read_json,
     read_jsonl,
@@ -425,7 +426,8 @@ def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
 
 def _read_pseudo_gt(path: str, traces) -> dict[str, dict]:
     def parse(r: dict) -> tuple[str, int, ScriptedQueries]:
-        uid, block, entry = (str(r["utterance_id"]), json_int(r["block"], "block", minimum=1),
+        uid, block, entry = (json_str(r["utterance_id"], "utterance_id"),
+                             json_int(r["block"], "block", minimum=1),
                              ScriptedQueries.from_wire(r))
         check_reference(uid, block, entry)
         return uid, block, entry

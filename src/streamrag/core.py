@@ -384,6 +384,13 @@ def json_int(value: Any, what: str, minimum: int | None = None) -> int:
     return value
 
 
+def json_str(value: Any, what: str, nullable: bool = False) -> str | None:
+    """A JSON string, or null where ``nullable``: nothing ``str()`` would make one."""
+    if not (isinstance(value, str) or (nullable and value is None)):
+        raise InputError(f"{what} must be a string{' or null' if nullable else ''}, got {value!r}")
+    return value
+
+
 def is_digits(text: str) -> bool:
     """Plain ASCII decimal digits: no sign, space, ``_`` or other script's digits."""
     return text.isascii() and text.isdigit()
@@ -472,8 +479,17 @@ def trace_to_dict(trace: UtteranceTrace) -> dict[str, Any]:
     }
 
 
-def trace_from_dict(raw: dict[str, Any]) -> UtteranceTrace:
-    words = [Word(str(w["text"]), json_int(w["start_ms"], "start_ms"),
+def trace_from_dict(raw: dict[str, Any],
+                    memo: dict[tuple, ScriptedQueries] | None = None) -> UtteranceTrace:
+    """A trace as ``trace.schema.json`` types it; no value is converted.
+
+    ``memo``, when given, maps a scripted entry's ``(web, kg items)`` strings
+    to the pair already parsed from them, and gains each entry parsed here
+    whose ``web`` is a string and whose ``kg`` maps to strings only: those
+    strings alone decide the pair. An entry of any other shape is parsed, and
+    fails, as it would without one.
+    """
+    words = [Word(json_str(w["text"], "word text"), json_int(w["start_ms"], "start_ms"),
                   json_int(w["end_ms"], "end_ms")) for w in raw["words"]]
     scripted: dict[int, ScriptedQueries] = {}
     for key, entry in raw.get("scripted_queries", {}).items():
@@ -482,13 +498,30 @@ def trace_from_dict(raw: dict[str, Any]) -> UtteranceTrace:
         block = int(key)
         if block in scripted:
             raise InputError(f"scripted_queries key {key!r} repeats block {block}")
-        scripted[block] = ScriptedQueries.from_wire(entry)
+        scripted[block] = _scripted_entry(entry, memo)
+    utterance_id = raw["utterance_id"]
+    if not isinstance(utterance_id, str) or not utterance_id:
+        raise InputError(f"utterance_id must be a non-empty string, got {utterance_id!r}")
     return UtteranceTrace(
-        utterance_id=str(raw["utterance_id"]),
+        utterance_id=utterance_id,
         words=words,
         scripted_queries=scripted,
-        final_answer_ref=raw.get("final_answer_ref"),
+        final_answer_ref=json_str(raw.get("final_answer_ref"), "final_answer_ref", nullable=True),
     )
+
+
+def _scripted_entry(entry: Any, memo: dict[tuple, ScriptedQueries] | None) -> ScriptedQueries:
+    if memo is None or not isinstance(entry, dict):
+        return ScriptedQueries.from_wire(entry)
+    web, kg = entry.get("web"), entry.get("kg")
+    if not (isinstance(web, str) and isinstance(kg, dict)
+            and all(isinstance(v, str) for v in kg.values())):
+        return ScriptedQueries.from_wire(entry)
+    key = (web, tuple(kg.items()))
+    parsed = memo.get(key)
+    if parsed is None:
+        parsed = memo[key] = ScriptedQueries.from_wire(entry)
+    return parsed
 
 
 def read_traces(path: str) -> list[UtteranceTrace]:
@@ -496,8 +529,11 @@ def read_traces(path: str) -> list[UtteranceTrace]:
 
     A repeated utterance_id is an error: ids key the latency RNG substreams
     and the outcome pairing, so a duplicate could only be dropped silently.
+    Scripted pairs repeat within and across traces, so each distinct pair of
+    strings is parsed once per call; nothing outlives it.
     """
-    return read_jsonl(path, trace_from_dict, "trace",
+    memo: dict[tuple, ScriptedQueries] = {}
+    return read_jsonl(path, lambda raw: trace_from_dict(raw, memo), "trace",
                       key=lambda trace: f"utterance_id {trace.utterance_id!r}")
 
 

@@ -13,6 +13,7 @@ label forced back to the reference query.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 
 from .core import (
@@ -24,9 +25,10 @@ from .core import (
     UtteranceTrace,
     blocks_of,
     json_int,
+    json_str,
     read_jsonl,
     substream_rng,
-    write_jsonl,
+    write_atomic,
 )
 from .errors import InputError
 from .reflector import SimilarityContext, reflect_with_reason
@@ -186,34 +188,22 @@ def inject_negative_samples(
     return out
 
 
-def step_to_dict(step: LabeledStep) -> dict:
-    out = {
-        "utterance_id": step.utterance_id,
-        "block": step.block,
-        "tool": step.tool.value,
-        "prefix_text": step.prefix,
-        "prev_query": step.training_prev.to_wire(),
-        "label": step.label.to_wire(),
-        "pseudo_gt": step.pseudo_gt.to_wire(),
-        "is_negative_sample": step.is_negative_sample,
-    }
-    if step.is_negative_sample:
-        out["original_prev"] = step.prev_query.to_wire()
-    return out
-
-
 def step_from_dict(raw: dict) -> LabeledStep:
+    """A training record as ``training_record.schema.json`` types it; no value
+    is converted, so ``"false"`` is not false."""
     tool = Tool(raw["tool"])
-    is_negative = bool(raw["is_negative_sample"])
+    is_negative = raw["is_negative_sample"]
+    if not isinstance(is_negative, bool):
+        raise InputError(f"is_negative_sample must be true or false, got {is_negative!r}")
 
     def query(key: str) -> ToolQuery:
         return ToolQuery.from_wire(raw[key], tool)
 
     return LabeledStep(
-        utterance_id=str(raw["utterance_id"]),
+        utterance_id=json_str(raw["utterance_id"], "utterance_id"),
         block=json_int(raw["block"], "block"),
         tool=tool,
-        prefix=str(raw["prefix_text"]),
+        prefix=json_str(raw["prefix_text"], "prefix_text"),
         prev_query=query("original_prev" if is_negative else "prev_query"),
         pseudo_gt=query("pseudo_gt"),
         label=query("label"),
@@ -223,8 +213,35 @@ def step_from_dict(raw: dict) -> LabeledStep:
 
 
 def export_training_set(steps: list[LabeledStep], path: str) -> None:
-    """Write steps as JSONL; an empty step list yields a valid empty file."""
-    write_jsonl(path, map(step_to_dict, steps))
+    """Write one JSON record per step as a JSONL line; an empty step list
+    yields a valid empty file.
+
+    The keys are utterance_id, block, tool, prefix_text, prev_query (the
+    training input, ``training_prev``), label, pseudo_gt, is_negative_sample
+    and, on a negative sample only, original_prev (the true previous query),
+    written as ``json.dumps`` writes such a dict: the strings and queries
+    through ``json.dumps``, the block, tool and flag as the literals it
+    writes for them. A query recurs across steps, so each distinct one is
+    encoded once per call.
+    """
+    encoded: dict[ToolQuery, str] = {}
+
+    def wire(query: ToolQuery) -> str:
+        text = encoded.get(query)
+        if text is None:
+            text = encoded[query] = json.dumps(query.to_wire())
+        return text
+
+    def line(step: LabeledStep) -> str:
+        head = (f'{{"utterance_id": {json.dumps(step.utterance_id)}, "block": {step.block:d}, '
+                f'"tool": "{step.tool.value}", "prefix_text": {json.dumps(step.prefix)}, '
+                f'"prev_query": {wire(step.training_prev)}, "label": {wire(step.label)}, '
+                f'"pseudo_gt": {wire(step.pseudo_gt)}, "is_negative_sample": ')
+        if step.is_negative_sample:
+            return f'{head}true, "original_prev": {wire(step.prev_query)}}}\n'
+        return head + "false}\n"
+
+    write_atomic(path, map(line, steps))
 
 
 def read_training_set(path: str) -> list[LabeledStep]:

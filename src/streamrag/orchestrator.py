@@ -46,6 +46,7 @@ from .core import (
     blocks_of,
     is_int,
     json_int,
+    json_str,
     substream_rng,
 )
 from .errors import InputError
@@ -479,7 +480,7 @@ def outcome_from_dict(raw: dict) -> SessionOutcome:
         raise InputError(f"degraded must be true or false, got {degraded!r}")
     selected = raw.get("selected_block")
     return SessionOutcome(
-        utterance_id=_text(raw["utterance_id"], "utterance_id"),
+        utterance_id=json_str(raw["utterance_id"], "utterance_id"),
         strategy=Strategy(raw["strategy"]),
         selected_block=None if selected is None else json_int(selected, "selected_block"),
         references=ReferenceBundle(
@@ -493,14 +494,8 @@ def outcome_from_dict(raw: dict) -> SessionOutcome:
         max_parallel_threads=json_int(raw.get("max_parallel_threads", 0),
                                       "max_parallel_threads", 0),
         degraded=degraded,
-        response_text=_text(raw.get("response_text"), "response_text", nullable=True),
+        response_text=json_str(raw.get("response_text"), "response_text", nullable=True),
     )
-
-
-def _text(value: Any, what: str, nullable: bool = False) -> str | None:
-    if not (isinstance(value, str) or (nullable and value is None)):
-        raise InputError(f"{what} must be a string{' or null' if nullable else ''}, got {value!r}")
-    return value
 
 
 def _texts(values: Any, what: str) -> tuple[str, ...]:

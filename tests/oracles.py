@@ -250,6 +250,24 @@ def oracle_binomial_999_interval(n: int, p: float) -> tuple[int, int]:
     return lo, hi
 
 
+def step_to_dict(step) -> dict:
+    """A training step as a record, as ``export_training_set`` writes it:
+    ``json.dumps`` of this dict is the step's line."""
+    out = {
+        "utterance_id": step.utterance_id,
+        "block": step.block,
+        "tool": step.tool.value,
+        "prefix_text": step.prefix,
+        "prev_query": step.training_prev.to_wire(),
+        "label": step.label.to_wire(),
+        "pseudo_gt": step.pseudo_gt.to_wire(),
+        "is_negative_sample": step.is_negative_sample,
+    }
+    if step.is_negative_sample:
+        out["original_prev"] = step.prev_query.to_wire()
+    return out
+
+
 # --- reference session engine ----------------------------------------------
 #
 # The session engine as it ran on a general discrete-event clock: every block

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from streamrag.cli import cli, main
-from streamrag.core import write_traces
+from streamrag.core import ScriptedQueries, read_traces, write_traces
 from streamrag.errors import InputError
 from streamrag.labeling import read_training_set
 from streamrag.synth import FixtureWorld, random_batch
@@ -275,6 +275,133 @@ class TestSchemaTypes:
         assert code == 2
         assert f"input error: {bad}:1: " in err
         assert "kg query 'main_entity' must be a string, got 5" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: row.update(utterance_id=7), "utterance_id must be a non-empty string, got 7"),
+        (lambda row: row.update(utterance_id=""),
+         "utterance_id must be a non-empty string, got ''"),
+        (lambda row: row.update(final_answer_ref=5),
+         "final_answer_ref must be a string or null, got 5"),
+        (lambda row: row["words"][1].update(text=12), "word text must be a string, got 12"),
+    ], ids=["id-is-a-number", "id-is-empty", "answer-is-a-number", "word-is-a-number"])
+    @pytest.mark.parametrize("command", ["simulate", "label"])
+    def test_trace_value(self, tmp_path, command, edit, message):
+        """A trace value is not converted: ``str()`` once ran id 7 as "7" and
+        kept answer 5, which ``report`` then rejected in the outcomes."""
+        rows = _lines(Path(TRACES))
+        edit(rows[1])
+        bad = _write_lines(tmp_path / "traces.jsonl", rows)
+        args = ["--kg", KG] if command == "simulate" else []
+        code, err = run_main(command, "--traces", bad, "--corpus", CORPUS, *args,
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2, err
+        assert f"input error: {bad}:2: {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("is_negative_sample", "false", "is_negative_sample must be true or false, got 'false'"),
+        ("is_negative_sample", 0, "is_negative_sample must be true or false, got 0"),
+        ("is_negative_sample", None, "is_negative_sample must be true or false, got None"),
+        ("utterance_id", 7, "utterance_id must be a string, got 7"),
+        ("prefix_text", ["who"], "prefix_text must be a string, got ['who']"),
+        ("prefix_text", None, "prefix_text must be a string, got None"),
+    ])
+    def test_training_record_value(self, tmp_path, field, value, message):
+        """``bool("false")`` once read a positive record as a negative one,
+        with its substituted previous query taken as the true one."""
+        out = tmp_path / "out"
+        code, err = run_main("label", "--traces", TRACES, "--corpus", CORPUS, "--out-dir", str(out))
+        assert code == 0, err
+        rows = _lines(out / "training.jsonl")
+        assert rows[1]["is_negative_sample"] is False
+        rows[1][field] = value
+        bad = _write_lines(tmp_path / "training.jsonl", rows)
+        with pytest.raises(InputError) as info:
+            read_training_set(bad)
+        assert str(info.value) == f"{bad}:2: {message}"
+
+    def test_a_reference_query_id_is_a_string(self, tmp_path):
+        records = _pseudo_gt(_lines(Path(TRACES)))
+        records[2]["utterance_id"] = 7
+        bad = _write_lines(tmp_path / "pseudo_gt.jsonl", records)
+        code, err = run_main("label", "--traces", TRACES, "--corpus", CORPUS, "--pseudo-gt", bad,
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2, err
+        assert f"input error: {bad}:3: utterance_id must be a string, got 7" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_judgment_id_is_a_string(self, tmp_path, outcomes):
+        uids = [row["utterance_id"] for row in _lines(outcomes)]
+        judgments = _write_lines(tmp_path / "judgments.jsonl", [
+            {"utterance_id": uid, "verdict": "accurate"} for uid in uids[:1]] + [
+            {"utterance_id": 7, "verdict": "accurate"}])
+        code, err = run_main("report", "--baseline", str(outcomes), "--strategy", str(outcomes),
+                             "--judgments", judgments, "--out-dir", str(tmp_path / "rep"))
+        assert code == 2, err
+        assert f"input error: {judgments}:2: utterance_id must be a string, got 7" in err
+        assert not (tmp_path / "rep").exists()
+
+
+class TestScriptedPairMemo:
+    """``read_traces`` parses each distinct scripted pair once per call; what
+    it returns is what parsing every pair would return."""
+
+    def _pair(self, kg: dict) -> dict:
+        return {"web": "Who founded Rare Beauty", "kg": kg}
+
+    def _traces(self, tmp_path, first: dict, second: dict) -> str:
+        rows = _lines(Path(TRACES))[:2]
+        rows[0]["scripted_queries"]["1"] = first
+        rows[1]["scripted_queries"]["2"] = second
+        return _write_lines(tmp_path / "traces.jsonl", rows)
+
+    def test_a_repeated_pair_parses_to_an_equal_pair(self, tmp_path):
+        pair = self._pair({"domain": "other", "main_entity": "Rare Beauty"})
+        first, second = read_traces(self._traces(tmp_path, pair, copy.deepcopy(pair)))
+        assert first.scripted_queries[1] == second.scripted_queries[2] \
+            == ScriptedQueries.from_wire(pair)
+
+    def test_kg_attributes_in_another_order_parse_to_an_equal_query(self, tmp_path):
+        kg = {"domain": "music", "artist_name": "Queen", "artist_aspect": "member"}
+        reordered = dict(reversed(list(kg.items())))
+        first, second = read_traces(self._traces(tmp_path, self._pair(kg), self._pair(reordered)))
+        assert first.scripted_queries[1] == second.scripted_queries[2] \
+            == ScriptedQueries.from_wire(self._pair(kg))
+
+    @pytest.mark.parametrize("second", [
+        {"web": "Who founded Rare Beauty", "kg": {"domain": "other", "main_entity": "Selena"}},
+        {"web": "Who founded Rare Beauty", "kg": {"domain": "music", "main_entity": "Rare Beauty"}},
+        {"web": "Who founded Fenty", "kg": {"domain": "other", "main_entity": "Rare Beauty"}},
+    ], ids=["kg-value", "kg-domain", "web"])
+    def test_a_pair_differing_in_one_string_parses_apart(self, tmp_path, second):
+        first = self._pair({"domain": "other", "main_entity": "Rare Beauty"})
+        a, b = read_traces(self._traces(tmp_path, first, second))
+        assert a.scripted_queries[1] == ScriptedQueries.from_wire(first)
+        assert b.scripted_queries[2] == ScriptedQueries.from_wire(second)
+
+    @pytest.mark.parametrize("value", [1, ["1"]], ids=repr)
+    @pytest.mark.parametrize("command", ["simulate", "label"])
+    def test_a_value_where_a_repeated_pair_had_text_exits_two_at_its_line(self, tmp_path,
+                                                                          command, value):
+        bad = self._traces(tmp_path, self._pair({"domain": "other", "main_entity": "1"}),
+                           self._pair({"domain": "other", "main_entity": value}))
+        args = ["--kg", KG] if command == "simulate" else []
+        code, err = run_main(command, "--traces", bad, "--corpus", CORPUS, *args,
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2, err
+        assert (f"input error: {bad}:2: kg query 'main_entity' must be a string, "
+                f"got {value!r}") in err
+        assert not (tmp_path / "out").exists()
+
+    def test_two_reads_share_nothing(self, tmp_path):
+        pair = self._pair({"domain": "other", "main_entity": "Rare Beauty"})
+        path = self._traces(tmp_path, pair, pair)
+        (a1, a2), (b1, b2) = read_traces(path), read_traces(path)
+        # one call parses the repeat once; the next call parses it afresh
+        assert a1.scripted_queries[1] is a2.scripted_queries[2]
+        assert b1.scripted_queries[1] is b2.scripted_queries[2]
+        assert a1.scripted_queries[1] == b1.scripted_queries[1]
+        assert a1.scripted_queries[1] is not b1.scripted_queries[1]
 
 
 def _write_lines(path: Path, rows: list) -> str:

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamrag.cli import generator_factory
 from streamrag.core import (
     NO_QUERY,
+    KgDomain,
     KgQuery,
     Strategy,
     Tool,
@@ -32,7 +37,7 @@ from streamrag.triggers import model_trigger_step
 from streamrag.retrieval import web_search
 
 from conftest import session_config
-from oracles import oracle_top_ids
+from oracles import oracle_top_ids, step_to_dict
 from paraphrase import paraphrase_batch
 
 
@@ -305,8 +310,6 @@ class TestTrainingSetIO:
         steps = assign_streaming_labels(brand_founder_trace(), 500, similarity_ctx)
         path = tmp_path / "train.jsonl"
         export_training_set(steps, str(path))
-        import json
-
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         web_rows = [r for r in rows if r["tool"] == "web"]
         assert [r["label"] for r in web_rows] == [
@@ -317,3 +320,62 @@ class TestTrainingSetIO:
     def test_unwritable_path_surfaces_with_context(self, world, similarity_ctx, tmp_path):
         with pytest.raises(InputError, match="no/such/dir"):
             export_training_set([], str(tmp_path / "no" / "such" / "dir" / "x.jsonl"))
+
+
+# Text that JSON must escape or that is not ASCII: quotes, backslashes,
+# control characters, NUL, line separators, accents, CJK and astral emoji.
+_AWKWARD = st.text(st.one_of(st.sampled_from('"\\\x00\x01\n\r\t\x1f\x7f\u2028é漢😀/'),
+                             st.characters(exclude_categories=("Cs",))), max_size=8)
+
+
+@st.composite
+def _queries(draw, tool: Tool) -> ToolQuery:
+    if tool is Tool.WEB:
+        return ToolQuery.web(draw(_AWKWARD.filter(lambda t: t and t != "NO_QUERY")))
+    names = st.one_of(st.sampled_from(["main_entity", "artist_name", "metric"]),
+                      _AWKWARD.filter(lambda name: name != "domain"))
+    attributes = draw(st.dictionaries(names, _AWKWARD, max_size=3))
+    return ToolQuery.kg(KgQuery.make(draw(st.sampled_from(list(KgDomain))).value, attributes))
+
+
+@st.composite
+def _labeled_steps(draw) -> list[LabeledStep]:
+    """Steps drawn from a few utterance ids and queries, so that these recur
+    across steps as they do in a real export; positive and negative samples
+    alike."""
+    utterance_ids = st.sampled_from(draw(st.lists(_AWKWARD, min_size=1, max_size=3)))
+    pools = {tool: draw(st.lists(_queries(tool), min_size=1, max_size=3)) for tool in Tool}
+    steps = []
+    for _ in range(draw(st.integers(0, 8))):
+        tool = draw(st.sampled_from(list(Tool)))
+        query = st.sampled_from(pools[tool])
+        pseudo_gt = draw(query)
+        negative = draw(st.booleans())
+        steps.append(LabeledStep(
+            utterance_id=draw(utterance_ids),
+            block=draw(st.integers(1, 10**6)),
+            tool=tool,
+            prefix=draw(_AWKWARD),
+            prev_query=draw(st.one_of(st.just(NO_QUERY), query)),
+            pseudo_gt=pseudo_gt,
+            label=pseudo_gt if negative else draw(st.sampled_from([NO_QUERY, pseudo_gt])),
+            is_negative_sample=negative,
+            negative_prev=draw(query) if negative else None,
+        ))
+    return steps
+
+
+@pytest.fixture(scope="module")
+def export_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("export") / "training.jsonl"
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=_labeled_steps())
+def test_export_writes_json_dumps_of_each_record(export_path, steps):
+    """The export's bytes equal ``json.dumps`` of the oracle's record per
+    step, and reading them back returns the steps unchanged."""
+    export_training_set(steps, str(export_path))
+    expected = "".join(json.dumps(step_to_dict(step)) + "\n" for step in steps)
+    assert export_path.read_bytes() == expected.encode("utf-8")
+    assert read_training_set(str(export_path)) == steps

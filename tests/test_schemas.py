@@ -73,12 +73,13 @@ def test_simulator_outputs_match_schemas(tmp_path, world, index, kg_store, backe
         event_validator.validate(row)
 
 
-def test_training_records_match_schema(world, similarity_ctx):
+def test_training_records_match_schema(world, similarity_ctx, tmp_path):
+    """The lines ``export_training_set`` writes, negative samples among them."""
     from streamrag.labeling import (
         assign_streaming_labels,
         build_negative_pool,
+        export_training_set,
         inject_negative_samples,
-        step_to_dict,
     )
     from streamrag.synth import random_batch
 
@@ -86,6 +87,11 @@ def test_training_records_match_schema(world, similarity_ctx):
     for trace in random_batch(world, 4, seed=31, block_ms=500):
         steps.extend(assign_streaming_labels(trace, 500, similarity_ctx))
     labeled = inject_negative_samples(steps, 0.5, 3, build_negative_pool(steps))
+    path = tmp_path / "training.jsonl"
+    export_training_set(labeled, str(path))
+    rows = _jsonl(path)
+    assert len(rows) == len(labeled)
+    assert {row["is_negative_sample"] for row in rows} == {True, False}
     validator = _validator("training_record.schema.json")
-    for step in labeled:
-        validator.validate(step_to_dict(step))
+    for row in rows:
+        validator.validate(row)
