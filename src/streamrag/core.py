@@ -483,12 +483,13 @@ def trace_from_dict(raw: dict[str, Any],
                     memo: dict[tuple, ScriptedQueries] | None = None) -> UtteranceTrace:
     """A trace as ``trace.schema.json`` types it; no value is converted.
 
-    ``memo``, when given, maps a scripted entry's ``(web, kg items)`` strings
-    to the pair already parsed from them, and gains each entry parsed here
-    whose ``web`` is a string and whose ``kg`` maps to strings only: those
-    strings alone decide the pair. An entry of any other shape is parsed, and
-    fails, as it would without one.
+    ``memo`` maps a scripted entry's ``(web, kg items)`` strings to the pair
+    already parsed from them, and gains each entry parsed here whose ``web``
+    is a string and whose ``kg`` maps to strings only: those strings alone
+    decide the pair. An entry of any other shape is parsed, and fails, on its
+    own. Without a ``memo`` the trace gets a fresh one.
     """
+    memo = {} if memo is None else memo
     words = [Word(json_str(w["text"], "word text"), json_int(w["start_ms"], "start_ms"),
                   json_int(w["end_ms"], "end_ms")) for w in raw["words"]]
     scripted: dict[int, ScriptedQueries] = {}
@@ -510,8 +511,8 @@ def trace_from_dict(raw: dict[str, Any],
     )
 
 
-def _scripted_entry(entry: Any, memo: dict[tuple, ScriptedQueries] | None) -> ScriptedQueries:
-    if memo is None or not isinstance(entry, dict):
+def _scripted_entry(entry: Any, memo: dict[tuple, ScriptedQueries]) -> ScriptedQueries:
+    if not isinstance(entry, dict):
         return ScriptedQueries.from_wire(entry)
     web, kg = entry.get("web"), entry.get("kg")
     if not (isinstance(web, str) and isinstance(kg, dict)

@@ -24,7 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from streamrag.cli import cli, main
-from streamrag.core import ScriptedQueries, read_traces, write_traces
+from streamrag.core import ScriptedQueries, read_traces, trace_from_dict, write_traces
 from streamrag.errors import InputError
 from streamrag.labeling import read_training_set
 from streamrag.synth import FixtureWorld, random_batch
@@ -402,6 +402,15 @@ class TestScriptedPairMemo:
         assert b1.scripted_queries[1] is b2.scripted_queries[2]
         assert a1.scripted_queries[1] == b1.scripted_queries[1]
         assert a1.scripted_queries[1] is not b1.scripted_queries[1]
+
+    def test_one_trace_parsed_alone_shares_its_repeats_and_nothing_more(self):
+        raw = _lines(Path(TRACES))[0]
+        pair = self._pair({"domain": "other", "main_entity": "Rare Beauty"})
+        raw["scripted_queries"] = {"1": pair, "2": copy.deepcopy(pair)}
+        first, again = trace_from_dict(raw), trace_from_dict(raw)
+        assert first.scripted_queries[1] is first.scripted_queries[2]
+        assert first.scripted_queries[1] == again.scripted_queries[1]
+        assert first.scripted_queries[1] is not again.scripted_queries[1]
 
 
 def _write_lines(path: Path, rows: list) -> str:
