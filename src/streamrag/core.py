@@ -481,17 +481,23 @@ def trace_to_dict(trace: UtteranceTrace) -> dict[str, Any]:
 
 def trace_from_dict(raw: dict[str, Any],
                     memo: dict[tuple, ScriptedQueries] | None = None) -> UtteranceTrace:
-    """A trace as ``trace.schema.json`` types it; no value is converted.
+    """A trace as ``trace.schema.json`` types it: no value is converted, and a
+    key it does not allow in a trace, word or scripted entry is an InputError.
 
     ``memo`` maps a scripted entry's ``(web, kg items)`` strings to the pair
-    already parsed from them, and gains each entry parsed here whose ``web``
-    is a string and whose ``kg`` maps to strings only: those strings alone
-    decide the pair. An entry of any other shape is parsed, and fails, on its
-    own. Without a ``memo`` the trace gets a fresh one.
+    already parsed from them, and gains each entry parsed here that holds
+    only a string ``web`` and a ``kg`` of strings: they alone decide the pair.
+    An entry of any other shape is parsed, and fails, on its own. Without a
+    ``memo`` the trace gets a fresh one.
     """
     memo = {} if memo is None else memo
+    _only_keys(raw, ("utterance_id", "words", "scripted_queries", "final_answer_ref"), "trace")
+    raw_words = raw["words"]
     words = [Word(json_str(w["text"], "word text"), json_int(w["start_ms"], "start_ms"),
-                  json_int(w["end_ms"], "end_ms")) for w in raw["words"]]
+                  json_int(w["end_ms"], "end_ms")) for w in raw_words]
+    if sum(map(len, raw_words)) != 3 * len(words):  # each word holds its three keys
+        for w in raw_words:
+            _only_keys(w, ("text", "start_ms", "end_ms"), "word")
     scripted: dict[int, ScriptedQueries] = {}
     for key, entry in raw.get("scripted_queries", {}).items():
         if not is_digits(key) or int(key) < 1:
@@ -511,12 +517,20 @@ def trace_from_dict(raw: dict[str, Any],
     )
 
 
+def _only_keys(raw: dict, allowed: tuple[str, ...], what: str) -> None:
+    """Reject a key of ``raw`` that ``trace.schema.json`` does not allow."""
+    for key in raw:
+        if key not in allowed:
+            raise InputError(f"{what} has key {key!r}, which trace.schema.json does not allow")
+
+
 def _scripted_entry(entry: Any, memo: dict[tuple, ScriptedQueries]) -> ScriptedQueries:
     if not isinstance(entry, dict):
         return ScriptedQueries.from_wire(entry)
     web, kg = entry.get("web"), entry.get("kg")
-    if not (isinstance(web, str) and isinstance(kg, dict)
+    if not (len(entry) == 2 and isinstance(web, str) and isinstance(kg, dict)
             and all(isinstance(v, str) for v in kg.values())):
+        _only_keys(entry, ("web", "kg"), "scripted entry")
         return ScriptedQueries.from_wire(entry)
     key = (web, tuple(kg.items()))
     parsed = memo.get(key)

@@ -56,9 +56,9 @@ document's search score, with nothing built or kept. When the ranking memo
 holds the rerank's query text and that document, the score is the memo's,
 the scorer's own double; otherwise it is scored from the index's postings as
 a search scores a rare list's documents. A longer document's chunks get their
-term counts and norm the first time it is chunked at that size, the missing
-documents' chunks tokenized in one call, and are kept on the index. A rerank
-then adds the query weight times each chunk weight over the query's terms, in
+term counts and norm the first time it is chunked at that size, its own
+chunks tokenized in one call, and are kept on the index. A rerank then adds
+the query weight times each chunk weight over the query's terms, in
 ascending term id, which are the products a walk over the chunk's own terms
 would add, in the same order.
 """
@@ -368,23 +368,18 @@ class DocIndex:
 
         Each query text keeps the ranking at the largest k asked so far. That
         order is total, so a smaller k is a prefix of it; a larger k ranks
-        again and replaces the entry.
+        again and replaces the entry. The memo is read, ranked into and
+        written under one lock.
         """
         rankings = self._rankings
         with self._rankings_lock:
             entry = rankings.get(query_text)
-            if entry is not None and entry[0] >= k:
-                rankings.move_to_end(query_text)
-                return entry[1][:k], entry[2][:k]
-        doc_ids, scores = self._rank(query_text, k)
-        with self._rankings_lock:
-            entry = rankings.get(query_text)
-            if entry is None or entry[0] < k:  # another thread may have ranked deeper
-                rankings[query_text] = (k, doc_ids, scores)
+            if entry is None or entry[0] < k:
+                entry = rankings[query_text] = (k, *self._rank(query_text, k))
             rankings.move_to_end(query_text)
             while len(rankings) > RANKING_MEMO_SIZE:
                 rankings.popitem(last=False)
-        return doc_ids, scores
+            return entry[1][:k], entry[2][:k]
 
     def _rank(self, query_text: str, k: int) -> tuple[tuple[str, ...], tuple[float, ...]]:
         """Rank afresh: one sort of the documents ``score_all`` saw by
@@ -434,42 +429,28 @@ class DocIndex:
                 dot += qw * (count * idf[tid])
         return dot / (norm * qnorm) if dot != 0.0 else 0.0
 
-    def _chunks(self, doc_ids: Sequence[str], chunk_tokens: int
-                ) -> list[tuple[tuple[int, str, dict[int, int], float], ...]]:
-        """Each document's chunks as (token offset, text, term counts, norm).
+    def _chunks(self, doc_id: str, chunk_tokens: int
+                ) -> tuple[tuple[int, str, dict[int, int], float], ...]:
+        """The document's chunks as (token offset, text, term counts, norm).
 
         A chunk is a run of at most ``chunk_tokens`` whitespace tokens of the
         document, joined on single spaces; its counts and norm are its text's
-        (see ``_term_vector``). A document's chunks are built on first use and
-        kept, since the index is immutable: the documents not yet kept are
-        chunked together and tokenized in one call. A concurrent first use
-        builds the same entries. ``rank_chunks`` sends only documents of more
-        than one chunk here; one that fits in a chunk is scored from the
-        index's own vector.
+        (see ``_term_vector``). The chunks are built on first use, tokenized
+        in one call, and kept, since the index is immutable; a concurrent
+        first use builds the same entry. ``rank_chunks`` sends only documents
+        of more than one chunk here; one that fits in a chunk is scored from
+        the index's own vector.
         """
-        table = self._chunk_vectors
-        keys = [(doc_id, chunk_tokens) for doc_id in doc_ids]
-        found = list(map(table.get, keys))
-        if None in found:
-            missing = dict.fromkeys(doc_id for doc_id, vectors in zip(doc_ids, found)
-                                    if vectors is None)
-            offsets: list[int] = []
-            texts: list[str] = []
-            ends = []  # each missing document's chunks end here in offsets and texts
-            for doc_id in missing:
-                words = self._texts[self._positions[doc_id]].split()
-                for offset in range(0, len(words), chunk_tokens):
-                    offsets.append(offset)
-                    texts.append(" ".join(words[offset:offset + chunk_tokens]))
-                ends.append(len(texts))
-            vectors = [(offset, text, counts, norm) for offset, text, (counts, norm)
-                       in zip(offsets, texts, map(self._term_vector, tokenize_all(texts)))]
-            start = 0
-            for doc_id, end in zip(missing, ends):
-                table[doc_id, chunk_tokens] = tuple(vectors[start:end])
-                start = end
-            found = list(map(table.__getitem__, keys))
-        return found
+        key = (doc_id, chunk_tokens)
+        chunks = self._chunk_vectors.get(key)
+        if chunks is None:
+            words = self._texts[self._positions[doc_id]].split()
+            offsets = range(0, len(words), chunk_tokens)
+            texts = [" ".join(words[offset:offset + chunk_tokens]) for offset in offsets]
+            chunks = self._chunk_vectors[key] = tuple(
+                (offset, text, *self._term_vector(tokens))
+                for offset, text, tokens in zip(offsets, texts, tokenize_all(texts)))
+        return chunks
 
     def rank_chunks(self, query_text: str, doc_ids: Sequence[str], chunk_tokens: int
                     ) -> list[Chunk]:
@@ -507,10 +488,10 @@ class DocIndex:
             terms, qnorm = self._query_terms(query_text)
             scores = self._score_docs([d for d, _, _ in unscored], terms, qnorm)
             ranked += [(-scores[d], doc_id, 0, text) for d, doc_id, text in unscored]
-            cosine = self._cosine
+            cosine, chunks = self._cosine, self._chunks
             ranked += [(-cosine(terms, qnorm, counts, norm), doc_id, offset, text)
-                       for doc_id, chunks in zip(longer, self._chunks(longer, chunk_tokens))
-                       for offset, text, counts, norm in chunks]
+                       for doc_id in longer
+                       for offset, text, counts, norm in chunks(doc_id, chunk_tokens)]
         ranked.sort()  # a tie on (-score, doc_id, offset) is a repeated document's same chunk
         return [Chunk(doc_id, offset, text, -neg) for neg, doc_id, offset, text in ranked]
 
@@ -622,7 +603,8 @@ def assemble_references(
 ) -> ReferenceBundle:
     """Fill the reference budget: the KG share, ``kg / (web + kg)`` of it,
     first (whole answers only), then the ranked web chunks in order,
-    truncating at most the final chunk."""
+    truncating at most the final chunk. ``total_tokens`` is the budget spent:
+    each kept text spent its own count, a truncated chunk what was left."""
     if budget_tokens < 0:
         raise ValueError("budget_tokens must be >= 0")
     web_share, kg_share = ratio
@@ -651,8 +633,7 @@ def assemble_references(
             web_chunks.append(truncate_tokens(chunk.text, remaining))
             remaining = 0
             break
-    total = sum(count_tokens(t) for t in kg_answers) + sum(count_tokens(t) for t in web_chunks)
-    return ReferenceBundle(tuple(web_chunks), tuple(kg_answers), total)
+    return ReferenceBundle(tuple(web_chunks), tuple(kg_answers), budget_tokens - remaining)
 
 
 def top_docs_match(

@@ -391,13 +391,15 @@ def early_fire_trace(world: FixtureWorld) -> UtteranceTrace:
     )
 
 
+# random_trace's block counts, drawn uniformly; streambench's BLOCK_COUNTS repeats them.
+MIN_BLOCKS, MAX_BLOCKS = 3, 7
+
+
 def random_trace(
     world: FixtureWorld,
     uid: str,
     rng: random.Random,
     block_ms: int,
-    min_blocks: int = 3,
-    max_blocks: int = 7,
     allow_final_refire: bool = True,
 ) -> UtteranceTrace:
     """A synthetic utterance whose scripted queries settle on a final entity.
@@ -407,7 +409,7 @@ def random_trace(
     final entity's queries verbatim. With allow_final_refire the settling
     point may be the last block itself (a fire at utterance end).
     """
-    n_blocks = rng.randint(min_blocks, max_blocks)
+    n_blocks = rng.randint(MIN_BLOCKS, MAX_BLOCKS)
     latest_settle = n_blocks if allow_final_refire else n_blocks - 1
     settle_at = rng.randint(1, max(1, latest_settle))
 

@@ -226,6 +226,13 @@ def oracle_greedy_fill(
     return web_out, kg_out, total
 
 
+def oracle_bundle_tokens(bundle: ReferenceBundle) -> int:
+    """A bundle's tokens recounted from its texts, as ``assemble_references``
+    once counted them."""
+    return (sum(len(t.split()) for t in bundle.kg_answers)
+            + sum(len(t.split()) for t in bundle.web_chunks))
+
+
 def oracle_binomial_999_interval(n: int, p: float) -> tuple[int, int]:
     """Central 99.9% interval of Binomial(n, p) by direct pmf summation."""
     # cumulative pmf via logs to avoid overflow

@@ -602,7 +602,7 @@ def test_every_token_of_a_chunk_is_in_the_vocabulary(texts, chunk_tokens):
                   for at in range(0, len(words), chunk_tokens)]
         for tokens in [*map(retrieval.tokenize, chunks), *retrieval.tokenize_all(chunks)]:
             assert set(tokens) <= index.vocab.keys()
-    assert len(index._chunks(index.doc_ids, chunk_tokens)) == len(corpus)
+        assert [text for _, text, _, _ in index._chunks(record["doc_id"], chunk_tokens)] == chunks
 
 
 def _chunks(chunks: list[Chunk]) -> list[tuple[str, int, str, str]]:
@@ -634,8 +634,8 @@ def _table_rerank(index, query: str, doc_ids, chunk_tokens: int):
     builds and keeps for it, single-chunk documents included."""
     terms, qnorm = index._query_terms(query)
     ranked = sorted((-index._cosine(terms, qnorm, counts, norm), doc_id, offset, text)
-                    for doc_id, chunks in zip(doc_ids, index._chunks(doc_ids, chunk_tokens))
-                    for offset, text, counts, norm in chunks)
+                    for doc_id in doc_ids
+                    for offset, text, counts, norm in index._chunks(doc_id, chunk_tokens))
     return [(doc_id, offset, text, (-neg).hex()) for neg, doc_id, offset, text in ranked]
 
 
@@ -715,7 +715,8 @@ def test_single_chunk_documents_rerank_as_the_chunk_table_and_the_oracle(query, 
 
 def test_a_cold_rerank_of_single_chunk_documents_keeps_and_tokenizes_nothing(monkeypatch):
     """Documents that fit one chunk are neither tokenized again nor kept;
-    longer ones still fill the chunk table."""
+    longer ones still fill the chunk table, a document listed twice in one
+    rerank tokenized once."""
     index = index_documents(SINGLE_CHUNK_CORPUS)
 
     def refuse(texts):
@@ -727,7 +728,17 @@ def test_a_cold_rerank_of_single_chunk_documents_keeps_and_tokenizes_nothing(mon
     assert sorted((chunk.doc_id, chunk.offset) for chunk in chunks) == [
         ("d1", 0), ("d1", 0), ("d5", 0), ("d6", 0), ("d7", 0)]
     assert index._chunk_vectors == {}
-    _rerank(index, "alpha beta", ["d2", "d1", "d2"], 3)
+    tokenized = []
+    tokenize_all = retrieval.tokenize_all
+
+    def counting(texts):
+        tokenized.append(list(texts))
+        return tokenize_all(texts)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(retrieval, "tokenize_all", counting)
+        _rerank(index, "alpha beta", ["d2", "d1", "d2"], 3)
+    assert tokenized == [["alpha beta gamma", "delta"]]
     assert list(index._chunk_vectors) == [("d2", 3)]
     assert [offset for offset, *_ in index._chunk_vectors["d2", 3]] == [0, 3]
 

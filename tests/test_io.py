@@ -216,7 +216,8 @@ class TestFaultyInputsExitTwo:
 
 class TestSchemaTypes:
     """Corpus and KG values of a type their schema does not allow exit 2 where
-    they are read: a corpus record at its line, a KG record at its index."""
+    they are read: a corpus record at its line, a KG record at its index. So
+    do trace values, and trace keys the schema does not allow."""
 
     @pytest.mark.parametrize("record, message", [
         ({"doc_id": 7, "text": ["x"]}, "corpus record 'doc_id' must be a non-empty string, got 7"),
@@ -288,6 +289,28 @@ class TestSchemaTypes:
     def test_trace_value(self, tmp_path, command, edit, message):
         """A trace value is not converted: ``str()`` once ran id 7 as "7" and
         kept answer 5, which ``report`` then rejected in the outcomes."""
+        rows = _lines(Path(TRACES))
+        edit(rows[1])
+        bad = _write_lines(tmp_path / "traces.jsonl", rows)
+        args = ["--kg", KG] if command == "simulate" else []
+        code, err = run_main(command, "--traces", bad, "--corpus", CORPUS, *args,
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2, err
+        assert f"input error: {bad}:2: {message}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda row: row.update(final_answer=row.pop("final_answer_ref")),
+         "trace has key 'final_answer', which trace.schema.json does not allow"),
+        (lambda row: row["words"][2].update(confidence=0.9),
+         "word has key 'confidence', which trace.schema.json does not allow"),
+        (lambda row: row["scripted_queries"]["1"].update(note="settled"),
+         "scripted entry has key 'note', which trace.schema.json does not allow"),
+    ], ids=["trace", "word", "scripted-entry"])
+    @pytest.mark.parametrize("command", ["simulate", "label"])
+    def test_trace_key(self, tmp_path, command, edit, message):
+        """A key the schema does not allow is named, not dropped: a trace
+        whose ``final_answer_ref`` was misspelled once ran with no answer."""
         rows = _lines(Path(TRACES))
         edit(rows[1])
         bad = _write_lines(tmp_path / "traces.jsonl", rows)
@@ -392,6 +415,14 @@ class TestScriptedPairMemo:
         assert (f"input error: {bad}:2: kg query 'main_entity' must be a string, "
                 f"got {value!r}") in err
         assert not (tmp_path / "out").exists()
+
+    def test_a_repeated_pair_with_another_key_exits_two_at_its_line(self, tmp_path):
+        pair = self._pair({"domain": "other", "main_entity": "Rare Beauty"})
+        bad = self._traces(tmp_path, pair, {**pair, "note": "settled"})
+        with pytest.raises(InputError) as info:
+            read_traces(bad)
+        assert str(info.value) == (f"{bad}:2: scripted entry has key 'note', "
+                                   f"which trace.schema.json does not allow")
 
     def test_two_reads_share_nothing(self, tmp_path):
         pair = self._pair({"domain": "other", "main_entity": "Rare Beauty"})

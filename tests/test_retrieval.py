@@ -2,12 +2,13 @@ from __future__ import annotations
 
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamrag.core import KgQuery, ToolQuery
 from streamrag.errors import DuplicateDocIdError, InputError, WrongToolError
 from streamrag.retrieval import (
+    Chunk,
     DocIndex,
     KgStore,
     assemble_references,
@@ -22,6 +23,7 @@ from streamrag.retrieval import (
 
 from oracles import (
     OracleDenseIndex,
+    oracle_bundle_tokens,
     oracle_docs_with_phrase,
     oracle_greedy_fill,
     oracle_rank_docs,
@@ -221,6 +223,17 @@ class TestKgLookup:
             KgStore.from_records([{"answer": "no query"}])
 
 
+# Texts of words separated, led and trailed by runs of mixed whitespace
+# (str.split's: NBSP, "\x1c", NEL and ideographic space among them), empty
+# or whitespace-only included.
+_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000"
+_spaced_text = st.tuples(
+    st.text(_WHITESPACE, max_size=3),
+    st.lists(st.tuples(st.sampled_from(["alpha", "\u03a3", "--", "b2", "x\x00y"]),
+                       st.text(_WHITESPACE, min_size=1, max_size=3)), max_size=12),
+).map(lambda parts: parts[0] + "".join(word + gap for word, gap in parts[1]))
+
+
 class TestAssembleReferences:
     def test_zero_budget_empty_bundle(self, index):
         chunks = chunk_and_rerank(index, web_search(index, ToolQuery.web("synthetic"), 5), "synthetic", 16)
@@ -293,6 +306,28 @@ class TestAssembleReferences:
         bundle = assemble_references(ranked, kg_answer, budget, ratio)
         assert bundle.total_tokens <= budget
         assert bundle.kg_answers == tuple(oracle_kg)
+
+    @given(
+        texts=st.lists(_spaced_text, max_size=6),
+        kg=st.one_of(st.none(), _spaced_text),
+        budget=st.one_of(st.just(0), st.integers(min_value=0, max_value=40)),
+        ratio=st.one_of(st.sampled_from([(0, 1), (1, 0)]),
+                        st.tuples(st.integers(min_value=1, max_value=3),
+                                  st.integers(min_value=1, max_value=3))),
+    )
+    @example(texts=["a b", "c"], kg="", budget=0, ratio=(0, 1))
+    @example(texts=["a  b\tc", "d"], kg="k k", budget=3, ratio=(0, 1))  # the answer fits
+    @example(texts=["a b c", ""], kg="k k", budget=3, ratio=(1, 0))  # no KG share: it does not fit
+    @example(texts=["", " \xa0", "a b"], kg="", budget=2, ratio=(1, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_total_tokens_is_the_bundle_recounted(self, texts, kg, budget, ratio):
+        """The budget spent, ``total_tokens``, is the bundle's texts counted again,
+        and the bundle is the greedy fill's."""
+        chunks = [Chunk(f"d{i}", 0, text, 0.0) for i, text in enumerate(texts)]
+        bundle = assemble_references(chunks, kg, budget, ratio)
+        assert bundle.total_tokens == oracle_bundle_tokens(bundle)
+        assert (list(bundle.web_chunks), list(bundle.kg_answers), bundle.total_tokens) \
+            == oracle_greedy_fill(texts, kg, budget, ratio)
 
 
 class TestTopDocsMatch:
