@@ -63,6 +63,7 @@ from .orchestrator import (
     Backends,
     GeneratorFactory,
     LatencyModel,
+    event_lines,
     outcome_from_dict,
     run_batch,
 )
@@ -325,8 +326,7 @@ def simulate(traces_path, corpus_path, kg_path, out_dir, out_format, config_path
     out = make_out_dir(out_dir)
     outputs = ["outcomes.jsonl", "events.jsonl"]
     write_jsonl(out / "outcomes.jsonl", (o.to_dict() for o in outcomes))
-    write_jsonl(out / "events.jsonl", ({"utterance_id": o.utterance_id, **e.to_dict()}
-                                       for o in outcomes for e in o.event_log))
+    write_atomic(out / "events.jsonl", event_lines(outcomes))
 
     outputs += _write_table(out, "latency_table", aggregate_latency(outcomes).rows(), out_format,
                             ["strategy", "stat", "query_gen", "tool_results", "response_gen",

@@ -499,7 +499,7 @@ def trace_from_dict(raw: dict[str, Any],
         for w in raw_words:
             _only_keys(w, ("text", "start_ms", "end_ms"), "word")
     scripted: dict[int, ScriptedQueries] = {}
-    for key, entry in raw.get("scripted_queries", {}).items():
+    for key, entry in raw["scripted_queries"].items():
         if not is_digits(key) or int(key) < 1:
             raise InputError(f"scripted_queries key {key!r}: blocks are 1-based, in ASCII digits")
         block = int(key)

@@ -28,11 +28,12 @@ the total.
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import asdict, dataclass, field, fields
 from itertools import count
 from operator import itemgetter
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     NO_QUERY,
@@ -177,6 +178,71 @@ class SessionOutcome:
         if include_events:
             out["event_log"] = [e.to_dict() for e in self.event_log]
         return out
+
+
+_DONE = {"status": "done"}
+
+
+def event_lines(outcomes: Iterable[SessionOutcome]) -> Iterator[str]:
+    """The ``events.jsonl`` line of each event of each outcome, in order:
+    ``json.dumps`` of the event's ``to_dict()`` with the outcome's
+    ``utterance_id`` first, and a newline.
+
+    Each line is built from fragments, byte for byte as ``json.dumps``
+    writes it: the id is encoded once per outcome, the times and blocks are
+    written as integers, and each distinct ``type`` and ``tool`` is encoded
+    once per call. A detail of exactly one key is written from its value:
+    a ``query`` that is a string or a map of strings is encoded once per
+    distinct query per call, a ``prefix`` on its own, and ``{"status":
+    "done"}`` as it stands. Any other detail goes through ``json.dumps``.
+    """
+    dumps = json.dumps
+    names: dict[str, str] = {}
+    queries: dict[str | tuple, str] = {}
+
+    def name(text: str) -> str:
+        encoded = names.get(text)
+        if encoded is None:
+            encoded = names[text] = dumps(text)
+        return encoded
+
+    def query(wire: Any) -> str:
+        # only strings key the memo: 1, True and 1.0 are equal keys that
+        # json.dumps writes apart
+        if isinstance(wire, str):
+            key: str | tuple = wire
+        elif isinstance(wire, dict) and all(isinstance(k, str) and isinstance(v, str)
+                                            for k, v in wire.items()):
+            key = tuple(wire.items())  # json.dumps keeps the map's order
+        else:
+            return f'{{"query": {dumps(wire)}}}'
+        encoded = queries.get(key)
+        if encoded is None:
+            encoded = queries[key] = f'{{"query": {dumps(wire)}}}'
+        return encoded
+
+    for outcome in outcomes:
+        head = f'{{"utterance_id": {dumps(outcome.utterance_id)}, "t_ms": '
+        for t_ms, type_, tool, block, detail in outcome.event_log:
+            line = f'{head}{t_ms:d}, "type": {name(type_)}'
+            if tool is not None:
+                line += f', "tool": {name(tool)}'
+            if block is not None:
+                line += f', "block": {block:d}'
+            if detail is None:
+                yield line + "}\n"
+                continue
+            if len(detail) != 1:
+                encoded = dumps(detail)
+            elif detail == _DONE:
+                encoded = '{"status": "done"}'
+            elif "query" in detail:
+                encoded = query(detail["query"])
+            elif "prefix" in detail:
+                encoded = f'{{"prefix": {dumps(detail["prefix"])}}}'
+            else:
+                encoded = dumps(detail)
+            yield f'{line}, "detail": {encoded}}}\n'
 
 
 @dataclass(frozen=True)

@@ -275,6 +275,14 @@ def step_to_dict(step) -> dict:
     return out
 
 
+
+def event_rows(outcomes) -> list[dict]:
+    """Each event of each outcome as its ``events.jsonl`` record, as
+    ``simulate`` writes it: ``json.dumps`` of each row is its line."""
+    return [{"utterance_id": outcome.utterance_id, **event.to_dict()}
+            for outcome in outcomes for event in outcome.event_log]
+
+
 # --- reference session engine ----------------------------------------------
 #
 # The session engine as it ran on a general discrete-event clock: every block

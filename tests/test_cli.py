@@ -120,7 +120,8 @@ class TestSimulate:
 
     def test_parse_error_reports_line_number(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"utterance_id": "u", "words": [{"text": "a", "start_ms": 0, "end_ms": 100}]}\nnot json\n')
+        bad.write_text('{"utterance_id": "u", "words": [{"text": "a", "start_ms": 0, '
+                       '"end_ms": 100}], "scripted_queries": {}}\nnot json\n')
         result = run_cli(
             "simulate", "--traces", str(bad),
             "--corpus", str(FIXTURES / "corpus.jsonl"),

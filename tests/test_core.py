@@ -104,7 +104,8 @@ class TestTraceValidation:
         overlapping (-1 ms) or as going backwards (-2 ms) after the
         starting point."""
         raw = {"utterance_id": "u", "words": [*before, {"text": "w1", "start_ms": start,
-                                                        "end_ms": 100}]}
+                                                        "end_ms": 100}],
+               "scripted_queries": {}}
         with pytest.raises(InputError, match=rf"^u: word 'w1' starts at {start} ms, "
                                              r"a negative time$"):
             trace_from_dict(raw)
@@ -207,7 +208,7 @@ class TestTraceIO:
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"utterance_id": "ok", "words": []}\nnot json\n')
+        path.write_text('{"utterance_id": "ok", "words": [], "scripted_queries": {}}\nnot json\n')
         with pytest.raises(InputError, match=r"bad\.jsonl:2"):
             read_traces(str(path))
 

@@ -321,6 +321,20 @@ class TestSchemaTypes:
         assert f"input error: {bad}:2: {message}" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "label"])
+    def test_a_trace_without_scripted_queries_exits_two_at_its_line(self, tmp_path, command):
+        """The schema requires the key: a trace without it once ran
+        ``simulate --strategy open_book`` to exit 0 with its session left out."""
+        rows = _lines(Path(TRACES))
+        del rows[1]["scripted_queries"]
+        bad = _write_lines(tmp_path / "traces.jsonl", rows)
+        args = ["--kg", KG, "--strategy", "open_book"] if command == "simulate" else []
+        code, err = run_main(command, "--traces", bad, "--corpus", CORPUS, *args,
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2, err
+        assert f"input error: {bad}:2: trace lacks key 'scripted_queries'" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field, value, message", [
         ("is_negative_sample", "false", "is_negative_sample must be true or false, got 'false'"),
         ("is_negative_sample", 0, "is_negative_sample must be true or false, got 0"),

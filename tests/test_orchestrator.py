@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamrag import orchestrator, retrieval
 from streamrag.cli import generator_factory
 from streamrag.core import (
     NO_QUERY,
+    KgDomain,
+    KgQuery,
     ScriptedQueries,
     SessionConfig,
     Strategy,
+    ToolQuery,
     UtteranceTrace,
     Word,
     blocks_of,
@@ -20,6 +26,9 @@ from streamrag.orchestrator import (
     Backends,
     LatencyModel,
     LatencyBreakdown,
+    LogEvent,
+    SessionOutcome,
+    event_lines,
     outcome_from_dict,
     run_batch,
     run_session,
@@ -35,6 +44,9 @@ from checkers import (
     max_pending_per_tool,
 )
 from conftest import session_config
+from oracles import event_rows
+from paraphrase import paraphrase_batch
+from test_labeling import _AWKWARD
 from test_pinned_outputs import FlakyGenerator
 
 
@@ -610,3 +622,123 @@ class TestTimelineTies:
             "insufficient", "identical_query"]
         assert outcome.selected_block == 2
         assert outcome.references.web_chunks == ()
+
+
+_EVENT_TYPES = ["block_ingested", "query_fired", "no_query", "thread_done", "thread_cancelled",
+                "reflected", "references_ready", "first_token", "last_token"]
+
+
+@st.composite
+def _kg_wires(draw) -> dict:
+    names = _AWKWARD.filter(lambda name: name != "domain")
+    attributes = draw(st.dictionaries(names, _AWKWARD, max_size=3))
+    domain = draw(st.sampled_from(list(KgDomain))).value
+    return ToolQuery.kg(KgQuery.make(domain, attributes)).to_wire()
+
+
+@st.composite
+def _details(draw, wires: list) -> dict | None:
+    """A detail of each kind the engine logs, and a few it never does."""
+    kind = draw(st.sampled_from(["none", "query", "done", "failed", "prefix", "scan",
+                                 "selected", "tokens", "odd"]))
+    if kind == "none":
+        return None
+    if kind == "query":
+        return {"query": draw(st.sampled_from(wires))}
+    if kind == "done":
+        return {"status": "done"}
+    if kind == "failed":
+        return {"status": "failed", "error": draw(_AWKWARD)}
+    if kind == "prefix":
+        return {"prefix": draw(_AWKWARD)}
+    if kind == "scan":
+        reasons = st.sampled_from(["identical_query", "top5_match", "kg_result_match",
+                                   "insufficient"])
+        return {"block": draw(st.integers(1, 50)), "web": draw(reasons), "kg": draw(reasons),
+                "sufficient": draw(st.booleans())}
+    if kind == "selected":
+        return {"selected_block": draw(st.one_of(st.none(), st.integers(1, 50)))}
+    if kind == "tokens":
+        return {"total_tokens": draw(st.integers(0, 10**6))}
+    # queries that are not a string or a map of strings (1, True and 1.0 are
+    # equal keys but encode apart), and details the engine never writes
+    return draw(st.sampled_from([
+        {"query": {"domain": "music", "rank": 1}}, {"query": {"domain": "music", "rank": True}},
+        {"query": {"domain": "music", "rank": 1.0}}, {"query": {1: "a"}}, {"query": {True: "a"}},
+        {"query": ["a", "b"]}, {"query": None}, {"query": "a", "note": "b"},
+        {"prefix": "p", "block": 1}, {"prefix": 5}, {"status": "doneish"},
+        {"status": "done", "error": "x"}, {}]))
+
+
+@st.composite
+def _outcomes(draw) -> list[SessionOutcome]:
+    """Outcomes whose events share a few queries, so that a query recurs
+    within and across outcomes as in a real batch."""
+    wires = draw(st.lists(st.one_of(_AWKWARD.filter(lambda text: text != "NO_QUERY"),
+                                    _kg_wires()), min_size=1, max_size=4))
+    # an equal map in another order encodes apart
+    wires += [dict(reversed(wire.items())) for wire in wires
+              if isinstance(wire, dict) and len(wire) > 1]
+    names = st.one_of(st.sampled_from(_EVENT_TYPES), _AWKWARD)
+    tools = st.one_of(st.sampled_from([None, "web", "kg"]), _AWKWARD)
+    outcomes = []
+    for _ in range(draw(st.integers(0, 4))):
+        events = [LogEvent(draw(st.integers(0, 10**9)), draw(names), draw(tools),
+                           draw(st.one_of(st.none(), st.integers(1, 10**6))),
+                           draw(_details(wires)))
+                  for _ in range(draw(st.integers(0, 8)))]
+        outcomes.append(SessionOutcome(draw(_AWKWARD), Strategy.FIXED_INTERVAL,
+                                       event_log=events))
+    return outcomes
+
+
+def _expected_lines(outcomes) -> str:
+    return "".join(json.dumps(row) + "\n" for row in event_rows(outcomes))
+
+
+class TestEventLines:
+    """``event_lines`` writes ``json.dumps`` of each oracle row, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(outcomes=_outcomes())
+    def test_each_line_is_json_dumps_of_the_oracle_row(self, outcomes):
+        assert "".join(event_lines(outcomes)) == _expected_lines(outcomes)
+
+    def test_explicit_cases(self):
+        wire = ToolQuery.kg(KgQuery.make("music", {"artist_name": "Beyoncé \"B\"\\\n"})).to_wire()
+        events = [LogEvent(0, "block_ingested", None, 1, {"prefix": "who\x00 \u2028 漢"}),
+                  LogEvent(5, "query_fired", "kg", 1, {"query": wire}),
+                  LogEvent(9, "thread_done", "kg", 1, {"status": "failed", "error": "boom \x1f"}),
+                  LogEvent(9, "reflected", None, None, {"selected_block": None}),
+                  LogEvent(9, "first_token")]
+        outcomes = [SessionOutcome("u\"1\\ é", Strategy.FIXED_INTERVAL, event_log=events),
+                    SessionOutcome("empty", Strategy.OPEN_BOOK),
+                    SessionOutcome("u2", Strategy.FIXED_INTERVAL, event_log=events[1:3])]
+        assert "".join(event_lines(outcomes)) == _expected_lines(outcomes)
+        # equal maps that json.dumps writes apart: keys in another order, and
+        # keys or values that are equal but not strings
+        queries = [{"domain": "music", "artist_name": "x"}, {"artist_name": "x", "domain": "music"},
+                   {1: "a"}, {True: "a"}, {"rank": 1}, {"rank": True}, {"rank": 1.0}]
+        outcomes = [SessionOutcome("u", Strategy.MODEL_TRIGGERED, event_log=[
+            LogEvent(0, "query_fired", "kg", 1, {"query": query}) for query in queries])]
+        assert "".join(event_lines(outcomes)) == _expected_lines(outcomes)
+        assert list(event_lines([])) == []
+        assert list(event_lines(outcomes[1:2])) == []
+
+    @pytest.mark.parametrize("flaky", [False, True], ids=["plain", "flaky"])
+    @pytest.mark.parametrize("batch", [random_batch, paraphrase_batch],
+                             ids=["random", "paraphrase"])
+    @pytest.mark.parametrize("strategy", [Strategy.OPEN_BOOK, Strategy.FIXED_INTERVAL,
+                                          Strategy.MODEL_TRIGGERED], ids=lambda s: s.value)
+    def test_real_batches(self, strategy, batch, flaky, world, index, backends, headline_latency):
+        config = session_config(strategy)
+        make = generator_factory(config, index)
+
+        def factory(trace):
+            gen = make(trace)
+            return FlakyGenerator(gen, trace.utterance_id) if flaky else gen
+
+        traces = batch(world, 30, seed=17, block_ms=500)
+        outcomes, errors = run_batch(traces, config, factory, backends, headline_latency)
+        assert errors == [] and outcomes
+        assert "".join(event_lines(outcomes)) == _expected_lines(outcomes)

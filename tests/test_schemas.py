@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
@@ -71,6 +73,27 @@ def test_simulator_outputs_match_schemas(tmp_path, world, index, kg_store, backe
         row = {"utterance_id": outcome.utterance_id}
         row.update(event.to_dict())
         event_validator.validate(row)
+
+
+@pytest.mark.parametrize("strategy", ["closed_book", "open_book", "fixed_interval",
+                                      "model_triggered"])
+def test_written_event_lines_match_schema(tmp_path, strategy):
+    """Every line ``simulate`` writes to ``events.jsonl``."""
+    from click.testing import CliRunner
+
+    from streamrag.cli import cli
+
+    out = tmp_path / "out"
+    result = CliRunner(env={"STREAMRAG_CONFIG": None}).invoke(cli, [
+        "simulate", "--traces", str(FIXTURES / "traces.jsonl"),
+        "--corpus", str(FIXTURES / "corpus.jsonl"), "--kg", str(FIXTURES / "kg.json"),
+        "--strategy", strategy, "--block-ms", "500", "--out-dir", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = _jsonl(out / "events.jsonl")
+    assert rows
+    validator = _validator("event.schema.json")
+    for row in rows:
+        validator.validate(row)
 
 
 def test_training_records_match_schema(world, similarity_ctx, tmp_path):
