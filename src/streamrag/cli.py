@@ -30,8 +30,6 @@ from .core import (
     default_block_ms,
     is_digits,
     is_int,
-    json_int,
-    json_str,
     make_out_dir,
     read_json,
     read_jsonl,
@@ -40,7 +38,7 @@ from .core import (
     write_json,
     write_jsonl,
 )
-from .errors import AlignmentError, EmptyTraceError, InputError
+from .errors import AlignmentError, InputError
 from .labeling import (
     SimilarityContext,
     assign_streaming_labels,
@@ -249,30 +247,12 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: dict[str,
 
 
 def _read_corpus(path: str) -> list[dict]:
-    return read_jsonl(path, _corpus_doc, "corpus record",
+    return read_jsonl(path, lambda doc: doc, "corpus record", schema="corpus_doc.schema.json",
                       key=lambda doc: f"doc_id {doc['doc_id']!r}")
 
 
-def _corpus_doc(raw: dict) -> dict:
-    """A corpus record as ``corpus_doc.schema.json`` has it: a non-empty
-    string ``doc_id`` and a string ``text``."""
-    doc_id, text = raw["doc_id"], raw["text"]
-    if not isinstance(doc_id, str) or not doc_id:
-        raise InputError(f"corpus record 'doc_id' must be a non-empty string, got {doc_id!r}")
-    if not isinstance(text, str):
-        raise InputError(f"corpus record 'text' must be a string, got {text!r}")
-    return {"doc_id": doc_id, "text": text}
-
-
-def _read_kg(path: str) -> KgStore:
-    records = read_json(path)
-    if not isinstance(records, list):
-        raise InputError(f"{path}: KG fixture must be a JSON array")
-    return KgStore.from_records(records, source=path)
-
-
 def _read_outcomes(path: str):
-    return read_jsonl(path, outcome_from_dict, "outcome",
+    return read_jsonl(path, outcome_from_dict, "outcome", schema="outcome.schema.json",
                       key=lambda outcome: f"utterance_id {outcome.utterance_id!r}")
 
 
@@ -313,7 +293,8 @@ def simulate(traces_path, corpus_path, kg_path, out_dir, out_format, config_path
     session_config = _session_config(cfg, Strategy(cfg["strategy"]))
     latency = LatencyModel(seed=cfg["seed"], **{stage: cfg[f"{stage}_ms"] for stage in STAGES})
 
-    backends = Backends(index=index_documents(_read_corpus(corpus_path)), kg_store=_read_kg(kg_path))
+    backends = Backends(index=index_documents(_read_corpus(corpus_path)),
+                        kg_store=KgStore.from_records(read_json(kg_path), source=kg_path))
     traces = read_traces(traces_path)
 
     factory = generator_factory(session_config, backends.index)
@@ -388,8 +369,6 @@ def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
         overrides = pseudo_gt.get(trace.utterance_id)
         try:
             steps = assign_streaming_labels(trace, config.block_ms, ctx, overrides)
-        except EmptyTraceError as exc:
-            raise InputError(f"{traces_path}: {exc}") from exc
         except InputError as exc:  # the references fall short
             raise InputError(f"{pseudo_gt_path if overrides else traces_path}: {exc}") from exc
         all_steps.extend(steps)
@@ -426,14 +405,12 @@ def label(traces_path, corpus_path, pseudo_gt_path, show_labels, out_dir,
 
 def _read_pseudo_gt(path: str, traces) -> dict[str, dict]:
     def parse(r: dict) -> tuple[str, int, ScriptedQueries]:
-        uid, block, entry = (json_str(r["utterance_id"], "utterance_id"),
-                             json_int(r["block"], "block", minimum=1),
-                             ScriptedQueries.from_wire(r))
-        check_reference(uid, block, entry)
-        return uid, block, entry
+        entry = ScriptedQueries.from_wire(r)
+        check_reference(r["utterance_id"], r["block"], entry)
+        return r["utterance_id"], r["block"], entry
 
     records = read_jsonl(
-        path, parse, "reference query", empty_ok=True,
+        path, parse, "reference query", empty_ok=True, schema="pseudo_gt.schema.json",
         key=lambda r: f"reference query for utterance {r[0]!r} block {r[1]}")
     unknown = {uid for uid, _, _ in records} - {t.utterance_id for t in traces}
     if unknown:

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Callable, Collection, Hashable, Iterable, Iterator, TypeVar
 
 from .errors import EmptyTraceError, InputError
+from .schema import checker
 
 BlockIndex = int
 T = TypeVar("T")
@@ -79,18 +80,9 @@ class KgQuery:
 
     @classmethod
     def from_flat_dict(cls, raw: dict[str, Any]) -> "KgQuery":
-        """A query read from JSON: ``domain`` and every attribute value are
-        strings, as ``kg_query.schema.json`` requires."""
-        if "domain" not in raw or not str(raw["domain"]):
-            raise InputError(f"kg query missing non-empty 'domain': {raw!r}")
-        attrs = {k: v for k, v in raw.items() if k != "domain"}
-        for name, value in raw.items():
-            if not isinstance(value, str):
-                raise InputError(f"kg query {name!r} must be a string, got {value!r}")
-        try:
-            return cls.make(raw["domain"], attrs)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        """A query read from JSON, which ``kg_query.schema.json`` must accept."""
+        checker("kg_query.schema.json")(raw, "kg query")
+        return cls.make(raw["domain"], {k: v for k, v in raw.items() if k != "domain"})
 
 
 class Tool(str, Enum):
@@ -143,11 +135,9 @@ class ToolQuery:
         if raw == NO_QUERY_LITERAL or raw is None:
             return NO_QUERY
         if tool is Tool.WEB:
-            if not isinstance(raw, str):
-                raise InputError(f"web query must be a string, got {type(raw).__name__}")
+            if not isinstance(raw, str) or not raw:
+                raise InputError(f"web query must be a non-empty string, got {raw!r}")
             return cls.web(raw)
-        if not isinstance(raw, dict):
-            raise InputError(f"kg query must be a flat map, got {type(raw).__name__}")
         return cls.kg(KgQuery.from_flat_dict(raw))
 
 
@@ -376,46 +366,27 @@ def is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def json_int(value: Any, what: str, minimum: int | None = None) -> int:
-    if not is_int(value):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise InputError(f"{what} must be at least {minimum}, got {value!r}")
-    return value
-
-
-def json_str(value: Any, what: str, nullable: bool = False) -> str | None:
-    """A JSON string, or null where ``nullable``: nothing ``str()`` would make one."""
-    if not (isinstance(value, str) or (nullable and value is None)):
-        raise InputError(f"{what} must be a string{' or null' if nullable else ''}, got {value!r}")
-    return value
-
-
 def is_digits(text: str) -> bool:
     """Plain ASCII decimal digits: no sign, space, ``_`` or other script's digits."""
     return text.isascii() and text.isdigit()
 
 
 def parse_records(numbered: Iterable[tuple[int, Any]], parse: Callable[[dict], T], what: str,
-                  at: str, key: Callable[[T], Hashable] | None = None) -> list[T]:
+                  at: str, key: Callable[[T], Hashable] | None = None, schema: str = "") -> list[T]:
     """Parse numbered JSON values into records; ``at`` plus a value's number
-    locates it. A value that is not a JSON object, any fault in one, or a
-    record whose ``key`` repeats, is an InputError at its location; the
-    message shows the key as ``str`` does, so a key such as
-    ``"utterance_id 'u1'"`` reads as a description."""
+    locates it. A value that ``schema`` rejects (without one, ``parse`` checks
+    it), an InputError from ``parse``, or a record whose ``key`` repeats, is
+    an InputError there; the message shows the key as ``str`` does, so a key
+    such as ``"utterance_id 'u1'"`` reads as a description."""
+    check = checker(schema) if schema else lambda raw, what: None
     records: list[T] = []
     first: dict[Hashable, int] = {}
     for n, raw in numbered:
-        if not isinstance(raw, dict):
-            raise InputError(f"{at}{n}: {what} must be a JSON object, got {type(raw).__name__}")
         try:
+            check(raw, what)
             record = parse(raw)
         except InputError as exc:
             raise InputError(f"{at}{n}: {exc}") from exc
-        except KeyError as exc:
-            raise InputError(f"{at}{n}: {what} lacks key {exc}") from exc
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise InputError(f"{at}{n}: malformed {what}: {exc}") from exc
         if key is not None:
             name = key(record)
             if name in first:
@@ -426,11 +397,12 @@ def parse_records(numbered: Iterable[tuple[int, Any]], parse: Callable[[dict], T
 
 
 def read_jsonl(path: str, parse: Callable[[dict], T], what: str,
-               key: Callable[[T], Hashable] | None = None, empty_ok: bool = False) -> list[T]:
-    """Parse a JSONL file of ``what`` records, one JSON object per line; faults
-    are reported at ``path:line``. A file without records is an InputError
-    unless ``empty_ok``."""
-    records = parse_records(iter_jsonl(path), parse, what, f"{path}:", key)
+               key: Callable[[T], Hashable] | None = None, empty_ok: bool = False,
+               schema: str = "") -> list[T]:
+    """Parse a JSONL file of ``what`` records, one JSON object per line, as
+    ``parse_records`` does; faults are reported at ``path:line``. A file
+    without records is an InputError unless ``empty_ok``."""
+    records = parse_records(iter_jsonl(path), parse, what, f"{path}:", key, schema)
     if not records and not empty_ok:
         raise InputError(f"{path}: no records (expected one {what} per line)")
     return records
@@ -479,63 +451,48 @@ def trace_to_dict(trace: UtteranceTrace) -> dict[str, Any]:
     }
 
 
-def trace_from_dict(raw: dict[str, Any],
-                    memo: dict[tuple, ScriptedQueries] | None = None) -> UtteranceTrace:
-    """A trace as ``trace.schema.json`` types it: no value is converted, and a
-    key it does not allow in a trace, word or scripted entry is an InputError.
+# a scripted entry, which trace_from_dict checks once per memo
+_ENTRY = "/properties/scripted_queries/additionalProperties"
+
+
+def trace_from_dict(raw: Any, memo: dict[tuple, ScriptedQueries] | None = None) -> UtteranceTrace:
+    """A trace that ``trace.schema.json`` accepts, its block keys 1-based
+    ASCII digits naming each block once; ``UtteranceTrace`` checks the rest.
 
     ``memo`` maps a scripted entry's ``(web, kg items)`` strings to the pair
-    already parsed from them, and gains each entry parsed here that holds
-    only a string ``web`` and a ``kg`` of strings: they alone decide the pair.
-    An entry of any other shape is parsed, and fails, on its own. Without a
-    ``memo`` the trace gets a fresh one.
+    checked and parsed from them, and gains each entry parsed here that holds
+    only a string ``web`` and a ``kg`` of strings: they alone decide the
+    pair. Without a ``memo`` the trace gets a fresh one.
     """
     memo = {} if memo is None else memo
-    _only_keys(raw, ("utterance_id", "words", "scripted_queries", "final_answer_ref"), "trace")
-    raw_words = raw["words"]
-    words = [Word(json_str(w["text"], "word text"), json_int(w["start_ms"], "start_ms"),
-                  json_int(w["end_ms"], "end_ms")) for w in raw_words]
-    if sum(map(len, raw_words)) != 3 * len(words):  # each word holds its three keys
-        for w in raw_words:
-            _only_keys(w, ("text", "start_ms", "end_ms"), "word")
+    checker("trace.schema.json", skip=_ENTRY)(raw, "trace")
     scripted: dict[int, ScriptedQueries] = {}
     for key, entry in raw["scripted_queries"].items():
-        if not is_digits(key) or int(key) < 1:
+        try:
+            block = int(key) if is_digits(key) else 0
+        except ValueError:  # more digits than int() reads
+            raise InputError(f"scripted_queries key of {len(key)} digits names no block") from None
+        if block < 1:
             raise InputError(f"scripted_queries key {key!r}: blocks are 1-based, in ASCII digits")
-        block = int(key)
         if block in scripted:
             raise InputError(f"scripted_queries key {key!r} repeats block {block}")
-        scripted[block] = _scripted_entry(entry, memo)
-    utterance_id = raw["utterance_id"]
-    if not isinstance(utterance_id, str) or not utterance_id:
-        raise InputError(f"utterance_id must be a non-empty string, got {utterance_id!r}")
-    return UtteranceTrace(
-        utterance_id=utterance_id,
-        words=words,
-        scripted_queries=scripted,
-        final_answer_ref=json_str(raw.get("final_answer_ref"), "final_answer_ref", nullable=True),
-    )
+        scripted[block] = _scripted_entry(key, entry, memo)
+    return UtteranceTrace(raw["utterance_id"], [Word(**w) for w in raw["words"]], scripted,
+                          raw.get("final_answer_ref"))
 
 
-def _only_keys(raw: dict, allowed: tuple[str, ...], what: str) -> None:
-    """Reject a key of ``raw`` that ``trace.schema.json`` does not allow."""
-    for key in raw:
-        if key not in allowed:
-            raise InputError(f"{what} has key {key!r}, which trace.schema.json does not allow")
-
-
-def _scripted_entry(entry: Any, memo: dict[tuple, ScriptedQueries]) -> ScriptedQueries:
-    if not isinstance(entry, dict):
-        return ScriptedQueries.from_wire(entry)
-    web, kg = entry.get("web"), entry.get("kg")
-    if not (len(entry) == 2 and isinstance(web, str) and isinstance(kg, dict)
-            and all(isinstance(v, str) for v in kg.values())):
-        _only_keys(entry, ("web", "kg"), "scripted entry")
-        return ScriptedQueries.from_wire(entry)
-    key = (web, tuple(kg.items()))
-    parsed = memo.get(key)
-    if parsed is None:
-        parsed = memo[key] = ScriptedQueries.from_wire(entry)
+def _scripted_entry(key: str, entry: Any, memo: dict[tuple, ScriptedQueries]) -> ScriptedQueries:
+    simple = type(entry) is dict and len(entry) == 2
+    web, kg = (entry.get("web"), entry.get("kg")) if simple else (None, None)
+    memo_key = None
+    if type(web) is str and type(kg) is dict and all(type(v) is str for v in kg.values()):
+        memo_key = (web, tuple(kg.items()))
+        if memo_key in memo:
+            return memo[memo_key]
+    checker("trace.schema.json#" + _ENTRY)(entry, "scripted entry", "scripted_queries", key)
+    parsed = ScriptedQueries.from_wire(entry)
+    if memo_key is not None:
+        memo[memo_key] = parsed
     return parsed
 
 

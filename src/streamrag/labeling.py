@@ -24,8 +24,6 @@ from .core import (
     ToolQuery,
     UtteranceTrace,
     blocks_of,
-    json_int,
-    json_str,
     read_jsonl,
     substream_rng,
     write_atomic,
@@ -189,21 +187,22 @@ def inject_negative_samples(
 
 
 def step_from_dict(raw: dict) -> LabeledStep:
-    """A training record as ``training_record.schema.json`` types it; no value
-    is converted, so ``"false"`` is not false."""
+    """A training record that ``training_record.schema.json`` accepts, with
+    queries of its ``tool`` and ``original_prev`` on a negative sample only."""
     tool = Tool(raw["tool"])
     is_negative = raw["is_negative_sample"]
-    if not isinstance(is_negative, bool):
-        raise InputError(f"is_negative_sample must be true or false, got {is_negative!r}")
+    if ("original_prev" in raw) is not is_negative:
+        raise InputError("a negative sample lacks key 'original_prev'" if is_negative
+                         else "original_prev is on negative samples only, not on this positive one")
 
     def query(key: str) -> ToolQuery:
         return ToolQuery.from_wire(raw[key], tool)
 
     return LabeledStep(
-        utterance_id=json_str(raw["utterance_id"], "utterance_id"),
-        block=json_int(raw["block"], "block"),
+        utterance_id=raw["utterance_id"],
+        block=raw["block"],
         tool=tool,
-        prefix=json_str(raw["prefix_text"], "prefix_text"),
+        prefix=raw["prefix_text"],
         prev_query=query("original_prev" if is_negative else "prev_query"),
         pseudo_gt=query("pseudo_gt"),
         label=query("label"),
@@ -245,4 +244,5 @@ def export_training_set(steps: list[LabeledStep], path: str) -> None:
 
 
 def read_training_set(path: str) -> list[LabeledStep]:
-    return read_jsonl(path, step_from_dict, "training record", empty_ok=True)
+    return read_jsonl(path, step_from_dict, "training record", empty_ok=True,
+                      schema="training_record.schema.json")

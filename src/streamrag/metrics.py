@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .core import json_str, read_jsonl
+from .core import read_jsonl
 from .errors import AlignmentError, InputError
 from .orchestrator import SessionOutcome
 
@@ -222,6 +222,6 @@ def score_responses(judgments: Sequence[Judgment]) -> dict[str, float]:
 
 
 def read_judgments(path: str) -> list[Judgment]:
-    return read_jsonl(path, lambda raw: Judgment(json_str(raw["utterance_id"], "utterance_id"),
-                                                 Verdict(raw["verdict"])),
-                      "judgment", key=lambda j: f"judgment for utterance {j.utterance_id!r}")
+    return read_jsonl(path, lambda raw: Judgment(raw["utterance_id"], Verdict(raw["verdict"])),
+                      "judgment", schema="judgment.schema.json",
+                      key=lambda j: f"judgment for utterance {j.utterance_id!r}")

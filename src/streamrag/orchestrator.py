@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from itertools import count
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -45,12 +45,8 @@ from .core import (
     ToolQuery,
     UtteranceTrace,
     blocks_of,
-    is_int,
-    json_int,
-    json_str,
     substream_rng,
 )
-from .errors import InputError
 from .reflector import (
     CallStatus,
     QueryCache,
@@ -519,55 +515,23 @@ def run_session(
     )
 
 
-_LATENCY_FIELDS = sorted(f.name for f in fields(LatencyBreakdown))
-
-
 def outcome_from_dict(raw: dict) -> SessionOutcome:
-    """Rebuild an outcome from its exported form (events are not restored).
-
-    Every field is read as ``schemas/outcome.schema.json`` types it, and none
-    is converted: reports do arithmetic on ``latency``, which must map the
-    five breakdown fields to non-negative integers, and on the counts and
-    ``total_tokens``, which are non-negative integers too; JSON true is not
-    one, and neither is "7".
-    """
-    if not (is_int(raw["schema_version"]) and raw["schema_version"] == SCHEMA_VERSION):
-        raise InputError(f"schema_version must be {SCHEMA_VERSION}, got {raw['schema_version']!r}")
-    lat = raw["latency"]
-    if sorted(lat) != _LATENCY_FIELDS or not all(is_int(v) and v >= 0 for v in lat.values()):
-        raise InputError(f"latency must map {_LATENCY_FIELDS} to non-negative integers, "
-                         f"got {lat!r}")
+    """Rebuild an outcome from its exported form (events are not restored),
+    one that ``outcome.schema.json`` accepts: no value is converted."""
     refs = raw["references"]
-    if sorted(refs) != ["kg_answers", "total_tokens", "web_chunks"]:
-        raise InputError(f"references must hold web_chunks, kg_answers and total_tokens, "
-                         f"got {sorted(refs)}")
-    degraded = raw.get("degraded", False)
-    if not isinstance(degraded, bool):
-        raise InputError(f"degraded must be true or false, got {degraded!r}")
-    selected = raw.get("selected_block")
     return SessionOutcome(
-        utterance_id=json_str(raw["utterance_id"], "utterance_id"),
+        utterance_id=raw["utterance_id"],
         strategy=Strategy(raw["strategy"]),
-        selected_block=None if selected is None else json_int(selected, "selected_block"),
-        references=ReferenceBundle(
-            _texts(refs["web_chunks"], "references.web_chunks"),
-            _texts(refs["kg_answers"], "references.kg_answers"),
-            json_int(refs["total_tokens"], "references.total_tokens", 0),
-        ),
-        latency=LatencyBreakdown(**lat),
-        threads_spawned=json_int(raw.get("threads_spawned", 0), "threads_spawned", 0),
-        threads_cancelled=json_int(raw.get("threads_cancelled", 0), "threads_cancelled", 0),
-        max_parallel_threads=json_int(raw.get("max_parallel_threads", 0),
-                                      "max_parallel_threads", 0),
-        degraded=degraded,
-        response_text=json_str(raw.get("response_text"), "response_text", nullable=True),
+        selected_block=raw.get("selected_block"),
+        references=ReferenceBundle(tuple(refs["web_chunks"]), tuple(refs["kg_answers"]),
+                                   refs["total_tokens"]),
+        latency=LatencyBreakdown(**raw["latency"]),
+        threads_spawned=raw.get("threads_spawned", 0),
+        threads_cancelled=raw.get("threads_cancelled", 0),
+        max_parallel_threads=raw.get("max_parallel_threads", 0),
+        degraded=raw.get("degraded", False),
+        response_text=raw.get("response_text"),
     )
-
-
-def _texts(values: Any, what: str) -> tuple[str, ...]:
-    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-        raise InputError(f"{what} must be a list of strings, got {values!r}")
-    return tuple(values)
 
 
 GeneratorFactory = Callable[[UtteranceTrace], QueryGenerator | None]

@@ -78,6 +78,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ..core import KgQuery, Tool, ToolQuery, parse_records, read_depth
 from ..errors import DuplicateDocIdError, InputError, WrongToolError
+from ..schema import checker
 
 _PUNCT_TO_SPACE = str.maketrans({c: " " for c in string.punctuation})
 
@@ -553,22 +554,16 @@ class KgStore:
         return self._entries.get(query.canonical_key())
 
     @classmethod
-    def from_records(cls, records: Iterable[dict], source: str = "kg") -> "KgStore":
-        """Build a store from {"query", "answer"} records. A fault in a record,
-        such as an answer that is not a string (``kg_fixture.schema.json``),
-        or a canonical query (``KgQuery.canonical_key``) that an earlier record
-        holds, is an InputError naming ``source`` and the record's index."""
-        return cls(dict(parse_records(enumerate(records), _kg_entry, "kg record",
+    def from_records(cls, records: list[dict], source: str = "kg") -> "KgStore":
+        """Build a store from a list of {"query", "answer"} records. Records
+        that ``kg_fixture.schema.json`` rejects, or a canonical query
+        (``KgQuery.canonical_key``) that an earlier record holds, are an
+        InputError naming ``source`` and the record's index."""
+        checker("kg_fixture.schema.json")(records, "KG fixture", source)
+        entry = lambda record: (KgQuery.from_flat_dict(record["query"]).canonical_key(),
+                                record["answer"])
+        return cls(dict(parse_records(enumerate(records), entry, "kg record",
                                       f"{source}: record ", key=itemgetter(0))))
-
-
-def _kg_entry(record: dict) -> tuple[tuple, str]:
-    """A KG record's canonical query and its answer, which must be a string."""
-    key = KgQuery.from_flat_dict(record["query"]).canonical_key()
-    answer = record["answer"]
-    if not isinstance(answer, str):
-        raise InputError(f"kg record 'answer' must be a string, got {answer!r}")
-    return key, answer
 
 
 def kg_lookup(store: KgStore, query: ToolQuery) -> str | None:

@@ -98,17 +98,14 @@ class TestTraceValidation:
             _trace([("a", 100, 50)])
 
     @pytest.mark.parametrize("start", [-1, -2])
-    @pytest.mark.parametrize("before", [[], [{"text": "w0", "start_ms": 0, "end_ms": 0}]])
+    @pytest.mark.parametrize("before", [[], [("w0", 0, 0)]])
     def test_negative_start_is_named_as_such(self, before, start):
         """A negative start is its own fault, whether or not it also reads as
         overlapping (-1 ms) or as going backwards (-2 ms) after the
-        starting point."""
-        raw = {"utterance_id": "u", "words": [*before, {"text": "w1", "start_ms": start,
-                                                        "end_ms": 100}],
-               "scripted_queries": {}}
+        starting point. (A trace file's is the schema's ``minimum``.)"""
         with pytest.raises(InputError, match=rf"^u: word 'w1' starts at {start} ms, "
                                              r"a negative time$"):
-            trace_from_dict(raw)
+            _trace([*before, ("w1", start, 100)], uid="u")
 
 
 class TestKgQuery:
@@ -169,6 +166,10 @@ class TestToolQuery:
         with pytest.raises(ValueError):
             ToolQuery.web("")
 
+    def test_empty_web_text_read_from_json_is_an_input_error(self):
+        with pytest.raises(InputError, match="^web query must be a non-empty string, got ''$"):
+            ToolQuery.from_wire("", Tool.WEB)
+
     def test_tool_of_no_query_is_none(self):
         assert NO_QUERY.tool is None
 
@@ -208,7 +209,8 @@ class TestTraceIO:
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"utterance_id": "ok", "words": [], "scripted_queries": {}}\nnot json\n')
+        path.write_text('{"utterance_id": "ok", "words": [{"text": "hi", "start_ms": 0, '
+                        '"end_ms": 100}], "scripted_queries": {}}\nnot json\n')
         with pytest.raises(InputError, match=r"bad\.jsonl:2"):
             read_traces(str(path))
 
@@ -235,6 +237,7 @@ class TestTraceIO:
             ([" 10"], r"key ' 10': blocks are 1-based, in ASCII digits"),
             (["+5"], r"key '\+5': blocks are 1-based, in ASCII digits"),
             (["\u0661"], r"key '\u0661': blocks are 1-based, in ASCII digits"),
+            (["1" * 5000], r"key of 5000 digits names no block"),
         ],
     )
     def test_ambiguous_or_zero_based_block_keys_rejected(self, tmp_path, keys, message):

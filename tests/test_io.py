@@ -23,6 +23,7 @@ from click.types import IntParamType
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from streamrag import cli as cli_module
 from streamrag.cli import cli, main
 from streamrag.core import ScriptedQueries, read_traces, trace_from_dict, write_traces
 from streamrag.errors import InputError
@@ -98,6 +99,7 @@ BAD_OUTCOMES = [
     ("response-text-is-a-list", _bad_outcome(_set("response_text", ["a"]))),
     ("selected-block-is-text", _bad_outcome(_set("selected_block", "2"))),
     ("schema-version-is-true", _bad_outcome(_set("schema_version", True))),
+    ("a-key-the-schema-lacks", _bad_outcome(_set("note", "settled"))),
 ]
 
 
@@ -112,7 +114,7 @@ class TestFaultyInputsExitTwo:
         code, err = run_main("simulate", "--traces", str(bad), "--corpus", CORPUS, "--kg", KG,
                              "--out-dir", str(tmp_path / "out"))
         assert code == 2
-        assert f"input error: {bad}:2: malformed trace: " in err
+        assert f"input error: {bad}:2: scripted_queries must be an object, got []" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("side, value", [("kg", None), ("web", "NO_QUERY")])
@@ -131,8 +133,12 @@ class TestFaultyInputsExitTwo:
                     "--strategy", run]
         code, err = run_main(*args, "--out-dir", str(tmp_path / "out"))
         assert code == 2
-        assert (f"input error: {bad}:{len(rows)}: {last['utterance_id']}: scripted entry for "
-                f"block {block} must carry both tool queries") in err
+        if value is None:  # the schema's: a kg query is an object
+            assert (f"input error: {bad}:{len(rows)}: scripted_queries.{block}.kg must be an "
+                    "object, got None") in err
+        else:
+            assert (f"input error: {bad}:{len(rows)}: {last['utterance_id']}: scripted entry "
+                    f"for block {block} must carry both tool queries") in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("side", ["--baseline", "--strategy"])
@@ -220,10 +226,10 @@ class TestSchemaTypes:
     do trace values, and trace keys the schema does not allow."""
 
     @pytest.mark.parametrize("record, message", [
-        ({"doc_id": 7, "text": ["x"]}, "corpus record 'doc_id' must be a non-empty string, got 7"),
-        ({"doc_id": "", "text": "x"}, "corpus record 'doc_id' must be a non-empty string, got ''"),
-        ({"doc_id": "dz", "text": ["x"]}, "corpus record 'text' must be a string, got ['x']"),
-        ({"doc_id": "dz", "text": None}, "corpus record 'text' must be a string, got None"),
+        ({"doc_id": 7, "text": ["x"]}, "doc_id must be a string, got 7"),
+        ({"doc_id": "", "text": "x"}, "doc_id must have length at least 1, got ''"),
+        ({"doc_id": "dz", "text": ["x"]}, "text must be a string, got ['x']"),
+        ({"doc_id": "dz", "text": None}, "text must be a string, got None"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "label"])
     def test_corpus_value(self, tmp_path, command, record, message):
@@ -249,11 +255,12 @@ class TestSchemaTypes:
                 f"(first at {bad}:1)") in err
 
     @pytest.mark.parametrize("query, answer, message", [
-        ({"domain": "other", "main_entity": 5}, None, "kg query 'main_entity' must be a string, got 5"),
-        ({"domain": "other", "main_entity": "zz"}, None, "kg record 'answer' must be a string, got None"),
-        ({"domain": "other", "main_entity": "zz"}, 5, "kg record 'answer' must be a string, got 5"),
-        ({"domain": "music", "artist_name": ["zz"]}, "a", "kg query 'artist_name' must be a string, got ['zz']"),
-        ({"domain": 5, "main_entity": "zz"}, "a", "kg query 'domain' must be a string, got 5"),
+        ({"domain": "other", "main_entity": 5}, None, "query.main_entity must be a string, got 5"),
+        ({"domain": "other", "main_entity": "zz"}, None, "answer must be a string, got None"),
+        ({"domain": "other", "main_entity": "zz"}, 5, "answer must be a string, got 5"),
+        ({"domain": "music", "artist_name": ["zz"]}, "a", "query.artist_name must be a string, got ['zz']"),
+        ({"domain": 5, "main_entity": "zz"}, "a", "query.domain must be one of ['finance', 'sports', "
+                                                  "'music', 'movie', 'encyclopedia', 'other'], got 5"),
     ])
     def test_kg_value(self, tmp_path, query, answer, message):
         records = json.loads(Path(KG).read_text(encoding="utf-8"))
@@ -263,7 +270,7 @@ class TestSchemaTypes:
         code, err = run_main("simulate", "--traces", TRACES, "--corpus", CORPUS, "--kg", str(bad),
                              "--out-dir", str(tmp_path / "out"))
         assert code == 2
-        assert f"input error: {bad}: record 1: {message}" in err
+        assert f"input error: {bad}[1].{message}" in err
         assert not (tmp_path / "out").exists()
 
     def test_a_scripted_kg_query_is_held_to_the_same_schema(self, tmp_path):
@@ -274,16 +281,15 @@ class TestSchemaTypes:
         code, err = run_main("simulate", "--traces", bad, "--corpus", CORPUS, "--kg", KG,
                              "--out-dir", str(tmp_path / "out"))
         assert code == 2
-        assert f"input error: {bad}:1: " in err
-        assert "kg query 'main_entity' must be a string, got 5" in err
+        assert (f"input error: {bad}:1: scripted_queries.{block}.kg.main_entity must be a string, "
+                "got 5") in err
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda row: row.update(utterance_id=7), "utterance_id must be a non-empty string, got 7"),
-        (lambda row: row.update(utterance_id=""),
-         "utterance_id must be a non-empty string, got ''"),
+        (lambda row: row.update(utterance_id=7), "utterance_id must be a string, got 7"),
+        (lambda row: row.update(utterance_id=""), "utterance_id must have length at least 1, got ''"),
         (lambda row: row.update(final_answer_ref=5),
          "final_answer_ref must be a string or null, got 5"),
-        (lambda row: row["words"][1].update(text=12), "word text must be a string, got 12"),
+        (lambda row: row["words"][1].update(text=12), "words[1].text must be a string, got 12"),
     ], ids=["id-is-a-number", "id-is-empty", "answer-is-a-number", "word-is-a-number"])
     @pytest.mark.parametrize("command", ["simulate", "label"])
     def test_trace_value(self, tmp_path, command, edit, message):
@@ -303,9 +309,9 @@ class TestSchemaTypes:
         (lambda row: row.update(final_answer=row.pop("final_answer_ref")),
          "trace has key 'final_answer', which trace.schema.json does not allow"),
         (lambda row: row["words"][2].update(confidence=0.9),
-         "word has key 'confidence', which trace.schema.json does not allow"),
+         "words[2] has key 'confidence', which trace.schema.json does not allow"),
         (lambda row: row["scripted_queries"]["1"].update(note="settled"),
-         "scripted entry has key 'note', which trace.schema.json does not allow"),
+         "scripted_queries.1 has key 'note', which trace.schema.json does not allow"),
     ], ids=["trace", "word", "scripted-entry"])
     @pytest.mark.parametrize("command", ["simulate", "label"])
     def test_trace_key(self, tmp_path, command, edit, message):
@@ -335,6 +341,41 @@ class TestSchemaTypes:
         assert f"input error: {bad}:2: trace lacks key 'scripted_queries'" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("strategy", ["open_book", "fixed_interval", "model_triggered"])
+    def test_a_trace_without_words_exits_two_at_its_line(self, tmp_path, strategy):
+        """The schema asks for one word at least: a trace without one was once
+        read, and ``simulate`` left its session out with a warning and exit 0."""
+        rows = _lines(Path(TRACES))
+        rows[0]["words"] = []
+        bad = _write_lines(tmp_path / "traces.jsonl", rows)
+        code, err = run_main("simulate", "--traces", bad, "--corpus", CORPUS, "--kg", KG,
+                             "--strategy", strategy, "--block-ms", "500",
+                             "--out-dir", str(tmp_path / "out"))
+        assert code == 2, err
+        assert f"input error: {bad}:1: words must have length at least 1, got []" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, index, at, message", [
+        ("judgments", 1, ":2: judgment has key 'note'", "judgment.schema.json"),
+        ("kg", 1, "[1] has key 'note'", "kg_fixture.schema.json"),
+        ("pseudo_gt", 2, ":3: reference query has key 'blok'", "pseudo_gt.schema.json"),
+    ])
+    def test_a_key_the_schema_lacks_exits_two_at_its_record(self, fuzz_inputs, tmp_path, kind,
+                                                             index, at, message):
+        """Such a key was once read without a word: a misspelled ``"blok"``
+        beside a pseudo-GT record's ``block``, say."""
+        _, records = fuzz_inputs
+        damaged = copy.deepcopy(records[kind])
+        damaged[index]["blok" if kind == "pseudo_gt" else "note"] = 2
+        paths = {}
+        for name in KINDS:
+            paths[name] = str(tmp_path / _file_name(name))
+            Path(paths[name]).write_bytes(_dump(name, damaged if name == kind else records[name]))
+        code, err = run_main(*_command(KINDS[kind][0], paths, "open_book", str(tmp_path / "out")))
+        assert code == 2, err
+        assert f"input error: {paths[kind]}{at}, which {message} does not allow" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field, value, message", [
         ("is_negative_sample", "false", "is_negative_sample must be true or false, got 'false'"),
         ("is_negative_sample", 0, "is_negative_sample must be true or false, got 0"),
@@ -342,6 +383,11 @@ class TestSchemaTypes:
         ("utterance_id", 7, "utterance_id must be a string, got 7"),
         ("prefix_text", ["who"], "prefix_text must be a string, got ['who']"),
         ("prefix_text", None, "prefix_text must be a string, got None"),
+        ("block", 0, "block must be at least 1, got 0"),
+        ("note", "settled",
+         "training record has key 'note', which training_record.schema.json does not allow"),
+        ("original_prev", "NO_QUERY",
+         "original_prev is on negative samples only, not on this positive one"),
     ])
     def test_training_record_value(self, tmp_path, field, value, message):
         """``bool("false")`` once read a positive record as a negative one,
@@ -426,7 +472,7 @@ class TestScriptedPairMemo:
         code, err = run_main(command, "--traces", bad, "--corpus", CORPUS, *args,
                              "--out-dir", str(tmp_path / "out"))
         assert code == 2, err
-        assert (f"input error: {bad}:2: kg query 'main_entity' must be a string, "
+        assert (f"input error: {bad}:2: scripted_queries.2.kg.main_entity must be a string, "
                 f"got {value!r}") in err
         assert not (tmp_path / "out").exists()
 
@@ -435,7 +481,7 @@ class TestScriptedPairMemo:
         bad = self._traces(tmp_path, pair, {**pair, "note": "settled"})
         with pytest.raises(InputError) as info:
             read_traces(bad)
-        assert str(info.value) == (f"{bad}:2: scripted entry has key 'note', "
+        assert str(info.value) == (f"{bad}:2: scripted_queries.2 has key 'note', "
                                    f"which trace.schema.json does not allow")
 
     def test_two_reads_share_nothing(self, tmp_path):
@@ -486,7 +532,7 @@ class TestIntegersExitTwo:
         code, err = run_main("simulate", "--traces", bad, "--corpus", CORPUS, "--kg", KG,
                              "--out-dir", str(tmp_path / "out"))
         assert code == 2, err
-        assert f"input error: {bad}:2: {field} must be an integer, got {value!r}" in err
+        assert f"input error: {bad}:2: words[2].{field} must be an integer, got {value!r}" in err
 
     @pytest.mark.parametrize("value", [*NOT_INTEGERS, 0], ids=repr)
     def test_pseudo_gt_block(self, tmp_path, value):
@@ -553,6 +599,19 @@ try:
 finally:
     print(f"seconds: {time.perf_counter() - start:.3f}", file=sys.stderr)
 """
+
+
+def test_a_fault_in_a_parser_is_internal(tmp_path, outcomes, monkeypatch):
+    """Only an InputError is a malformed record: a parser's own fault on a
+    record its schema accepts exits 3, as any other bug does."""
+    def parse(raw):
+        raise TypeError("a parser's bug")
+
+    monkeypatch.setattr(cli_module, "outcome_from_dict", parse)
+    code, err = run_main("report", "--baseline", str(outcomes), "--strategy", str(outcomes),
+                         "--out-dir", str(tmp_path / "rep"))
+    assert code == 3, err
+    assert "internal error: a parser's bug" in err
 
 
 class TestNamedFailures:
