@@ -298,11 +298,10 @@ def simulate(traces_path, corpus_path, kg_path, out_dir, out_format, config_path
     traces = read_traces(traces_path)
 
     factory = generator_factory(session_config, backends.index)
-    outcomes, errors = run_batch(traces, session_config, factory, backends, latency)
-    for uid, message in errors:
-        _echo(f"warning: trace {uid} failed: {message}", err=True)
-    if not outcomes:
-        raise InputError(f"{traces_path}: every trace failed; nothing to report")
+    try:
+        outcomes, _ = run_batch(traces, session_config, factory, backends, latency)
+    except InputError as exc:  # a trace's script does not fit the run
+        raise InputError(f"{traces_path}: {exc}") from exc
 
     out = make_out_dir(out_dir)
     outputs = ["outcomes.jsonl", "events.jsonl"]
@@ -445,10 +444,10 @@ def report(baseline_path, strategy_path, judgments_path, out_dir, out_format, se
     try:
         reports = [savings_report(baseline, strategy, basis) for basis in
                    (SavingsBasis.MEAN, SavingsBasis.P50)]
-    except ValueError as exc:  # e.g. a closed_book baseline: no tool-use latency
-        raise InputError(f"{baseline_path}: {exc}") from exc
     except AlignmentError as exc:
         raise AlignmentError(f"{baseline_path} and {strategy_path}: {exc}") from exc
+    except InputError as exc:  # a closed_book baseline: no tool-use latency
+        raise InputError(f"{baseline_path}: {exc}") from exc
     pair_rows = per_pair_savings_rows(baseline, strategy)
 
     out = make_out_dir(out_dir)

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 ``InputError`` and its subclasses mark problems with user-supplied data
-(files, flags, trace contents); everything else propagating out of the
-library is treated as an internal error by the CLI.
+(files, flags, trace contents); ``SimulatedFault`` is the one failure the
+simulation models. The CLI treats anything else as an internal error.
 """
 
 
@@ -24,3 +24,7 @@ class AlignmentError(InputError):
 
 class WrongToolError(ValueError):
     """A query of one tool kind was passed to an operation for another."""
+
+
+class SimulatedFault(Exception):
+    """A modelled failure: a backend's failed tool call, or a generator's NO_QUERY step."""

@@ -152,7 +152,7 @@ def savings_report(
         _mean(tool_use) if basis is SavingsBasis.MEAN else nearest_rank(tool_use, 50)
     )
     if base_s <= 0:
-        raise ValueError("baseline tool-use latency is zero; savings are undefined")
+        raise InputError("baseline tool-use latency is zero; savings are undefined")
     savings_s = [
         (b.latency.tool_results_ms - s.latency.tool_results_ms) / 1000.0 for b, s in pairs
     ]

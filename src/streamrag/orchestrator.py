@@ -47,6 +47,7 @@ from .core import (
     blocks_of,
     substream_rng,
 )
+from .errors import SimulatedFault
 from .reflector import (
     CallStatus,
     QueryCache,
@@ -310,7 +311,7 @@ class _Session:
                 call.result = web_search(self.backends.index, query, self.config.search_depth)
             else:
                 call.result = kg_lookup(self.backends.kg_store, query)
-        except Exception as exc:  # noqa: BLE001 - backend failure becomes a failed call
+        except SimulatedFault as exc:
             call.error = str(exc)
 
         self.cache.add(call)
@@ -544,19 +545,13 @@ def run_batch(
     backends: Backends,
     latency: LatencyModel,
 ) -> tuple[list[SessionOutcome], list[tuple[str, str]]]:
-    """Run many utterances; per-trace failures are collected, not raised.
+    """Run many utterances in input order; a session that raises ends the batch.
 
     Every session draws from an RNG substream keyed by its utterance id, so
-    batch order never changes results. Outcomes keep input order; errors are
-    (utterance_id, message) pairs.
+    batch order never changes results. The error list returned second is
+    always empty; it stays until its callers stop unpacking it.
     """
     if not traces:
         raise ValueError("run_batch needs at least one trace")
-    outcomes: list[SessionOutcome] = []
-    errors: list[tuple[str, str]] = []
-    for trace in traces:
-        try:
-            outcomes.append(run_session(trace, config, gen_factory(trace), backends, latency))
-        except Exception as exc:  # noqa: BLE001 - collected per the batch contract
-            errors.append((trace.utterance_id, str(exc)))
-    return outcomes, errors
+    return [run_session(trace, config, gen_factory(trace), backends, latency)
+            for trace in traces], []

@@ -12,14 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .core import BlockIndex, SessionConfig, Tool, ToolQuery
 from .errors import WrongToolError
-from .retrieval import DocIndex, KgStore, kg_lookup, top_docs_match
-
-if TYPE_CHECKING:
-    from .retrieval import WebResult
+from .retrieval import DocIndex, KgStore, WebResult, kg_lookup, top_docs_match
 
 REASON_IDENTICAL_QUERY = "identical_query"
 REASON_TOP5_MATCH = "top5_match"
@@ -50,7 +46,7 @@ class ToolCall:
     query_gen_ms: int = 0
     tool_ms: int = 0
     status: CallStatus = CallStatus.PENDING
-    result: "WebResult | str | None" = None
+    result: WebResult | str | None = None
     error: str | None = None
 
     @property

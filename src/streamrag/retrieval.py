@@ -73,12 +73,13 @@ from array import array
 from bisect import bisect_left
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from ..core import KgQuery, Tool, ToolQuery, parse_records, read_depth
-from ..errors import DuplicateDocIdError, InputError, WrongToolError
-from ..schema import checker
+from .core import KgQuery, Tool, ToolQuery, parse_records, read_depth
+from .errors import DuplicateDocIdError, InputError, WrongToolError
+from .schema import checker
 
 _PUNCT_TO_SPACE = str.maketrans({c: " " for c in string.punctuation})
 
@@ -498,17 +499,21 @@ class DocIndex:
 
 
 def index_documents(corpus: Iterable[dict]) -> DocIndex:
-    """Build a DocIndex from {doc_id, text} records."""
+    """Build a DocIndex from {doc_id, text} records of strings; their types
+    are checked in one pass, and only a corpus that fails it is walked."""
     records = list(corpus)
     try:
-        docs = [(str(record["doc_id"]), str(record["text"])) for record in records]
+        docs = list(map(itemgetter("doc_id", "text"), records))
     except (KeyError, TypeError):
+        docs = []
+    if len(docs) < len(records) or not set(map(type, chain.from_iterable(docs))) <= {str}:
         for record in records:  # name the first bad record
             try:
-                str(record["doc_id"]), str(record["text"])
+                doc_id, text = record["doc_id"], record["text"]
             except (KeyError, TypeError) as exc:
                 raise InputError(f"corpus record must have doc_id and text: {record!r}") from exc
-        raise
+            if not (isinstance(doc_id, str) and isinstance(text, str)):
+                raise InputError(f"corpus record's doc_id and text must be strings: {record!r}")
     return DocIndex(docs)
 
 
@@ -560,8 +565,9 @@ class KgStore:
         (``KgQuery.canonical_key``) that an earlier record holds, are an
         InputError naming ``source`` and the record's index."""
         checker("kg_fixture.schema.json")(records, "KG fixture", source)
-        entry = lambda record: (KgQuery.from_flat_dict(record["query"]).canonical_key(),
-                                record["answer"])
+        def entry(record: dict) -> tuple[tuple, str]:  # its query is checked above
+            query = dict(record["query"])
+            return KgQuery.make(query.pop("domain"), query).canonical_key(), record["answer"]
         return cls(dict(parse_records(enumerate(records), entry, "kg record",
                                       f"{source}: record ", key=itemgetter(0))))
 

@@ -5,9 +5,9 @@ transcript block: the fixed-interval policy asks for a fresh pair on every
 block, while the model-triggered policy passes the tools' previous queries,
 so the generator may answer NO_QUERY to keep the current tool call running
 and fire only when the query actually changes. Each step returns the
-generator's ``ScriptedQueries`` as they are, and a generator error as
-NO_QUERY for both tools; the session alone decides what a NO_QUERY means
-under its strategy (see ``orchestrator``).
+generator's ``ScriptedQueries`` as they are, and a ``SimulatedFault`` it
+raises as NO_QUERY for both tools; any other exception propagates. The
+session alone decides what a NO_QUERY means under its strategy (see ``orchestrator``).
 
 ``QueryGenerator`` is the extension point for a live model adapter: it
 returns a ``ScriptedQueries`` pair per prefix, as the scripted generators
@@ -31,7 +31,7 @@ from .core import (
     UtteranceTrace,
     blocks_of,
 )
-from .errors import InputError
+from .errors import InputError, SimulatedFault
 
 log = logging.getLogger(__name__)
 
@@ -134,12 +134,12 @@ def model_trigger_step(
 ) -> ScriptedQueries:
     """Ask the generator whether each tool needs a new query given its last one.
 
-    A generator error becomes NO_QUERY for both tools, logged once; the
+    A ``SimulatedFault`` becomes NO_QUERY for both tools, logged once; the
     session decides what a NO_QUERY means under its strategy.
     """
     try:
         return gen.generate(prefix, prev_web, prev_kg)
-    except Exception:
+    except SimulatedFault:
         log.warning("query generator failed at block %d; both tools get NO_QUERY", block)
         return ScriptedQueries(web=NO_QUERY, kg=NO_QUERY)
 

@@ -15,6 +15,7 @@ from functools import partial
 from typing import Any
 
 from streamrag.core import NO_QUERY, Strategy, Tool, blocks_of
+from streamrag.errors import SimulatedFault
 from streamrag.orchestrator import LatencyBreakdown, SessionOutcome, substream_rng
 from streamrag.reflector import (
     CallStatus,
@@ -380,7 +381,7 @@ class _OracleSession:
                 call.result = web_search(self.backends.index, query, self.config.top_docs)
             else:
                 call.result = kg_lookup(self.backends.kg_store, query)
-        except Exception as exc:  # noqa: BLE001
+        except SimulatedFault as exc:
             call.error = str(exc)
         self.cache.add(call)
         pending = sum(c.status is CallStatus.PENDING for c in self.cache.calls(tool))

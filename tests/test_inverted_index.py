@@ -208,6 +208,20 @@ def test_a_record_without_doc_id_or_text_is_named(records, bad):
     assert str(raised.value) == f"corpus record must have doc_id and text: {bad}"
 
 
+@pytest.mark.parametrize("records, bad", [
+    ([{"doc_id": "a", "text": "x"}, {"doc_id": 7, "text": 5}], "{'doc_id': 7, 'text': 5}"),
+    ([{"doc_id": "a", "text": "x"}, {"doc_id": 7, "text": "y"}], "{'doc_id': 7, 'text': 'y'}"),
+    ([{"doc_id": "a", "text": "x"}, {"doc_id": "b", "text": 5}, {"doc_id": 3, "text": "y"}],
+     "{'doc_id': 'b', 'text': 5}"),
+])
+def test_a_value_that_is_not_a_string_is_named(records, bad):
+    """No value is converted: str() would index 7 as '7', which a search
+    for '5' would rank first."""
+    with pytest.raises(InputError) as raised:
+        index_documents(records)
+    assert str(raised.value) == f"corpus record's doc_id and text must be strings: {bad}"
+
+
 def _fixture_queries(world) -> list[str]:
     rng = random.Random(3)
     words = [w for record in world.corpus for w in record["text"].split()]

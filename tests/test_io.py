@@ -630,8 +630,8 @@ class TestNamedFailures:
         assert run.returncode == 2, run.stderr
         first_ten = f"{trace['utterance_id']}: no %s for blocks {list(range(6, 16))} and more"
         if command == "simulate":
-            assert first_ten % "scripted queries" + " of 1000000000 at block_ms=1000" in run.stderr
-            assert f"input error: {traces}: every trace failed" in run.stderr
+            assert (f"input error: {traces}: " + first_ten % "scripted queries"
+                    + " of 1000000000 at block_ms=1000") in run.stderr
         else:
             assert (f"input error: {traces}: " + first_ten % "reference queries"
                     + " of 2000000000 at block_ms=500") in run.stderr

@@ -21,6 +21,7 @@ from streamrag.core import (
     Word,
     blocks_of,
 )
+from streamrag.errors import InputError, SimulatedFault
 from streamrag.labeling import SimilarityContext, assign_streaming_labels
 from streamrag.orchestrator import (
     Backends,
@@ -52,16 +53,17 @@ from test_pinned_outputs import FlakyGenerator
 
 class FailingGenerator:
     def generate(self, prefix, prev_web, prev_kg):
-        raise RuntimeError("model unavailable")
+        raise SimulatedFault("model unavailable")
 
 
 class EveryNth:
-    """Wraps a backend; its ``method`` raises on every ``n``-th call."""
+    """Wraps a backend; its ``method`` raises ``fault`` on every ``n``-th call."""
 
-    def __init__(self, inner, method: str, n: int) -> None:
+    def __init__(self, inner, method: str, n: int, fault: type[Exception] = SimulatedFault) -> None:
         self._inner = inner
         self._method = method
         self._n = n
+        self._fault = fault
         self._calls = 0
 
     def __getattr__(self, name):
@@ -72,7 +74,7 @@ class EveryNth:
         def flaky(*args):
             self._calls += 1
             if self._calls % self._n == 0:
-                raise RuntimeError(f"{self._method} call {self._calls} failed")
+                raise self._fault(f"{self._method} call {self._calls} failed")
             return found(*args)
         return flaky
 
@@ -297,6 +299,17 @@ class TestFixedInterval:
 
 
 class TestFailureHandling:
+    @pytest.mark.parametrize("part, method", [("index", "ranking"), ("kg_store", "lookup")])
+    def test_any_other_backend_error_propagates(self, index, kg_store, headline_latency, part,
+                                                method):
+        """Only a SimulatedFault is a failed call; any other error is a bug."""
+        trace = brand_founder_trace()
+        parts = {"index": index, "kg_store": kg_store}
+        parts[part] = EveryNth(parts[part], method, 1, ZeroDivisionError)
+        with pytest.raises(ZeroDivisionError, match=f"{method} call 1 failed"):
+            run_session(trace, session_config(Strategy.OPEN_BOOK), FinalQueryGenerator(trace),
+                        Backends(**parts), headline_latency)
+
     def test_all_threads_failed_degrades_to_closed_book(self, backends, headline_latency):
         trace = brand_founder_trace()
         outcome = run_session(
@@ -383,16 +396,13 @@ class TestRunBatch:
         expected_pairs = sum(len(blocks_of(t, 1000)) for t in traces)
         assert sum(o.threads_spawned for o in outcomes) == 2 * expected_pairs
 
-    def test_per_trace_errors_collected(self, world, index, backends, headline_latency):
+    def test_a_trace_that_raises_ends_the_batch(self, backends, headline_latency):
         good = brand_founder_trace()
         bad = UtteranceTrace("no-words", [Word("x", 0, 100)], {})  # no scripted queries
         config = session_config(Strategy.FIXED_INTERVAL)
-        outcomes, errors = run_batch(
-            [good, bad], config, lambda t: ScriptedQueryGenerator(t, 500), backends,
-            headline_latency,
-        )
-        assert len(outcomes) == 1 and outcomes[0].utterance_id == "brand-founder"
-        assert len(errors) == 1 and errors[0][0] == "no-words"
+        with pytest.raises(InputError, match="no-words: no scripted queries for blocks"):
+            run_batch([good, bad, good], config, lambda t: ScriptedQueryGenerator(t, 500),
+                      backends, headline_latency)
 
     def test_one_scoring_per_distinct_query_text(self, world, kg_store, headline_latency,
                                                  monkeypatch):

@@ -21,6 +21,7 @@ import pytest
 from conftest import session_config
 from streamrag.cli import cli, generator_factory
 from streamrag.core import Strategy
+from streamrag.errors import SimulatedFault
 from streamrag.orchestrator import Backends, LatencyModel, run_batch
 from streamrag.retrieval import KgStore, index_documents
 from streamrag.synth import FixtureWorld, random_batch
@@ -173,7 +174,7 @@ class FlakyGenerator:
     def generate(self, prefix, prev_web, prev_kg):
         self._calls += 1
         if zlib.crc32(f"{self._utterance_id}/{self._calls}".encode()) % 4 == 0:
-            raise RuntimeError("flaky generator")
+            raise SimulatedFault("flaky generator")
         return self._inner.generate(prefix, prev_web, prev_kg)
 
 

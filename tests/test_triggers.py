@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from streamrag.core import NO_QUERY, KgQuery, ScriptedQueries, Tool, ToolQuery, blocks_of
-from streamrag.errors import InputError
+from streamrag.errors import InputError, SimulatedFault
 from streamrag.labeling import similarity_f
 from streamrag.synth import brand_founder_trace, jump_shots_trace
 from streamrag.triggers import (
@@ -17,7 +17,12 @@ from streamrag.triggers import (
 
 class FailingGenerator:
     def generate(self, prefix, prev_web, prev_kg):
-        raise RuntimeError("model unavailable")
+        raise SimulatedFault("model unavailable")
+
+
+class BrokenGenerator:
+    def generate(self, prefix, prev_web, prev_kg):
+        raise KeyError("a generator's bug")
 
 
 def _streaming_gen(trace, similarity_ctx, block_ms=500):
@@ -76,6 +81,12 @@ class TestFixedIntervalStep:
         assert [r.getMessage() for r in caplog.records] == [
             "query generator failed at block 2; both tools get NO_QUERY"
         ]
+
+    def test_any_other_generator_error_propagates(self, caplog):
+        with caplog.at_level("WARNING", logger="streamrag.triggers"), \
+                pytest.raises(KeyError, match="a generator's bug"):
+            fixed_interval_step(BrokenGenerator(), "prefix", 2)
+        assert caplog.records == []
 
 
 class TestModelTriggerStep:
