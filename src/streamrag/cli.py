@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+import traceback
 from dataclasses import fields
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -486,7 +487,9 @@ def main(argv: list[str] | None = None) -> None:
         _echo(f"input error: {exc}", err=True)
         sys.exit(2)
     except Exception as exc:  # noqa: BLE001 - last-resort internal error mapping
-        _echo(f"internal error: {exc}", err=True)
+        where = traceback.extract_tb(exc.__traceback__)[-1]  # the innermost frame
+        _echo(f"internal error: {type(exc).__name__}: {exc} "
+              f"({Path(where.filename).name}:{where.lineno})", err=True)
         sys.exit(3)
     sys.exit(0)
 

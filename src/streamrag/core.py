@@ -66,8 +66,10 @@ class KgQuery:
             dom = KgDomain._value2member_map_[domain]
         except (KeyError, TypeError):
             dom = KgDomain(domain)
-        attrs = tuple(sorted((str(k), str(v)) for k, v in (attributes or {}).items()))
-        return cls(domain=dom, attributes=attrs)
+        for k, v in (attributes or {}).items():
+            if not (isinstance(k, str) and isinstance(v, str)):
+                raise InputError(f"kg attribute {k!r}: {v!r} is not a pair of strings")
+        return cls(domain=dom, attributes=tuple(sorted((attributes or {}).items())))
 
     def canonical_key(self) -> tuple:
         """Order-insensitive, case-insensitive identity used for lookup and equality."""

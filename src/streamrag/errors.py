@@ -27,4 +27,6 @@ class WrongToolError(ValueError):
 
 
 class SimulatedFault(Exception):
-    """A modelled failure: a backend's failed tool call, or a generator's NO_QUERY step."""
+    """A modelled failure, only where a tool call's backend (a failed call) or
+    a generator step (NO_QUERY) raises it; raised anywhere else, as in the
+    fixed_interval reflector's searches, it ends the command (exit 3)."""

@@ -24,6 +24,9 @@ In the reported decomposition, query generation is charged at its full
 per-fire cost (even when it overlapped speech) and the tool-results figure
 absorbs the overlap credit, so streaming components do not generally sum to
 the total.
+
+A backend's ``SimulatedFault`` is a failed call only inside a tool call; one
+raised by the reflector's own searches ends the command (exit 3).
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from .core import (
 from .errors import SimulatedFault
 from .reflector import (
     CallStatus,
-    QueryCache,
     SimilarityContext,
     ToolCall,
     cancel_after,
@@ -255,11 +257,11 @@ class _Session:
     """One run's timeline: the tool calls it spawned and its keyed log.
 
     ``now`` and ``seq`` are the time and order key of the records being
-    logged (see ``at``). The tool calls in ``cache`` are the session's only
-    record of what ran: previous queries, pending calls and the reported
-    counts are read from them. A call stays PENDING until the session
-    settles it, so whether it is still running at ``now`` is read from its
-    finish time.
+    logged (see ``at``). The tool calls in ``calls``, per tool in block
+    order, are the session's only record of what ran: previous queries,
+    pending calls, completions and the reported counts are read from them.
+    A call stays PENDING until the session settles it, so whether it is
+    still running at ``now`` is read from its finish time.
     """
 
     def __init__(
@@ -276,8 +278,7 @@ class _Session:
         self.latency = latency
         self.rng = substream_rng(config.rng_seed, latency.seed, trace.utterance_id)
         self.records: list[tuple[int, int, LogEvent]] = []
-        self.cache = QueryCache()  # every tool call, per tool in block order
-        self.spawned: list[tuple[int, ToolCall]] = []  # (seq of its completion, call)
+        self.calls: dict[Tool, list[ToolCall]] = {Tool.WEB: [], Tool.KG: []}
         self.max_parallel = 0
         self.seqs = count()
         self.now = self.seq = 0
@@ -303,7 +304,7 @@ class _Session:
         else:
             tool_ms = _draw(latency.kg_lookup, rng)
 
-        call = ToolCall(tool, block, query, now, query_gen_ms, tool_ms)
+        call = ToolCall(tool, block, query, now, query_gen_ms, tool_ms, seq=next(self.seqs))
         # Content is computed eagerly and deterministically; the timeline only
         # controls when it counts.
         try:
@@ -314,10 +315,9 @@ class _Session:
         except SimulatedFault as exc:
             call.error = str(exc)
 
-        self.cache.add(call)
-        self.spawned.append((next(self.seqs), call))
-        pending = sum(c.status is CallStatus.PENDING and c.finishes_ms >= now
-                      for c in self.cache.calls(tool))
+        calls = self.calls[tool]
+        calls.append(call)
+        pending = sum(c.status is CallStatus.PENDING and c.finishes_ms >= now for c in calls)
         self.max_parallel = max(self.max_parallel, pending)
         self.log("query_fired", tool, block, {"query": query.to_wire()})
 
@@ -329,34 +329,28 @@ class _Session:
     def settle(self, until_ms: int | None = None) -> None:
         """Mark every uncancelled call that finishes by ``until_ms`` (all of
         them when None) done, or failed when its backend raised."""
-        for _, call in self.spawned:
+        for call in (*self.calls[Tool.WEB], *self.calls[Tool.KG]):
             if call.status is CallStatus.PENDING and (until_ms is None
                                                        or call.finishes_ms <= until_ms):
                 call.status = CallStatus.DONE if call.error is None else CallStatus.FAILED
 
     def latest(self, tool: Tool) -> ToolCall | None:
-        calls = self.cache.calls(tool)
+        calls = self.calls[tool]
         return calls[-1] if calls else None
-
-    def call_at(self, tool: Tool, block: BlockIndex) -> ToolCall | None:
-        for call in self.cache.calls(tool):
-            if call.block == block:
-                return call
-        return None
 
     def prev_query(self, tool: Tool) -> ToolQuery:
         """The query of the tool's latest call that had one."""
-        for call in reversed(self.cache.calls(tool)):
+        for call in reversed(self.calls[tool]):
             if not call.query.is_no_query:
                 return call.query
         return NO_QUERY
 
     def event_log(self) -> list[LogEvent]:
-        """The log in time order: each completion that was not cancelled
-        joins the records, which are then sorted once by their keys."""
+        """The log in time order: the completion of each spawned call that was
+        not cancelled joins the records, which are then sorted once by key."""
         records = self.records
-        for seq, call in self.spawned:
-            if call.status is not CallStatus.CANCELLED:
+        for call in (*self.calls[Tool.WEB], *self.calls[Tool.KG]):
+            if (seq := call.seq) is not None and call.status is not CallStatus.CANCELLED:
                 detail = ({"status": "done"} if call.error is None
                           else {"status": "failed", "error": call.error})
                 t_ms = call.finishes_ms
@@ -396,8 +390,8 @@ class _Session:
             elif triggered:
                 self.log("no_query", tool, block)
             else:
-                self.cache.add(ToolCall(tool, block, NO_QUERY, started_ms=self.now,
-                                        status=CallStatus.FAILED))
+                self.calls[tool].append(ToolCall(tool, block, NO_QUERY, started_ms=self.now,
+                                                 status=CallStatus.FAILED))
                 self.log("thread_done", tool, block,
                          {"status": "failed", "error": "query generation failed"})
 
@@ -430,30 +424,27 @@ def run_session(
     session.at(utterance_end)
     if strategy is Strategy.OPEN_BOOK:
         session.apply_queries(fixed_interval_step(session.gen, trace.transcript(), 1), 1)
-    calls = session.cache.web + session.cache.kg  # complete: nothing fires after this
+    web_calls, kg_calls = session.calls[Tool.WEB], session.calls[Tool.KG]
+    calls = web_calls + kg_calls  # complete: nothing fires after this
 
     rerank_text: str | None = None  # None: rerank with the web result's own query
+    selected: BlockIndex | None = None
     if strategy is Strategy.FIXED_INTERVAL:
         session.settle(utterance_end)
-        final_web = session.prev_query(Tool.WEB)
-        final_kg = session.prev_query(Tool.KG)
+        final_web, final_kg = session.prev_query(Tool.WEB), session.prev_query(Tool.KG)
         ctx = SimilarityContext.from_config(backends.index, config, backends.kg_store)
-        selected, scan_log = select_earliest_joint(session.cache, final_web, final_kg, ctx)
+        selected, scan_log = select_earliest_joint(web_calls, kg_calls, final_web, final_kg, ctx)
         for record in scan_log:
             session.log("reflected", block=record["block"], detail=record)
         session.log("reflected", detail={"selected_block": selected})
-
-        last_block = max((call.block for call in calls), default=0)
-        effective = selected if selected is not None else last_block
-        for call in cancel_after(session.cache, effective):
-            session.cancel(call)
-        web_call = session.call_at(Tool.WEB, effective)
-        kg_call = session.call_at(Tool.KG, effective)
+        if selected is not None:  # no call comes after the last block
+            for call in cancel_after(calls, selected):
+                session.cancel(call)
         rerank_text = final_web.web_text
-    else:
-        selected = None
-        web_call = session.latest(Tool.WEB)
-        kg_call = session.latest(Tool.KG)
+    if selected is None:
+        web_call, kg_call = session.latest(Tool.WEB), session.latest(Tool.KG)
+    else:  # fixed_interval makes one call per tool and block, block b's at index b - 1
+        web_call, kg_call = web_calls[selected - 1], kg_calls[selected - 1]
 
     awaited = [call for call in (web_call, kg_call)
                if call is not None and call.status is not CallStatus.CANCELLED]
@@ -508,7 +499,7 @@ def run_session(
         selected_block=selected,
         references=references,
         latency=latency_breakdown,
-        threads_spawned=len(session.spawned),
+        threads_spawned=sum(call.seq is not None for call in calls),
         threads_cancelled=sum(call.status is CallStatus.CANCELLED for call in calls),
         max_parallel_threads=session.max_parallel,
         degraded=degraded,

@@ -10,8 +10,9 @@ cancelled. A failed call is never sufficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Sequence
 
 from .core import BlockIndex, SessionConfig, Tool, ToolQuery
 from .errors import WrongToolError
@@ -35,8 +36,9 @@ class ToolCall:
     """One tool call of a session: its query, simulated timing and outcome.
 
     A query that never materialised is recorded as a call with ``NO_QUERY``,
-    status FAILED and zero timings. The result is computed when the call is
-    spawned; it counts only once the status is DONE.
+    status FAILED, zero timings and no ``seq``. The result is computed when
+    the call is spawned; it counts only once the status is DONE. ``seq``
+    orders the call's completion among the session's log records.
     """
 
     tool: Tool
@@ -48,27 +50,11 @@ class ToolCall:
     status: CallStatus = CallStatus.PENDING
     result: WebResult | str | None = None
     error: str | None = None
+    seq: int | None = None
 
     @property
     def finishes_ms(self) -> int:
         return self.started_ms + self.query_gen_ms + self.tool_ms
-
-
-@dataclass
-class QueryCache:
-    """Per-tool, block-ordered record of every tool call in a session."""
-
-    web: list[ToolCall] = field(default_factory=list)
-    kg: list[ToolCall] = field(default_factory=list)
-
-    def calls(self, tool: Tool) -> list[ToolCall]:
-        return self.web if tool is Tool.WEB else self.kg
-
-    def add(self, call: ToolCall) -> None:
-        calls = self.calls(call.tool)
-        if calls and calls[-1].block >= call.block:
-            raise ValueError(f"cache blocks must strictly increase per tool ({call.tool.value})")
-        calls.append(call)
 
 
 @dataclass(frozen=True)
@@ -126,54 +112,42 @@ def reflect_with_reason(
 
 
 def select_earliest_joint(
-    cache: QueryCache, final_web: ToolQuery, final_kg: ToolQuery, ctx: SimilarityContext
+    web_calls: Sequence[ToolCall], kg_calls: Sequence[ToolCall],
+    final_web: ToolQuery, final_kg: ToolQuery, ctx: SimilarityContext,
 ) -> tuple[BlockIndex | None, list[dict]]:
     """Earliest block at which BOTH tools' intermediate calls are sufficient.
 
-    The session uses one cut point for cancellation and reference assembly,
-    so a block qualifies only when its web and kg calls both pass. Returns
-    the block (None if none qualifies) plus one reason record per scanned
-    block for the event log.
+    Each list holds one call per block, in block order, the last one the
+    final block's, which is not scanned. The session uses one cut point for
+    cancellation and reference assembly, so a block qualifies only when its
+    web and kg calls both pass. Returns the block (None if none qualifies)
+    plus one reason record per scanned block for the event log.
     """
-    web_by_block = {e.block: e for e in cache.web}
-    kg_by_block = {e.block: e for e in cache.kg}
-    blocks = sorted(set(web_by_block) | set(kg_by_block))
-    if not blocks:
-        return None, []
-    final_block = blocks[-1]
+
+    def check(call: ToolCall, final: ToolQuery) -> tuple[bool, str]:
+        if call.status in (CallStatus.FAILED, CallStatus.CANCELLED):
+            return False, REASON_INSUFFICIENT
+        return reflect_with_reason(call.query, final, ctx)
+
     scan_log: list[dict] = []
-    selected: BlockIndex | None = None
-    for block in blocks:
-        if block >= final_block:
-            break
-
-        def check(call: ToolCall | None, final: ToolQuery) -> tuple[bool, str]:
-            if call is None or call.status in (CallStatus.FAILED, CallStatus.CANCELLED):
-                return False, REASON_INSUFFICIENT
-            return reflect_with_reason(call.query, final, ctx)
-
-        web_ok, web_reason = check(web_by_block.get(block), final_web)
-        kg_ok, kg_reason = check(kg_by_block.get(block), final_kg)
+    for web, kg in zip(web_calls[:-1], kg_calls[:-1]):
+        web_ok, web_reason = check(web, final_web)
+        kg_ok, kg_reason = check(kg, final_kg)
         sufficient = web_ok and kg_ok
         scan_log.append(
-            {"block": block, "web": web_reason, "kg": kg_reason, "sufficient": sufficient}
+            {"block": web.block, "web": web_reason, "kg": kg_reason, "sufficient": sufficient}
         )
         if sufficient:
-            selected = block
-            break
-    return selected, scan_log
+            return web.block, scan_log
+    return None, scan_log
 
 
-def cancel_after(cache: QueryCache, selected_block: BlockIndex) -> list[ToolCall]:
-    """The still-pending calls after the selected block: the ones to cancel.
+def cancel_after(calls: Iterable[ToolCall], selected_block: BlockIndex) -> list[ToolCall]:
+    """The still-pending calls after the selected block: the ones to cancel,
+    in the order given (the session gives web calls, then kg calls).
 
-    Web calls come first, then kg calls, each in block order. Completed calls
-    keep their results (they are simply unused). The cache is not changed;
-    the session cancels each call it is given.
+    Completed calls keep their results (they are simply unused). No call is
+    changed; the session cancels each call it is given.
     """
-    return [
-        call
-        for tool in (Tool.WEB, Tool.KG)
-        for call in cache.calls(tool)
-        if call.block > selected_block and call.status is CallStatus.PENDING
-    ]
+    return [call for call in calls
+            if call.block > selected_block and call.status is CallStatus.PENDING]

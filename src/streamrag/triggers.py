@@ -5,9 +5,10 @@ transcript block: the fixed-interval policy asks for a fresh pair on every
 block, while the model-triggered policy passes the tools' previous queries,
 so the generator may answer NO_QUERY to keep the current tool call running
 and fire only when the query actually changes. Each step returns the
-generator's ``ScriptedQueries`` as they are, and a ``SimulatedFault`` it
-raises as NO_QUERY for both tools; any other exception propagates. The
-session alone decides what a NO_QUERY means under its strategy (see ``orchestrator``).
+generator's ``ScriptedQueries`` as they are. A ``SimulatedFault`` the
+generator raises, in its similarity check too, is modelled here alone, as
+NO_QUERY for both tools; any other exception propagates. The session alone
+decides what a NO_QUERY means under its strategy (see ``orchestrator``).
 
 ``QueryGenerator`` is the extension point for a live model adapter: it
 returns a ``ScriptedQueries`` pair per prefix, as the scripted generators

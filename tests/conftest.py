@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from streamrag import orchestrator
 from streamrag.core import SessionConfig, Strategy
 from streamrag.labeling import SimilarityContext
 from streamrag.orchestrator import Backends, LatencyModel
@@ -47,6 +48,21 @@ def headline_latency() -> LatencyModel:
         query_gen=590, web_fetch=2780, chunk_rerank=0, kg_lookup=2780,
         response_gen=2520, response_tail=0, seed=0,
     )
+
+
+@pytest.fixture
+def sessions(monkeypatch) -> list:
+    """Every ``orchestrator._Session`` that runs while the test does, in order,
+    so a test can read each session's tool calls after its run."""
+    made = []
+
+    class Recorded(orchestrator._Session):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(orchestrator, "_Session", Recorded)
+    return made
 
 
 def session_config(strategy: Strategy, **kwargs) -> SessionConfig:

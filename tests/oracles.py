@@ -19,7 +19,6 @@ from streamrag.errors import SimulatedFault
 from streamrag.orchestrator import LatencyBreakdown, SessionOutcome, substream_rng
 from streamrag.reflector import (
     CallStatus,
-    QueryCache,
     SimilarityContext,
     ToolCall,
     cancel_after,
@@ -358,7 +357,7 @@ class _OracleSession:
         self.rng = substream_rng(config.rng_seed, latency.seed, trace.utterance_id)
         self.clock = OracleClock()
         self.events: list[_OracleEvent] = []
-        self.cache = QueryCache()
+        self.calls = {Tool.WEB: [], Tool.KG: []}
         self.max_parallel = 0
         self.selected_block: int | None = None
         self.utterance_end_ms = trace.end_ms + config.endpoint_delay_ms
@@ -383,8 +382,8 @@ class _OracleSession:
                 call.result = kg_lookup(self.backends.kg_store, query)
         except SimulatedFault as exc:
             call.error = str(exc)
-        self.cache.add(call)
-        pending = sum(c.status is CallStatus.PENDING for c in self.cache.calls(tool))
+        self.calls[tool].append(call)
+        pending = sum(c.status is CallStatus.PENDING for c in self.calls[tool])
         self.max_parallel = max(self.max_parallel, pending)
         self.clock.schedule(call.finishes_ms, partial(self.finish_thread, call))
         self.log("query_fired", tool, block, {"query": query.to_wire()})
@@ -408,17 +407,17 @@ class _OracleSession:
             self.log("thread_done", call.tool, call.block, {"status": "done"})
 
     def latest_thread(self, tool):
-        calls = self.cache.calls(tool)
+        calls = self.calls[tool]
         return calls[-1] if calls else None
 
     def thread_at(self, tool, block):
-        for call in self.cache.calls(tool):
+        for call in self.calls[tool]:
             if call.block == block:
                 return call
         return None
 
     def prev_query(self, tool):
-        for call in reversed(self.cache.calls(tool)):
+        for call in reversed(self.calls[tool]):
             if not call.query.is_no_query:
                 return call.query
         return NO_QUERY
@@ -443,8 +442,9 @@ class _OracleSession:
             elif triggered:
                 self.log("no_query", tool, block)
             else:
-                self.cache.add(ToolCall(tool, block, NO_QUERY, started_ms=self.clock.now_ms,
-                                        status=CallStatus.FAILED))
+                self.calls[tool].append(ToolCall(tool, block, NO_QUERY,
+                                                 started_ms=self.clock.now_ms,
+                                                 status=CallStatus.FAILED))
                 self.log("thread_done", tool, block,
                          {"status": "failed", "error": "query generation failed"})
 
@@ -467,7 +467,8 @@ def oracle_run_session(trace, config, gen, backends, latency) -> SessionOutcome:
 
     if strategy is Strategy.OPEN_BOOK:
         session.apply_queries(fixed_interval_step(session.gen, trace.transcript(), 1), 1)
-    calls = session.cache.web + session.cache.kg
+    web_calls, kg_calls = session.calls[Tool.WEB], session.calls[Tool.KG]
+    calls = web_calls + kg_calls
 
     rerank_text = None
     if strategy is Strategy.FIXED_INTERVAL:
@@ -476,13 +477,14 @@ def oracle_run_session(trace, config, gen, backends, latency) -> SessionOutcome:
         ctx = SimilarityContext(index=backends.index, compare_k=config.reflect_top_k,
                                 retrieve_k=config.top_docs, ordered=config.reflect_ordered,
                                 kg_store=backends.kg_store)
-        selected, scan_log = select_earliest_joint(session.cache, final_web, final_kg, ctx)
+        selected, scan_log = select_earliest_joint(web_calls, kg_calls, final_web, final_kg,
+                                                   ctx)
         for record in scan_log:
             session.log("reflected", block=record["block"], detail=record)
         session.log("reflected", detail={"selected_block": selected})
         last_block = max((call.block for call in calls), default=0)
         effective = selected if selected is not None else last_block
-        for call in cancel_after(session.cache, effective):
+        for call in cancel_after(calls, effective):
             session.cancel_thread(call)
         session.selected_block = selected
         web_call = session.thread_at(Tool.WEB, effective)

@@ -116,7 +116,8 @@ class TestSimulate:
         monkeypatch.setattr(cli_module, "index_documents", broken_index)
         code, err = run_main("simulate", *INPUTS["simulate"], "--out-dir", str(tmp_path / "x"))
         assert code == 3
-        assert "internal error: injected index fault" in err
+        line = broken_index.__code__.co_firstlineno + 1
+        assert f"internal error: RuntimeError: injected index fault (test_cli.py:{line})" in err
 
     def test_parse_error_reports_line_number(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -148,6 +148,19 @@ class TestKgQuery:
             assert KgQuery.make(domain.value).domain is domain
             assert KgQuery.make(domain).domain is domain
 
+    @pytest.mark.parametrize("attributes, named", [
+        ({"year": "2024", 7: "True"}, "kg attribute 7: 'True' "),
+        ({"year": 2024}, "kg attribute 'year': 2024 "),
+        ({"year": "2024", "final": True}, "kg attribute 'final': True "),
+        ({None: "x"}, "kg attribute None: 'x' "),
+    ])
+    def test_make_rejects_an_attribute_that_is_not_a_string_pair(self, attributes, named):
+        """No attribute is converted: 7 and "7" would be one key, 2024 and
+        "2024" one value."""
+        with pytest.raises(InputError) as error:
+            KgQuery.make("sports", attributes)
+        assert str(error.value) == named + "is not a pair of strings"
+
 
 class TestToolQuery:
     def test_wire_forms(self):

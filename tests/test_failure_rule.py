@@ -18,8 +18,9 @@ import pytest
 
 import streamrag
 from streamrag import cli as cli_module
-from streamrag import orchestrator, retrieval
+from streamrag import orchestrator, reflector, retrieval
 from streamrag.cli import main
+from streamrag.errors import SimulatedFault
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TRACES, CORPUS, KG = (str(FIXTURES / name) for name in ("traces.jsonl", "corpus.jsonl", "kg.json"))
@@ -27,23 +28,31 @@ SRC = Path(streamrag.__file__).resolve().parent
 BROAD = {"Exception", "BaseException"}
 
 
-def broad_handlers(source: str) -> list[tuple[str, int]]:
-    """Each handler that catches every exception (a bare ``except:``, or one
-    naming ``Exception`` or ``BaseException``, alone or in a tuple), as (the
-    innermost function around it, line), in source order."""
+def handlers(source: str, names: set[str]) -> list[tuple[str, int]]:
+    """Each handler that catches an exception of one of ``names`` (a bare
+    ``except:``, or one naming it, alone or in a tuple, as ``Name`` or
+    ``module.Name``), as (the dotted names of the classes and functions
+    around it, line), in source order."""
     found = []
 
     def walk(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ExceptHandler):
                 caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
-                if any(t is None or isinstance(t, ast.Name) and t.id in BROAD for t in caught):
+                if any(t is None or isinstance(t, ast.Name) and t.id in names
+                       or isinstance(t, ast.Attribute) and t.attr in names for t in caught):
                     found.append((scope, child.lineno))
-            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            walk(child, child.name if named else scope)
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            walk(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
 
     walk(ast.parse(source), "")
     return found
+
+
+def handlers_in_src(names: set[str]) -> list[tuple[str, str]]:
+    return [(str(path.relative_to(SRC)), scope)
+            for path in sorted(SRC.rglob("*.py"))
+            for scope, _ in handlers(path.read_text(encoding="utf-8"), names)]
 
 
 def test_broad_handlers_are_found():
@@ -58,17 +67,27 @@ def f():
 def g():
     try: pass
     except Exception as exc: pass
+class C:
+    def m(self):
+        try: pass
+        except errors.SimulatedFault: pass
 """
-    assert broad_handlers(source) == [("f", 4), ("f", 6), ("g", 11)]
+    assert handlers(source, BROAD) == [("f", 4), ("f", 6), ("g", 11)]
+    assert handlers(source, {"SimulatedFault"}) == [("f", 4), ("C.m", 15)]
 
 
 def test_only_the_entry_point_catches_every_exception():
     """cli.main maps what nothing else handled to exit 3; no other code may
     turn an arbitrary exception into a result."""
-    found = [(str(path.relative_to(SRC)), scope)
-             for path in sorted(SRC.rglob("*.py"))
-             for scope, _ in broad_handlers(path.read_text(encoding="utf-8"))]
-    assert found == [("cli.py", "main")]
+    assert handlers_in_src(BROAD) == [("cli.py", "main")]
+
+
+def test_a_simulated_fault_is_caught_in_two_places():
+    """A tool call's backend fault becomes a failed call in ``_Session.spawn``,
+    a generator's becomes NO_QUERY in ``model_trigger_step``; a third handler
+    would model a fault somewhere new."""
+    assert handlers_in_src({"SimulatedFault"}) == [("orchestrator.py", "_Session.spawn"),
+                                                    ("triggers.py", "model_trigger_step")]
 
 
 def run_main(capsys, *args: str) -> tuple[int, str]:
@@ -94,7 +113,9 @@ def test_a_search_that_raises_exits_three(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(retrieval.DocIndex, "ranking", ranking)
     code, err = simulate(capsys, tmp_path / "out", "--strategy", "open_book")
     assert code == 3, err
-    assert "internal error: injected ranking fault" in err
+    line = ranking.__code__.co_firstlineno + 1
+    assert ("internal error: ZeroDivisionError: injected ranking fault "
+            f"(test_failure_rule.py:{line})") in err
     assert not (tmp_path / "out" / "outcomes.jsonl").exists()
 
 
@@ -111,7 +132,9 @@ def test_a_similarity_check_that_raises_exits_three(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(cli_module, "similarity_f", every_seventh)
     code, err = simulate(capsys, tmp_path / "out", "--strategy", "model_triggered")
     assert code == 3, err
-    assert "internal error: similarity call 7 failed" in err
+    line = every_seventh.__code__.co_firstlineno + 3
+    assert ("internal error: RuntimeError: similarity call 7 failed "
+            f"(test_failure_rule.py:{line})") in err
     assert "warning" not in err
     assert not (tmp_path / "out" / "outcomes.jsonl").exists()
 
@@ -127,7 +150,25 @@ def test_a_session_that_raises_exits_three(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(orchestrator, "run_session", failing_for_jump_shots)
     code, err = simulate(capsys, tmp_path / "out")
     assert code == 3, err
-    assert "internal error: 'jump-shots'" in err
+    line = failing_for_jump_shots.__code__.co_firstlineno + 2
+    assert f"internal error: KeyError: 'jump-shots' (test_failure_rule.py:{line})" in err
+    assert not (tmp_path / "out" / "outcomes.jsonl").exists()
+
+
+def test_a_fault_in_the_reflector_is_not_modelled(tmp_path, monkeypatch, capsys):
+    """A SimulatedFault is modelled only where a tool call's backend or a
+    generator step raises it; the fixed_interval reflector's search is
+    neither, so its fault ends the command as a bug does."""
+    def top_docs_match(*args):
+        raise SimulatedFault("injected reflector fault")
+
+    monkeypatch.setattr(reflector, "top_docs_match", top_docs_match)
+    code, err = simulate(capsys, tmp_path / "out", "--strategy", "fixed_interval",
+                         "--block-ms", "500")
+    assert code == 3, err
+    line = top_docs_match.__code__.co_firstlineno + 1
+    assert ("internal error: SimulatedFault: injected reflector fault "
+            f"(test_failure_rule.py:{line})") in err
     assert not (tmp_path / "out" / "outcomes.jsonl").exists()
 
 

@@ -611,7 +611,8 @@ def test_a_fault_in_a_parser_is_internal(tmp_path, outcomes, monkeypatch):
     code, err = run_main("report", "--baseline", str(outcomes), "--strategy", str(outcomes),
                          "--out-dir", str(tmp_path / "rep"))
     assert code == 3, err
-    assert "internal error: a parser's bug" in err
+    line = parse.__code__.co_firstlineno + 1
+    assert f"internal error: TypeError: a parser's bug (test_io.py:{line})" in err
 
 
 class TestNamedFailures:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamrag import orchestrator, retrieval
+from streamrag import orchestrator, reflector, retrieval
 from streamrag.cli import generator_factory
 from streamrag.core import (
     NO_QUERY,
@@ -296,6 +296,39 @@ class TestFixedInterval:
         assert outcome.threads_cancelled == 0
         # final pair fired at utterance end: same wait as open book
         assert outcome.latency.tool_results_ms == 2780
+
+    @pytest.mark.parametrize("case", ["scripted", "failing_generator", "no_query_after",
+                                      "failing_calls"])
+    def test_each_tool_calls_once_per_block(self, case, world, index, kg_store,
+                                            headline_latency, sessions, monkeypatch):
+        """Each block makes one call per tool, a real call or a failed NO_QUERY
+        placeholder, so a tool's calls have blocks exactly 1..B: the session
+        and the reflector read block b's calls at index b - 1."""
+        config = session_config(Strategy.FIXED_INTERVAL)
+        traces = random_batch(world, 30, seed=11, block_ms=500)
+        make = {"failing_generator": lambda trace: FailingGenerator(),
+                "no_query_after": lambda trace: NoQueryAfter(trace, 2)}.get(
+                    case, generator_factory(config, index))
+        backends = Backends(index=index, kg_store=kg_store)
+        if case == "failing_calls":
+            backends = Backends(index=EveryNth(index, "ranking", 2), kg_store=kg_store)
+            # the reflector searches the plain index, so only tool calls fail
+            top_docs_match = reflector.top_docs_match
+            monkeypatch.setattr(reflector, "top_docs_match",
+                                lambda _, *args: top_docs_match(index, *args))
+        run_batch(traces, config, make, backends, headline_latency)
+        assert len(sessions) == len(traces)
+        kinds: Counter = Counter()
+        for trace, session in zip(traces, sessions):
+            blocks = list(range(1, len(blocks_of(trace, config.block_ms)) + 1))
+            for tool, calls in session.calls.items():
+                assert [(c.tool, c.block) for c in calls] == [(tool, b) for b in blocks]
+                kinds.update("placeholder" if c.seq is None else c.status.value for c in calls)
+        # each case makes the calls it is meant to
+        assert {"scripted": kinds["placeholder"] == kinds["failed"] == 0,
+                "failing_generator": kinds.keys() == {"placeholder"},
+                "no_query_after": kinds["placeholder"] > 0 and kinds["failed"] == 0,
+                "failing_calls": kinds["failed"] > 0 and kinds["placeholder"] == 0}[case], kinds
 
 
 class TestFailureHandling:

@@ -15,7 +15,6 @@ from streamrag.reflector import (
     REASON_KG_RESULT_MATCH,
     REASON_TOP5_MATCH,
     CallStatus,
-    QueryCache,
     SimilarityContext,
     ToolCall,
     cancel_after,
@@ -130,19 +129,23 @@ class TestOneCheck:
 SAME_KG = _kg("Rare Beauty")
 
 
-def _cache(web: list[tuple[int, ToolQuery, CallStatus]],
-           kg_status: dict[int, CallStatus] | None = None) -> QueryCache:
-    """Web calls as given, each paired with a SAME_KG call (DONE unless kg_status says)."""
-    cache = QueryCache()
+Calls = tuple[list[ToolCall], list[ToolCall]]
+
+
+def _calls(web: list[tuple[int, ToolQuery, CallStatus]],
+           kg_status: dict[int, CallStatus] | None = None) -> Calls:
+    """Web calls as given, each paired with a SAME_KG call (DONE unless
+    kg_status says): the web and kg lists of a session, in block order."""
+    web_calls, kg_calls = [], []
     for block, query, status in web:
-        cache.add(ToolCall(Tool.WEB, block, query, status=status))
+        web_calls.append(ToolCall(Tool.WEB, block, query, status=status))
         kg = (kg_status or {}).get(block, CallStatus.DONE)
-        cache.add(ToolCall(Tool.KG, block, SAME_KG, status=kg))
-    return cache
+        kg_calls.append(ToolCall(Tool.KG, block, SAME_KG, status=kg))
+    return web_calls, kg_calls
 
 
-def _earliest(cache: QueryCache, final_web: ToolQuery, ctx) -> int | None:
-    selected, _ = select_earliest_joint(cache, final_web, SAME_KG, ctx)
+def _earliest(calls: Calls, final_web: ToolQuery, ctx) -> int | None:
+    selected, _ = select_earliest_joint(*calls, final_web, SAME_KG, ctx)
     return selected
 
 
@@ -151,16 +154,16 @@ class TestSelectEarliestSufficient:
 
     def test_all_identical_selects_block_1(self, reflect_ctx):
         final = ToolQuery.web("same query")
-        cache = _cache([(b, final, CallStatus.DONE) for b in range(1, 6)])
-        assert _earliest(cache, final, reflect_ctx) == 1
+        calls = _calls([(b, final, CallStatus.DONE) for b in range(1, 6)])
+        assert _earliest(calls, final, reflect_ctx) == 1
 
     def test_walkthrough_trace_selects_block_3(self, world, index, reflect_ctx):
         trace = brand_founder_trace()
         final = trace.scripted_queries[5].web
-        cache = _cache(
+        calls = _calls(
             [(b, trace.scripted_queries[b].web, CallStatus.PENDING) for b in range(1, 6)]
         )
-        selected = _earliest(cache, final, reflect_ctx)
+        selected = _earliest(calls, final, reflect_ctx)
         # oracle: brute-force reflect over every cached block
         expected = None
         for b in range(1, 5):
@@ -174,36 +177,36 @@ class TestSelectEarliestSufficient:
         assert selected == 3
 
     def test_none_when_no_intermediate_passes(self, reflect_ctx):
-        cache = _cache(
+        calls = _calls(
             [
                 (1, ToolQuery.web("Red Bull founder"), CallStatus.DONE),
                 (2, ToolQuery.web("Who founded Rare Beauty"), CallStatus.DONE),
             ]
         )
-        assert _earliest(cache, ToolQuery.web("Who founded Rare Beauty"), reflect_ctx) is None
+        assert _earliest(calls, ToolQuery.web("Who founded Rare Beauty"), reflect_ctx) is None
 
-    def test_empty_cache_is_none(self, reflect_ctx):
-        assert select_earliest_joint(QueryCache(), ToolQuery.web("final"), SAME_KG,
+    def test_no_calls_is_none(self, reflect_ctx):
+        assert select_earliest_joint([], [], ToolQuery.web("final"), SAME_KG,
                                      reflect_ctx) == (None, [])
 
     def test_failed_intermediate_never_sufficient(self, reflect_ctx):
         final = ToolQuery.web("the query")
         web = [(b, final, CallStatus.DONE) for b in range(1, 4)]
         failed_web = [(1, final, CallStatus.FAILED), *web[1:]]
-        assert _earliest(_cache(failed_web), final, reflect_ctx) == 2
-        failed_kg = _cache(web, kg_status={1: CallStatus.FAILED})
+        assert _earliest(_calls(failed_web), final, reflect_ctx) == 2
+        failed_kg = _calls(web, kg_status={1: CallStatus.FAILED})
         assert _earliest(failed_kg, final, reflect_ctx) == 2
         # a query that never materialised is a failed call too
-        no_query = _cache([(1, NO_QUERY, CallStatus.FAILED), *web[1:]])
+        no_query = _calls([(1, NO_QUERY, CallStatus.FAILED), *web[1:]])
         assert _earliest(no_query, final, reflect_ctx) == 2
 
     def test_minimality_exhaustive(self, reflect_ctx):
         trace = brand_founder_trace()
         final = trace.scripted_queries[5].web
-        cache = _cache(
+        calls = _calls(
             [(b, trace.scripted_queries[b].web, CallStatus.DONE) for b in range(1, 6)]
         )
-        selected, scan_log = select_earliest_joint(cache, final, SAME_KG, reflect_ctx)
+        selected, scan_log = select_earliest_joint(*calls, final, SAME_KG, reflect_ctx)
         assert selected is not None
         for b in range(1, selected):
             assert not _sufficient(trace.scripted_queries[b].web, final, reflect_ctx)
@@ -213,36 +216,34 @@ class TestSelectEarliestSufficient:
 class TestSelectEarliestJoint:
     def test_joint_requires_both_tools(self, reflect_ctx):
         trace = brand_founder_trace()
-        cache = QueryCache()
-        for b in range(1, 6):
-            cache.add(ToolCall(Tool.WEB, b, trace.scripted_queries[b].web))
-            cache.add(ToolCall(Tool.KG, b, trace.scripted_queries[b].kg))
+        web = [ToolCall(Tool.WEB, b, trace.scripted_queries[b].web) for b in range(1, 6)]
+        kg = [ToolCall(Tool.KG, b, trace.scripted_queries[b].kg) for b in range(1, 6)]
         selected, scan_log = select_earliest_joint(
-            cache, trace.scripted_queries[5].web, trace.scripted_queries[5].kg, reflect_ctx
+            web, kg, trace.scripted_queries[5].web, trace.scripted_queries[5].kg, reflect_ctx
         )
         assert selected == 3
         assert [r["block"] for r in scan_log] == [1, 2, 3]
         assert scan_log[-1]["sufficient"] is True
 
 
-def _statuses(cache: QueryCache) -> list[tuple[Tool, int, CallStatus]]:
-    return [(c.tool, c.block, c.status) for c in (*cache.web, *cache.kg)]
+def _statuses(calls: Calls) -> list[tuple[Tool, int, CallStatus]]:
+    return [(c.tool, c.block, c.status) for c in (*calls[0], *calls[1])]
 
 
 class TestCancelAfter:
     """cancel_after names the calls to cancel; it changes nothing itself."""
 
     def test_selected_1_cancels_four_pending(self):
-        cache = _cache([(b, ToolQuery.web("q"), CallStatus.PENDING) for b in range(1, 6)])
-        before = _statuses(cache)
-        cancelled = cancel_after(cache, 1)
+        calls = _calls([(b, ToolQuery.web("q"), CallStatus.PENDING) for b in range(1, 6)])
+        before = _statuses(calls)
+        cancelled = cancel_after([*calls[0], *calls[1]], 1)
         assert [(c.tool, c.block) for c in cancelled] == [(Tool.WEB, b) for b in range(2, 6)]
-        assert all(c is cache.web[c.block - 1] for c in cancelled)
-        assert _statuses(cache) == before
+        assert all(c is calls[0][c.block - 1] for c in cancelled)
+        assert _statuses(calls) == before
 
     def test_selected_last_block_cancels_nothing(self):
-        cache = _cache([(b, ToolQuery.web("q"), CallStatus.PENDING) for b in range(1, 6)])
-        assert cancel_after(cache, 5) == []
+        calls = _calls([(b, ToolQuery.web("q"), CallStatus.PENDING) for b in range(1, 6)])
+        assert cancel_after([*calls[0], *calls[1]], 5) == []
 
     def test_mixed_statuses_only_pending_cancelled(self):
         q = ToolQuery.web("q")
@@ -253,49 +254,41 @@ class TestCancelAfter:
             (4, q, CallStatus.DONE),
             (5, q, CallStatus.PENDING),
         ]
-        cache = _cache(entries)
+        web, kg = _calls(entries)
         # oracle: filter by status and block
         expected = [b for b, _, status in entries if b > 2 and status is CallStatus.PENDING]
-        cancelled = cancel_after(cache, 2)
+        cancelled = cancel_after([*web, *kg], 2)
         assert [c.block for c in cancelled] == expected
-        done = [c.block for c in cache.web if c.status is CallStatus.DONE]
+        done = [c.block for c in web if c.status is CallStatus.DONE]
         assert done == [1, 2, 4]
 
     def test_no_pending_beyond_selected_after_cancel(self):
         pending = {b: CallStatus.PENDING for b in range(1, 8)}
-        cache = _cache([(b, ToolQuery.web("q"), CallStatus.PENDING) for b in range(1, 8)],
-                       kg_status=pending)
-        cancelled = cancel_after(cache, 3)
+        web, kg = _calls([(b, ToolQuery.web("q"), CallStatus.PENDING) for b in range(1, 8)],
+                         kg_status=pending)
+        cancelled = cancel_after([*web, *kg], 3)
         # all web calls first, then all kg calls, each in block order
         assert [(c.tool, c.block) for c in cancelled] == (
             [(Tool.WEB, b) for b in range(4, 8)] + [(Tool.KG, b) for b in range(4, 8)]
         )
         for call in cancelled:
             call.status = CallStatus.CANCELLED
-        assert all(c.status is not CallStatus.PENDING
-                   for c in (*cache.web, *cache.kg) if c.block > 3)
+        assert all(c.status is not CallStatus.PENDING for c in (*web, *kg) if c.block > 3)
 
     @pytest.mark.parametrize("strategy", [Strategy.FIXED_INTERVAL, Strategy.MODEL_TRIGGERED])
     def test_session_cancels_each_call_once(self, strategy, world, index, backends,
-                                            headline_latency, monkeypatch):
-        caches: list[QueryCache] = []
-
-        def recording_cache() -> QueryCache:
-            caches.append(QueryCache())
-            return caches[-1]
-
-        monkeypatch.setattr(orchestrator, "QueryCache", recording_cache)
+                                            headline_latency, sessions):
         config = session_config(strategy)
         outcomes, errors = orchestrator.run_batch(
             random_batch(world, 30, seed=11, block_ms=500), config,
             generator_factory(config, index), backends, headline_latency,
         )
-        assert errors == [] and len(caches) == len(outcomes)
+        assert errors == [] and len(sessions) == len(outcomes)
         total_cancelled = 0
-        for outcome, cache in zip(outcomes, caches):
+        for outcome, session in zip(outcomes, sessions):
             cancel_events = [(e.tool, e.block) for e in outcome.event_log
                              if e.type == "thread_cancelled"]
-            calls = [*cache.web, *cache.kg]
+            calls = [*session.calls[Tool.WEB], *session.calls[Tool.KG]]
             cancelled = [c for c in calls if c.status is CallStatus.CANCELLED]
             assert all(c.result is None for c in cancelled)
             assert sorted(cancel_events) == sorted((c.tool.value, c.block) for c in cancelled)
@@ -304,11 +297,3 @@ class TestCancelAfter:
             assert not any(c.status is CallStatus.PENDING for c in calls)
             total_cancelled += len(cancelled)
         assert total_cancelled > 0
-
-
-class TestQueryCache:
-    def test_blocks_must_strictly_increase(self):
-        cache = QueryCache()
-        cache.add(ToolCall(Tool.WEB, 1, ToolQuery.web("a")))
-        with pytest.raises(ValueError):
-            cache.add(ToolCall(Tool.WEB, 1, ToolQuery.web("b")))
